@@ -98,9 +98,12 @@ def encode_text(
 
 
 def global_feature(local: Tensor) -> Tensor:
-    """Gate each local vector by the mean vector, then mean-pool to (d,)."""
-    if local.ndim != 2 or local.shape[0] < 1:
-        raise DimensionError(f"global_feature needs (n, d) with n >= 1, got {local.shape}")
-    mean_vec = tt.mean(local, axis=0)
+    """Gate each local vector by the mean vector, then mean-pool:
+    (..., n, d) -> (..., d)."""
+    if local.ndim < 2 or local.shape[-2] < 1:
+        raise DimensionError(f"global_feature needs (..., n, d) with n >= 1, got {local.shape}")
+    mean_vec = tt.mean(local, axis=-2)
+    if local.ndim > 2:
+        mean_vec = tt.reshape(mean_vec, mean_vec.shape[:-1] + (1, local.shape[-1]))
     gated = tt.mul(local, mean_vec)
-    return tt.mean(gated, axis=0)
+    return tt.mean(gated, axis=-2)

@@ -15,7 +15,7 @@ class DimensionError(ItmatchError):
 
 
 class ContractError(ItmatchError):
-    """API misuse: non-scalar loss, double gating, wrong stream tag."""
+    """API misuse: non-scalar loss, a missing stream vector, padded captions without globals."""
 
 
 class InputError(ItmatchError):

@@ -1,15 +1,23 @@
-"""Model configuration, parameter initialisation, and the pair forward pass.
+"""Model configuration, parameter initialisation, and the tiled forward pass.
 
 One scalar score per image-caption pair: encode both modalities, build
 local similarity vectors through cross attention, run the image-to-text
 node set through gated graph reasoning, mean-pool the text-to-image node
-set, fuse the two stream vectors, and apply a linear head.  Batch score
-grids share the per-item encodings across all pairings.
+set, fuse the two stream vectors, and apply a linear head.
+
+Every (image, caption) pairing of a tile is scored at once: images and
+captions are encoded one by one, then stacked, and the pair path runs
+on (images, captions, ...) arrays, so a tile costs a fixed number of tape
+nodes whatever its size.  Captions in a tile are zero-padded to one row
+past the longest one (the row that longest caption's global reasoning
+node takes) and carry a length mask.  ``score_matrix`` walks a large
+evaluation grid in tiles sized against ``TILE_ELEMENTS``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,12 +25,16 @@ import numpy as np
 from . import tensor as tt
 from .attention import local_similarities
 from .encoders import GruWeights, encode_text, global_feature, project_image
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DataError, DimensionError
 from .reasoning import ReasonLayerParams, build_node_set, reason
 from .scoring import PairScore, fuse, pool_t2i, score
 from .tensor import ParamStore, Tensor
 
 STREAMS = ("both", "i2t_only", "t2i_only")
+
+# entries allowed in the largest array of one score_matrix tile (0.5 MB of
+# float64); tiles shrink as widths grow, so evaluation memory stays flat
+TILE_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -196,51 +208,65 @@ def encode_caption(params: ParamStore, cfg: ModelConfig, tokens) -> EncodedCapti
     return EncodedCaption(local=local, glob=global_feature(local))
 
 
-def pair_similarity(
+def score_tile(
     params: ParamStore,
     cfg: ModelConfig,
-    image: EncodedImage,
-    caption: EncodedCaption,
-) -> PairScore:
+    images: Sequence[EncodedImage],
+    captions: Sequence[EncodedCaption],
+) -> tuple[Tensor, Tensor]:
+    """Scores (I, C) and fused vectors (I, C, m) of every image x caption pairing."""
+    if not images or not captions:
+        raise DimensionError("a tile needs at least one image and one caption")
+    regions = {img.local.shape for img in images}
+    if len(regions) != 1:
+        raise DimensionError(f"images in one tile must share one region shape, got {sorted(regions)}")
+    lengths = np.array([cap.local.shape[0] for cap in captions], dtype=np.intp)
+    # one spare row past the longest caption holds its global reasoning node
+    rows = int(lengths.max()) + 1
+    word_mask = np.arange(rows) < lengths[:, None]
     w_glob, w_i2t, w_t2i = _sim_weights(params, cfg)
     local = local_similarities(
-        image.local,
-        caption.local,
+        tt.stack([img.local for img in images]),
+        tt.stack_padded([cap.local for cap in captions], rows),
         cfg.temperature,
         w_glob,
-        w_i2t=w_i2t,
+        # with no reasoning layer the i2t stream is its global node alone
+        w_i2t=w_i2t if cfg.n_layers else None,
         w_t2i=w_t2i,
-        v_glob=image.glob,
-        t_glob=caption.glob,
+        v_glob=tt.stack([img.glob for img in images]),
+        t_glob=tt.stack([cap.glob for cap in captions]),
+        word_mask=word_mask,
     )
     s_i2t = None
     if cfg.uses_i2t:
         if cfg.n_layers == 0:
-            # reasoning bypassed: the stream reduces to its initial global node
             s_i2t = local.s_glob
         else:
-            nodes = build_node_set(local.s_i2t, local.s_glob, "i2t")
+            nodes = build_node_set(local.s_i2t, local.s_glob, lengths)
             layers = [layer_params(params, i) for i in range(cfg.n_layers)]
             s_i2t = reason(
-                nodes, layers, hierarchical=cfg.hierarchical, row_softmax=cfg.row_softmax
+                nodes, layers, hierarchical=cfg.hierarchical, row_softmax=cfg.row_softmax,
+                global_rows=lengths,
             )
     s_t2i = None
     if cfg.uses_t2i:
-        s_t2i = pool_t2i(build_node_set(local.s_t2i, local.s_glob, "t2i"))
+        s_t2i = pool_t2i(tt.vstack([local.s_t2i, local.s_glob]))
     fused = fuse(s_i2t, s_t2i, cfg.stream)
-    return PairScore(score=score(fused, params["head.w"], params["head.b"]), fused=fused)
+    return score(fused, params["head.w"], params["head.b"]), fused
 
 
 def pair_score(params: ParamStore, cfg: ModelConfig, regions, tokens) -> PairScore:
-    return pair_similarity(
-        params, cfg, encode_image(params, cfg, regions), encode_caption(params, cfg, tokens)
+    """Score of one pair: a 1 x 1 tile."""
+    scores, fused = score_tile(
+        params, cfg, [encode_image(params, cfg, regions)], [encode_caption(params, cfg, tokens)]
     )
+    return PairScore(score=tt.reshape(scores, ()), fused=tt.reshape(fused, fused.shape[-1:]))
 
 
 def score_grid(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -> Tensor:
     """(b, b) score grid; row = image index, column = caption index.
 
-    Encodings are computed once per item and shared across all pairings.
+    Each item is encoded once; the grid is a single tile.
     """
     if len(region_list) != len(token_lists):
         raise DimensionError(
@@ -249,21 +275,40 @@ def score_grid(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -
         )
     images = [encode_image(params, cfg, r) for r in region_list]
     captions = [encode_caption(params, cfg, t) for t in token_lists]
-    rows = []
-    for img in images:
-        rows.append(tt.stack([pair_similarity(params, cfg, img, cap).score for cap in captions]))
-    return tt.stack(rows)
+    return score_tile(params, cfg, images, captions)[0]
+
+
+def _tile_shape(cfg: ModelConfig, k: int, rows: int, n_captions: int) -> tuple[int, int]:
+    """(images, captions) per tile so that the largest per-pair array,
+    max(k, rows) x max(d, m, k, rows), fits TILE_ELEMENTS."""
+    per_pair = max(k, rows) * max(cfg.hidden_dim, cfg.sim_dim, k, rows)
+    pairs = max(1, TILE_ELEMENTS // per_pair)
+    captions = min(n_captions, pairs)
+    return max(1, pairs // captions), captions
 
 
 def score_matrix(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -> np.ndarray:
-    """Dense evaluation scores (n_images, n_captions), gradient-free."""
+    """Dense evaluation scores (n_images, n_captions), gradient-free.
+
+    Raises DataError naming the first pair whose score is not finite.
+    """
     with tt.no_grad():
         images = [encode_image(params, cfg, r) for r in region_list]
         captions = [encode_caption(params, cfg, t) for t in token_lists]
         out = np.empty((len(images), len(captions)))
-        for i, img in enumerate(images):
-            for j, cap in enumerate(captions):
-                out[i, j] = pair_similarity(params, cfg, img, cap).score.item()
+        if images and captions:
+            rows = max(cap.local.shape[0] for cap in captions) + 1
+            tile_images, tile_captions = _tile_shape(cfg, images[0].local.shape[0], rows, len(captions))
+            for i in range(0, len(images), tile_images):
+                for j in range(0, len(captions), tile_captions):
+                    scores, _ = score_tile(
+                        params, cfg, images[i:i + tile_images], captions[j:j + tile_captions]
+                    )
+                    out[i:i + tile_images, j:j + tile_captions] = scores.data
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        i, j = (int(x) for x in bad[0])
+        raise DataError(f"score of image {i} and caption {j} is not finite ({out[i, j]!r})")
     return out
 
 

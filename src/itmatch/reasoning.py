@@ -1,37 +1,30 @@
 """Gated graph reasoning over similarity vectors.
 
-The node set stacks the per-word (or per-region) similarity vectors with
-the global one as the last row.  Each reasoning layer builds a dense
-pairwise relation matrix from two learned projections, optionally gates
-it by a sigmoid of a 3x3 convolution over the matrix itself (the
-"hierarchical" path, which makes the update sensitive to neighbourhoods
-of relations rather than single entries), and applies a residual
-per-node linear update.  The image-to-text stream reads out the global
-node after the last layer.
+The node set of a pair stacks its per-word similarity vectors with the
+global one right after them.  A tile reasons over an (..., n, m) stack of
+node sets at once: caption j's node set has its L_j word nodes in rows
+0..L_j-1, its global node in row L_j, and zero rows after that.  The
+zero rows act as the 3x3 gate's zero border, so every real entry sees
+the same neighbourhood as in an unpadded (L_j + 1)-node set.
+
+Each reasoning layer builds a dense pairwise relation matrix from two
+learned projections, optionally gates it by a sigmoid of a 3x3
+convolution over the matrix itself (the "hierarchical" path, which makes
+the update sensitive to neighbourhoods of relations rather than single
+entries), and applies a residual per-node linear update.  The
+image-to-text stream reads out the global node after the last layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import tensor as tt
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, DimensionError
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class SimilarityNodeSet:
-    """(n, m) node matrix tagged with its stream; global node is last."""
-
-    nodes: Tensor
-    stream: str  # "i2t" | "t2i"
-
-
-@dataclass(frozen=True)
-class RelationMatrix:
-    matrix: Tensor  # (n, n)
-    gated: bool
 
 
 @dataclass(frozen=True)
@@ -46,62 +39,93 @@ class ReasonLayerParams:
     bias: Tensor      # ()     gate convolution bias
 
 
-def build_node_set(local: Tensor, glob: Tensor, stream: str) -> SimilarityNodeSet:
-    if stream not in ("i2t", "t2i"):
-        raise ContractError(f"stream must be 'i2t' or 't2i', got {stream!r}")
-    if glob.ndim != 1:
-        raise DimensionError(f"global similarity vector must be 1-D, got {glob.shape}")
-    if local.ndim != 2 or local.shape[1] != glob.shape[0]:
+def build_node_set(local: Tensor, glob: Tensor, lengths) -> Tensor:
+    """Node sets (..., C, n, m) with caption j's global node in row lengths[j].
+
+    local: (..., C, n, m) word nodes, zero from row lengths[j] on;
+    glob: (..., C, m) global similarity vectors.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if local.ndim < 3 or glob.shape != local.shape[:-2] + local.shape[-1:]:
         raise DimensionError(
-            f"local rows {local.shape} do not match the global vector {glob.shape}"
+            f"local rows {local.shape} do not match the global vectors {glob.shape}"
         )
-    return SimilarityNodeSet(nodes=tt.vstack([local, glob]), stream=stream)
+    n_captions, n = local.shape[-3:-1]
+    if lengths.shape != (n_captions,) or np.any(lengths < 0) or np.any(lengths >= n):
+        raise DimensionError(f"need {n_captions} caption lengths below {n}, got {lengths.tolist()}")
+    # a one-hot column times each global row places it: 1 * g is exact
+    one_hot = np.zeros((n_captions, n, 1))
+    one_hot[np.arange(n_captions), lengths, 0] = 1.0
+    placed = tt.matmul(tt.constant(one_hot), tt.reshape(glob, glob.shape[:-1] + (1, glob.shape[-1])))
+    return tt.add(local, placed)
 
 
-def relation_matrix(nodes: SimilarityNodeSet, w_query: Tensor, w_key: Tensor) -> RelationMatrix:
+def relation_matrix(nodes: Tensor, w_query: Tensor, w_key: Tensor) -> Tensor:
     """Dense pairwise relations: R[p, q] = (Wq' s_p) . (Wk' s_q)."""
-    s = nodes.nodes
-    queries = tt.matmul(s, tt.transpose(w_query))
-    keys = tt.matmul(s, tt.transpose(w_key))
-    return RelationMatrix(matrix=tt.matmul(queries, tt.transpose(keys)), gated=False)
+    queries = tt.matmul(nodes, tt.transpose(w_query))
+    keys = tt.matmul(nodes, tt.transpose(w_key))
+    return tt.matmul(queries, tt.transpose(keys))
 
 
-def gate_relations(rel: RelationMatrix, kernel: Tensor, bias: Tensor) -> RelationMatrix:
+def gate_relations(rel: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Modulate relations by a sigmoid conv gate over the matrix itself."""
-    if rel.gated:
-        raise ContractError("relation matrix is already gated")
-    gate = tt.sigmoid(tt.conv2d_3x3(rel.matrix, kernel, bias))
-    return RelationMatrix(matrix=tt.mul(rel.matrix, gate), gated=True)
+    return tt.mul(rel, tt.sigmoid(tt.conv2d_3x3(rel, kernel, bias)))
 
 
 def reason_step(
-    nodes: SimilarityNodeSet,
+    nodes: Tensor,
     layer: ReasonLayerParams,
     hierarchical: bool = True,
     row_softmax: bool = False,
-) -> SimilarityNodeSet:
-    """One residual update of every node from its relation-weighted context."""
+    node_mask=None,
+) -> Tensor:
+    """One residual update of every node from its relation-weighted context.
+
+    `node_mask` (boolean, over the last two axes but the feature one) marks
+    real nodes.  A zero node already neither sends nor receives through
+    the relation matrix; only the row softmax needs the mask, to keep
+    padded columns out of each row and padded rows at zero.
+    """
     rel = relation_matrix(nodes, layer.w_query, layer.w_key)
     if hierarchical:
         rel = gate_relations(rel, layer.kernel, layer.bias)
-    mixing = rel.matrix
+    mixing = rel
     if row_softmax:
-        mixing = tt.softmax_rows(mixing)
-    context = tt.matmul(tt.matmul(mixing, nodes.nodes), layer.w_mix)
+        if node_mask is None:
+            mixing = tt.softmax_rows(mixing)
+        else:
+            mixing = tt.softmax_rows(mixing, node_mask[..., None, :])
+            mixing = tt.mul(mixing, tt.constant(node_mask[..., :, None]))
+    context = tt.matmul(tt.matmul(mixing, nodes), layer.w_mix)
     update = tt.matmul(context, tt.transpose(layer.w_out))
-    return SimilarityNodeSet(nodes=tt.add(update, nodes.nodes), stream=nodes.stream)
+    return tt.add(update, nodes)
 
 
 def reason(
-    nodes: SimilarityNodeSet,
+    nodes: Tensor,
     layers: Sequence[ReasonLayerParams],
     hierarchical: bool = True,
     row_softmax: bool = False,
+    global_rows=None,
 ) -> Tensor:
-    """Run every layer and read out the global node (last row)."""
+    """Run every layer and read out the global node of each node set.
+
+    `global_rows` (integers broadcasting over the leading axes) gives the
+    global node's row, with padding after it; by default it is the last
+    row and nothing is padded.
+    """
     if len(layers) < 1:
         raise ConfigError("reasoning needs at least one layer")
+    n = nodes.shape[-2]
+    node_mask = None
+    if global_rows is None:
+        global_rows = n - 1
+    else:
+        global_rows = np.asarray(global_rows, dtype=np.intp)
+        node_mask = np.arange(n) <= global_rows[..., None]
     current = nodes
     for layer in layers:
-        current = reason_step(current, layer, hierarchical=hierarchical, row_softmax=row_softmax)
-    return tt.take(current.nodes, current.nodes.shape[0] - 1)
+        current = reason_step(
+            current, layer, hierarchical=hierarchical, row_softmax=row_softmax, node_mask=node_mask
+        )
+    return tt.pick_rows(current, global_rows)

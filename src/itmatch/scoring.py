@@ -8,7 +8,6 @@ import numpy as np
 
 from . import tensor as tt
 from .errors import ConfigError, ContractError, DimensionError
-from .reasoning import SimilarityNodeSet
 from .tensor import Tensor
 
 FUSE_MODES = ("both", "i2t_only", "t2i_only")
@@ -36,11 +35,9 @@ class LossBatch:
             raise ConfigError(f"margin must be non-negative, got {self.margin}")
 
 
-def pool_t2i(nodes: SimilarityNodeSet) -> Tensor:
-    """Mean over all text-to-image nodes, the global one included."""
-    if nodes.stream != "t2i":
-        raise ContractError(f"pool_t2i got a {nodes.stream!r} node set")
-    return tt.mean(nodes.nodes, axis=0)
+def pool_t2i(nodes: Tensor) -> Tensor:
+    """Mean over each text-to-image node set (..., k + 1, m), the global node included."""
+    return tt.mean(nodes, axis=-2)
 
 
 def fuse(s_i2t: Tensor | None, s_t2i: Tensor | None, mode: str = "both") -> Tensor:
@@ -62,10 +59,10 @@ def fuse(s_i2t: Tensor | None, s_t2i: Tensor | None, mode: str = "both") -> Tens
 
 
 def score(fused: Tensor, w_head: Tensor, b_head: Tensor) -> Tensor:
-    """Scalar matching score: w . fused + b."""
-    if fused.ndim != 1 or w_head.shape != fused.shape:
+    """Scalar matching score w . fused + b of each fused vector (..., m)."""
+    if fused.ndim < 1 or w_head.ndim != 1 or w_head.shape[0] != fused.shape[-1]:
         raise DimensionError(f"score needs matching vectors, got {fused.shape} and {w_head.shape}")
-    return tt.add(tt.matmul(w_head, fused), b_head)
+    return tt.add(tt.matmul(fused, w_head), b_head)
 
 
 def bidirectional_ranking_loss(batch: LossBatch) -> Tensor:
@@ -73,26 +70,14 @@ def bidirectional_ranking_loss(batch: LossBatch) -> Tensor:
 
     For each matched pair k the hardest negative caption is the largest
     off-diagonal entry of row k and the hardest negative image the
-    largest off-diagonal entry of column k; ties take the lowest index.
-    Term order is fixed (caption term then image term, pairs in order)
-    so the result is bitwise reproducible.
+    largest off-diagonal entry of column k; ties take the lowest index
+    (the rule of ``amax``).  All caption terms are summed, then all image
+    terms, so the result is bitwise reproducible.
     """
-    values = batch.scores.data
-    b = values.shape[0]
-    off_diag = values.copy()
-    np.fill_diagonal(off_diag, -np.inf)
-    total: Tensor | None = None
-    for k in range(b):
-        row = tt.take(batch.scores, k)
-        matched = tt.take(row, k)
-        hardest_caption = int(np.argmax(off_diag[k, :]))
-        hardest_image = int(np.argmax(off_diag[:, k]))
-        caption_term = tt.relu(
-            tt.add(tt.sub(tt.take(row, hardest_caption), matched), batch.margin)
-        )
-        image_term = tt.relu(
-            tt.add(tt.sub(tt.take(tt.take(batch.scores, hardest_image), k), matched), batch.margin)
-        )
-        pair_total = tt.add(caption_term, image_term)
-        total = pair_total if total is None else tt.add(total, pair_total)
-    return total
+    b = batch.scores.shape[0]
+    eye = np.eye(b)
+    matched = tt.sum(tt.mul(batch.scores, tt.constant(eye)), axis=1)
+    off_diag = tt.add(batch.scores, tt.constant(np.where(eye == 1.0, -np.inf, 0.0)))
+    caption_terms = tt.relu(tt.add(tt.sub(tt.amax(off_diag, axis=1), matched), batch.margin))
+    image_terms = tt.relu(tt.add(tt.sub(tt.amax(off_diag, axis=0), matched), batch.margin))
+    return tt.add(tt.sum(caption_terms), tt.sum(image_terms))

@@ -7,16 +7,15 @@ topological order and returns a gradient for every named parameter.
 ``finite_diff_grad`` is the independent central-difference oracle used to
 verify the tape; it never touches the graph machinery.
 
-Broadcasting is deliberately narrow.  Binary operations accept exactly:
-
-* two tensors of equal shape,
-* a matrix ``(n, d)`` with a trailing vector ``(d,)`` broadcast across
-  its rows,
-* a tensor with a plain Python number (treated as a constant).
-
-Every other shape pair raises :class:`DimensionError`; nothing is ever
-reshaped silently.  All storage is 64-bit floats and result arrays are
-frozen (read-only) on creation, so tensors behave as immutable values.
+Binary operations follow numpy broadcasting with one restriction: the
+second operand never has more axes than the first, so the first operand
+fixes the rank of the result.  A plain Python number is a constant.
+Shapes that do not broadcast raise :class:`DimensionError`.  The batched
+ops (``matmul``, ``transpose``, ``scale_rows``, ``softmax_rows``,
+``conv2d_3x3``, ``pick_rows``) work on the last one or two axes and carry
+any leading axes along, so a whole stack of matrices is one tape node.
+All storage is 64-bit floats and result arrays are frozen (read-only) on
+creation, so tensors behave as immutable values.
 """
 
 from __future__ import annotations
@@ -95,18 +94,6 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
-def ones(shape) -> Tensor:
-    return Tensor(np.ones(shape))
-
-
-def zeros_like(t: Tensor) -> Tensor:
-    return Tensor(np.zeros(t.data.shape))
-
-
-def ones_like(t: Tensor) -> Tensor:
-    return Tensor(np.ones(t.data.shape))
-
-
 # --- graph plumbing ---------------------------------------------------------
 
 
@@ -131,27 +118,34 @@ def _tracking(*operands) -> bool:
 
 
 def _binary_operand(a: Tensor, b):
-    """Validate the documented broadcast rule and return b's raw value."""
+    """Validate the broadcast rule and return b's raw value."""
     if isinstance(b, (int, float)):
         return float(b)
     if not isinstance(b, Tensor):
         raise ContractError(f"expected Tensor or number, got {type(b).__name__}")
     if a.data.shape == b.data.shape:
         return b.data
-    if a.data.ndim == 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[1]:
-        return b.data
+    if b.data.ndim <= a.data.ndim:
+        try:
+            np.broadcast_shapes(a.data.shape, b.data.shape)
+            return b.data
+        except ValueError:
+            pass
     raise DimensionError(
-        f"shapes {a.data.shape} and {b.data.shape} are neither equal nor "
-        "a (rows, d) with (d,) row-wise broadcast"
+        f"shapes {a.data.shape} and {b.data.shape} do not broadcast with the "
+        "second operand having no more axes than the first"
     )
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
+    """Sum a gradient over the axes that broadcasting added or stretched."""
     if g.shape == shape:
         return g
-    # the only sanctioned mismatch: gradient of a trailing vector that was
-    # broadcast across matrix rows
-    return g.sum(axis=0)
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1
+    )
+    return np.sum(g, axis=axes).reshape(shape)
 
 
 # --- elementwise binary ops -------------------------------------------------
@@ -164,7 +158,7 @@ def add(a: Tensor, b) -> Tensor:
         return _result(out)
     if isinstance(b, Tensor):
         def backward_fn(g):
-            return (g, _unbroadcast(g, b.data.shape))
+            return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
         return _result(out, (a, b), backward_fn)
 
     def backward_fn(g):
@@ -179,7 +173,7 @@ def sub(a: Tensor, b) -> Tensor:
         return _result(out)
     if isinstance(b, Tensor):
         def backward_fn(g):
-            return (g, -_unbroadcast(g, b.data.shape))
+            return (_unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape))
         return _result(out, (a, b), backward_fn)
 
     def backward_fn(g):
@@ -194,7 +188,7 @@ def mul(a: Tensor, b) -> Tensor:
         return _result(out)
     if isinstance(b, Tensor):
         def backward_fn(g):
-            return (g * b.data, _unbroadcast(g * a.data, b.data.shape))
+            return (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
         return _result(out, (a, b), backward_fn)
 
     def backward_fn(g):
@@ -231,16 +225,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _result(out, (a,), backward_fn)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    if not _tracking(a):
-        return _result(out)
-
-    def backward_fn(g):
-        return (out * g,)
-    return _result(out, (a,), backward_fn)
-
-
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     if not _tracking(a):
@@ -267,7 +251,7 @@ def tanh(a: Tensor) -> Tensor:
 def _check_axis(a: Tensor, axis) -> None:
     if axis is None:
         return
-    if not isinstance(axis, int) or axis < 0 or axis >= a.data.ndim:
+    if not isinstance(axis, int) or not -a.data.ndim <= axis < a.data.ndim:
         raise DimensionError(f"axis {axis!r} invalid for shape {a.data.shape}")
 
 
@@ -343,72 +327,70 @@ def l2norm(a: Tensor, axis: int | None = None) -> Tensor:
     return _result(out, (a,), backward_fn)
 
 
-ELEMENTWISE_UNARY = {
-    "square": square,
-    "sigmoid": sigmoid,
-    "exp": exp,
-    "relu": relu,
-    "tanh": tanh,
-}
-
-ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul}
-
-REDUCE_OPS = {"sum": sum, "mean": mean, "max": amax, "l2norm": l2norm}
-
-
-def elementwise(op: str, a: Tensor, b=None) -> Tensor:
-    if op in ELEMENTWISE_BINARY:
-        if b is None:
-            raise ContractError(f"elementwise '{op}' needs two operands")
-        return ELEMENTWISE_BINARY[op](a, b)
-    if op in ELEMENTWISE_UNARY:
-        if b is not None:
-            raise ContractError(f"elementwise '{op}' takes one operand")
-        return ELEMENTWISE_UNARY[op](a)
-    raise ContractError(f"unknown elementwise op {op!r}")
-
-
-def reduce(op: str, a: Tensor, axis: int | None = None) -> Tensor:
-    if op not in REDUCE_OPS:
-        raise ContractError(f"unknown reduce op {op!r}")
-    return REDUCE_OPS[op](a, axis)
-
-
 # --- structural ops -----------------------------------------------------------
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product under numpy's matmul rules: 1-D operands are vectors,
+    and the leading axes of stacked operands broadcast against each other.
+    A 1-D left operand takes a 1-D or 2-D right operand only."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise DimensionError(
-            f"matmul supports 1-D and 2-D operands, got {ad.shape} x {bd.shape}"
-        )
-    if ad.shape[-1] != bd.shape[0]:
+    if ad.ndim == 0 or bd.ndim == 0 or (ad.ndim == 1 and bd.ndim > 2):
+        raise DimensionError(f"matmul cannot multiply {ad.shape} by {bd.shape}")
+    inner = bd.shape[0] if bd.ndim == 1 else bd.shape[-2]
+    if ad.shape[-1] != inner:
         raise DimensionError(f"matmul inner dimensions disagree: {ad.shape} x {bd.shape}")
-    out = ad @ bd
+    try:
+        out = np.matmul(ad, bd)
+    except ValueError:
+        raise DimensionError(f"matmul leading axes do not broadcast: {ad.shape} x {bd.shape}") from None
     if not _tracking(a, b):
         return _result(out)
 
     def backward_fn(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return (g @ bd.T, ad.T @ g)
-        if ad.ndim == 2 and bd.ndim == 1:
-            return (np.outer(g, bd), ad.T @ g)
-        if ad.ndim == 1 and bd.ndim == 2:
+        if bd.ndim == 1:
+            if ad.ndim == 1:
+                return (g * bd, g * ad)
+            gb = ad.T @ g if ad.ndim == 2 else np.tensordot(g, ad, axes=g.ndim)
+            return (g[..., None] * bd, gb)
+        if ad.ndim == 1:
             return (bd @ g, np.outer(ad, g))
-        return (np.asarray(g) * bd, np.asarray(g) * ad)
+        if bd.ndim == 2:
+            # a matrix shared by a whole stack: fold the stack into rows, so
+            # its gradient is one product, not a per-matrix one summed after
+            rows = ad.reshape(-1, ad.shape[-1])
+            return (g @ bd.T, rows.T @ g.reshape(rows.shape[0], -1))
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
     return _result(out, (a, b), backward_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
         raise DimensionError(f"transpose needs a matrix, got shape {a.data.shape}")
-    out = a.data.T
+    out = np.swapaxes(a.data, -1, -2)
     if not _tracking(a):
         return _result(out)
 
     def backward_fn(g):
-        return (g.T,)
+        return (np.swapaxes(g, -1, -2),)
+    return _result(out, (a,), backward_fn)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Same entries in a new shape of equal size."""
+    shape = tuple(shape)
+    if int(np.prod(shape)) != a.data.size:
+        raise DimensionError(f"cannot reshape {a.data.shape} to {shape}")
+    out = a.data.reshape(shape)
+    if not _tracking(a):
+        return _result(out)
+    original = a.data.shape
+
+    def backward_fn(g):
+        return (g.reshape(original),)
     return _result(out, (a,), backward_fn)
 
 
@@ -471,48 +453,101 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
     return _result(out, parts, backward_fn)
 
 
+def stack_padded(parts: Sequence[Tensor], rows: int) -> Tensor:
+    """Stack (l_i, d) matrices into (n, rows, d); rows l_i and on are zero."""
+    parts = tuple(parts)
+    if not parts:
+        raise DimensionError("stack_padded needs at least one tensor")
+    width = parts[0].data.shape[-1]
+    for p in parts:
+        if p.data.ndim != 2 or p.data.shape[1] != width or p.data.shape[0] > rows:
+            raise DimensionError(
+                f"stack_padded needs (l, {width}) matrices with l <= {rows}, got {p.data.shape}"
+            )
+    out = np.zeros((len(parts), rows, width))
+    for i, p in enumerate(parts):
+        out[i, :p.data.shape[0]] = p.data
+    if not _tracking(*parts):
+        return _result(out)
+
+    def backward_fn(g):
+        return tuple(g[i, :p.data.shape[0]] for i, p in enumerate(parts))
+    return _result(out, parts, backward_fn)
+
+
 def vstack(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate vectors (as single rows) and matrices along axis 0."""
+    """Concatenate along the second-to-last axis.
+
+    A part with one axis fewer than the others counts as a single row, so
+    vectors stack as rows of a matrix and (..., m) stacks join (..., r, m)
+    ones.  Every other axis must agree.
+    """
     parts = tuple(parts)
     if not parts:
         raise DimensionError("vstack needs at least one tensor")
-    cols = None
+    ndim = max(2, max(p.data.ndim for p in parts))
+    blocks = []
     for p in parts:
-        if p.data.ndim not in (1, 2):
-            raise DimensionError(f"vstack parts must be 1-D or 2-D, got {p.data.shape}")
-        c = p.data.shape[-1]
-        if cols is None:
-            cols = c
-        elif c != cols:
-            raise DimensionError(f"vstack column mismatch: {cols} vs {c}")
-    out = np.vstack([p.data for p in parts])
+        if p.data.ndim not in (ndim - 1, ndim):
+            raise DimensionError(f"vstack parts must have {ndim - 1} or {ndim} axes, got {p.data.shape}")
+        blocks.append(p.data if p.data.ndim == ndim else p.data[..., None, :])
+        if blocks[-1].shape[:-2] + blocks[-1].shape[-1:] != blocks[0].shape[:-2] + blocks[0].shape[-1:]:
+            raise DimensionError(f"vstack shape mismatch: {blocks[0].shape} vs {p.data.shape}")
+    out = np.concatenate(blocks, axis=-2)
     if not _tracking(*parts):
         return _result(out)
-    row_counts = [1 if p.data.ndim == 1 else p.data.shape[0] for p in parts]
+    row_counts = [b.shape[-2] for b in blocks]
 
     def backward_fn(g):
         grads = []
         offset = 0
         for p, rows in zip(parts, row_counts):
-            chunk = g[offset] if p.data.ndim == 1 else g[offset:offset + rows]
-            grads.append(chunk)
+            chunk = g[..., offset:offset + rows, :]
+            grads.append(chunk if p.data.ndim == ndim else chunk[..., 0, :])
             offset += rows
         return tuple(grads)
     return _result(out, parts, backward_fn)
 
 
+def pick_rows(a: Tensor, index) -> Tensor:
+    """Row index[...] of each matrix in a stack: (..., n, m) -> (..., m).
+
+    `index` is an integer array that broadcasts against the leading axes.
+    """
+    if a.data.ndim < 2:
+        raise DimensionError(f"pick_rows needs a stack of matrices, got shape {a.data.shape}")
+    try:
+        idx = np.broadcast_to(np.asarray(index, dtype=np.intp), a.data.shape[:-2])
+    except ValueError:
+        raise DimensionError(f"row index does not broadcast over {a.data.shape[:-2]}") from None
+    n = a.data.shape[-2]
+    if np.any(idx < 0) or np.any(idx >= n):
+        raise DimensionError(f"pick_rows index out of range for {n} rows")
+    sel = idx[..., None, None]
+    out = np.take_along_axis(a.data, sel, axis=-2)[..., 0, :]
+    if not _tracking(a):
+        return _result(out)
+    shape = a.data.shape
+
+    def backward_fn(g):
+        grad = np.zeros(shape)
+        np.put_along_axis(grad, sel, g[..., None, :], axis=-2)
+        return (grad,)
+    return _result(out, (a,), backward_fn)
+
+
 def scale_rows(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of a matrix by scalar s[i]."""
-    if a.data.ndim != 2 or s.data.ndim != 1 or s.data.shape[0] != a.data.shape[0]:
+    """Multiply each row a[..., i, :] by the scalar s[..., i]."""
+    if a.data.ndim < 2 or s.data.shape != a.data.shape[:-1]:
         raise DimensionError(
-            f"scale_rows needs (n, d) and (n,), got {a.data.shape} and {s.data.shape}"
+            f"scale_rows needs (..., n, d) and (..., n), got {a.data.shape} and {s.data.shape}"
         )
-    out = a.data * s.data[:, None]
+    out = a.data * s.data[..., None]
     if not _tracking(a, s):
         return _result(out)
 
     def backward_fn(g):
-        return (g * s.data[:, None], np.sum(g * a.data, axis=1))
+        return (g * s.data[..., None], np.sum(g * a.data, axis=-1))
     return _result(out, (a, s), backward_fn)
 
 
@@ -535,47 +570,70 @@ def safe_inv(a: Tensor, eps: float = 1e-12) -> Tensor:
     return _result(out, (a,), backward_fn)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax, stable under large magnitudes (per-row max shift)."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"softmax_rows needs a matrix, got shape {a.data.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+def softmax_rows(a: Tensor, mask=None) -> Tensor:
+    """Softmax over the last axis, stable under large magnitudes (max shift).
+
+    `mask` (boolean, broadcasting to a's shape) keeps the True entries; the
+    others get weight 0 and no gradient.  Every row needs one True entry.
+    """
+    if a.data.ndim < 1:
+        raise DimensionError("softmax_rows needs at least one axis")
+    x = a.data
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim > x.ndim or any(m not in (1, n) for m, n in zip(mask.shape[::-1], x.shape[::-1])):
+            raise DimensionError(f"softmax mask {mask.shape} does not broadcast to {x.shape}")
+        x = np.where(mask, x, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
     if not _tracking(a):
         return _result(out)
 
     def backward_fn(g):
-        dot = np.sum(g * out, axis=1, keepdims=True)
+        dot = np.sum(g * out, axis=-1, keepdims=True)
         return (out * (g - dot),)
     return _result(out, (a,), backward_fn)
 
 
+def _shifted(h: int, w: int, u: int, v: int) -> tuple[tuple, tuple]:
+    """Slices pairing output entry (p, q) with input entry (p + u - 1, q + v - 1),
+    restricted to the entries where both lie inside an (h, w) matrix."""
+    du, dv = u - 1, v - 1
+    out = (..., slice(max(0, -du), h - max(0, du)), slice(max(0, -dv), w - max(0, dv)))
+    inp = (..., slice(max(0, du), h + min(0, du)), slice(max(0, dv), w + min(0, dv)))
+    return out, inp
+
+
+_KERNEL_TAPS = [(u, v) for u in range(3) for v in range(3)]
+
+
 def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """3x3 cross-correlation with zero padding; output shape equals input."""
-    if x.data.ndim != 2:
+    """3x3 cross-correlation of each matrix in a (..., h, w) stack, zero
+    padded, so the output shape equals the input's.
+
+    Each kernel tap adds a shifted slice of the input; a tap never reads
+    past the border, so no padded copy is built.
+    """
+    if x.data.ndim < 2:
         raise DimensionError(f"conv2d_3x3 input must be a matrix, got {x.data.shape}")
     if kernel.data.shape != (3, 3):
         raise DimensionError(f"conv2d_3x3 kernel must be (3, 3), got {kernel.data.shape}")
     if bias.data.shape != ():
         raise DimensionError(f"conv2d_3x3 bias must be a scalar, got {bias.data.shape}")
-    h, w = x.data.shape
-    padded = np.pad(x.data, 1)
-    out = np.full((h, w), float(bias.data))
-    for u in range(3):
-        for v in range(3):
-            out += kernel.data[u, v] * padded[u:u + h, v:v + w]
+    h, w = x.data.shape[-2:]
+    taps = [(u, v, *_shifted(h, w, u, v)) for u, v in _KERNEL_TAPS]
+    out = np.full(x.data.shape, float(bias.data))
+    for u, v, o, i in taps:
+        out[o] += kernel.data[u, v] * x.data[i]
     if not _tracking(x, kernel, bias):
         return _result(out)
 
     def backward_fn(g):
-        gp = np.pad(g, 1)
-        gx = np.zeros((h, w))
+        gx = np.zeros(x.data.shape)
         gk = np.empty((3, 3))
-        for u in range(3):
-            for v in range(3):
-                gx += kernel.data[u, v] * gp[2 - u:2 - u + h, 2 - v:2 - v + w]
-                gk[u, v] = np.sum(g * padded[u:u + h, v:v + w])
+        for u, v, o, i in taps:
+            gx[i] += kernel.data[u, v] * g[o]
+            gk[u, v] = np.sum(g[o] * x.data[i])
         return (gx, gk, np.asarray(np.sum(g)))
     return _result(out, (x, kernel, bias), backward_fn)
 
@@ -674,6 +732,10 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, Tensor]:
                 work.append((parent, False))
 
     grads: dict[int, Array] = {id(loss): np.ones(())}
+    # a first contribution is stored as handed over, and it may be another
+    # node's gradient (add passes one array to both parents); the second
+    # allocates a buffer this loop owns, and later ones add into it in place
+    owned: set[int] = set()
     for node in reversed(topo):
         if node._backward is None:
             continue  # leaf: its entry must survive for collection below
@@ -686,8 +748,11 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, Tensor]:
             if not parent.requires_grad:
                 continue
             key = id(parent)
-            if key in grads:
+            if key in owned:
+                grads[key] += pg
+            elif key in grads:
                 grads[key] = grads[key] + pg
+                owned.add(key)
             else:
                 grads[key] = pg
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from itmatch import tensor as tt
-from itmatch.attention import cross_attention, sim_vec
+from itmatch.attention import cross_attention, sim_vec_rows
 from itmatch.cli import main
 from itmatch.dataio import gen_synthetic, read_dataset, write_dataset
 from itmatch.evaluation import evaluate, recalls_from_matrix, rsum
@@ -26,8 +26,6 @@ from itmatch.model import (
 )
 from itmatch.reasoning import (
     ReasonLayerParams,
-    SimilarityNodeSet,
-    build_node_set,
     gate_relations,
     reason,
     reason_step,
@@ -89,10 +87,14 @@ def test_criterion_03_attention_invariants():
     rng = np.random.default_rng(5)
     v_arr = np.abs(rng.normal(size=(4, 6))) + 0.1
     t_arr = np.abs(rng.normal(size=(3, 6))) + 0.1
-    v, t = tt.constant(v_arr), tt.constant(t_arr)
+    v, t = tt.constant(v_arr[None]), tt.constant(t_arr[None])
 
-    i2t = cross_attention(v, t, 9.0, "i2t").weights.data
-    t2i = cross_attention(v, t, 9.0, "t2i").weights.data
+    def weights(v, t, temperature, direction):
+        # one image-caption pair is a 1 x 1 tile
+        return cross_attention(v, t, temperature, direction).weights.data[0, 0]
+
+    i2t = weights(v, t, 9.0, "i2t")
+    t2i = weights(v, t, 9.0, "t2i")
     norm_ok = (
         np.max(np.abs(i2t.sum(axis=0) - 1.0)) < 1e-6
         and np.max(np.abs(t2i.sum(axis=1) - 1.0)) < 1e-6
@@ -103,8 +105,8 @@ def test_criterion_03_attention_invariants():
     t_scaled = t_arr.copy()
     t_scaled[2] *= 0.003
     scale_ok = (
-        np.max(np.abs(cross_attention(tt.constant(v_scaled), t, 9.0, "i2t").weights.data - i2t)) < 1e-10
-        and np.max(np.abs(cross_attention(v, tt.constant(t_scaled), 9.0, "t2i").weights.data - t2i)) < 1e-10
+        np.max(np.abs(weights(tt.constant(v_scaled[None]), t, 9.0, "i2t") - i2t)) < 1e-10
+        and np.max(np.abs(weights(v, tt.constant(t_scaled[None]), 9.0, "t2i") - t2i)) < 1e-10
     )
 
     # independent recomputation of the pre-softmax matrix for the argmax
@@ -116,7 +118,7 @@ def test_criterion_03_attention_invariants():
     assert np.min(gaps[-1] - gaps[-2]) > 0.02  # argmax is unambiguous
     onehot = np.zeros_like(normed)
     onehot[np.argmax(normed, axis=0), np.arange(normed.shape[1])] = 1.0
-    hard = cross_attention(v, t, 1000.0, "i2t").weights.data
+    hard = weights(v, t, 1000.0, "i2t")
     onehot_ok = np.max(np.abs(hard - onehot)) < 1e-6
 
     _line(
@@ -130,18 +132,23 @@ def test_criterion_03_attention_invariants():
 def test_criterion_04_similarity_vector_properties():
     rng = np.random.default_rng(9)
     w = tt.constant(rng.normal(size=(3, 4)))
+
+    def sim_vec(x, y, w):
+        # the similarity vector of one pair of rows
+        return sim_vec_rows(tt.reshape(x, (1, 4)), tt.reshape(y, (1, 4)), w).data[0]
+
     x = tt.constant(rng.normal(size=4))
     y = tt.constant(rng.normal(size=4))
 
-    symmetric = np.array_equal(sim_vec(x, y, w).data, sim_vec(y, x, w).data)
+    symmetric = np.array_equal(sim_vec(x, y, w), sim_vec(y, x, w))
     homogeneous = all(
         np.max(np.abs(
-            sim_vec(tt.constant(a * x.data), tt.constant(a * y.data), w).data
-            - a * sim_vec(x, y, w).data
+            sim_vec(tt.constant(a * x.data), tt.constant(a * y.data), w)
+            - a * sim_vec(x, y, w)
         )) < 1e-10
         for a in (0.25, 3.0, 117.0)
     )
-    guarded = np.array_equal(sim_vec(x, x, w).data, np.zeros(3))
+    guarded = np.array_equal(sim_vec(x, x, w), np.zeros(3))
     _line(
         4, "similarity vector symmetry, degree-1 homogeneity, zero guard",
         symmetric and homogeneous and guarded,
@@ -162,15 +169,14 @@ def _np_conv3x3(mat: np.ndarray, kernel: np.ndarray, bias: float) -> np.ndarray:
 def test_criterion_05_reasoning_structure():
     rng = np.random.default_rng(11)
     m = 4
-    nodes = build_node_set(
-        tt.constant(rng.normal(size=(3, m))), tt.constant(rng.normal(size=m)), "i2t"
-    )
+    # three local nodes, then the global one
+    nodes = tt.vstack([tt.constant(rng.normal(size=(3, m))), tt.constant(rng.normal(size=m))])
     wq = tt.constant(rng.normal(size=(m, m)))
     wk = tt.constant(rng.normal(size=(m, m)))
     rel = relation_matrix(nodes, wq, wk)
 
     gated = gate_relations(rel, tt.constant(np.zeros((3, 3))), tt.constant(np.asarray(0.0)))
-    halved = np.array_equal(gated.matrix.data, 0.5 * rel.matrix.data)
+    halved = np.array_equal(gated.data, 0.5 * rel.data)
 
     layer_zero_out = ReasonLayerParams(
         w_query=wq, w_key=wk,
@@ -180,7 +186,7 @@ def test_criterion_05_reasoning_structure():
         bias=tt.constant(np.asarray(0.3)),
     )
     readout = reason(nodes, [layer_zero_out], hierarchical=True)
-    identity = np.array_equal(readout.data, nodes.nodes.data[-1])
+    identity = np.array_equal(readout.data, nodes.data[-1])
 
     layer = ReasonLayerParams(
         w_query=wq, w_key=wk,
@@ -189,11 +195,11 @@ def test_criterion_05_reasoning_structure():
         kernel=tt.constant(rng.normal(size=(3, 3))),
         bias=tt.constant(np.asarray(-0.2)),
     )
-    on = reason_step(nodes, layer, hierarchical=True).nodes.data
-    off = reason_step(nodes, layer, hierarchical=False).nodes.data
-    r = rel.matrix.data
+    on = reason_step(nodes, layer, hierarchical=True).data
+    off = reason_step(nodes, layer, hierarchical=False).data
+    r = rel.data
     gate = 1.0 / (1.0 + np.exp(-_np_conv3x3(r, layer.kernel.data, float(layer.bias.data))))
-    s = nodes.nodes.data
+    s = nodes.data
     expected_on = (r * gate) @ s @ layer.w_mix.data @ layer.w_out.data.T + s
     expected_off = r @ s @ layer.w_mix.data @ layer.w_out.data.T + s
     gate_only = (

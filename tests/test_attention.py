@@ -8,7 +8,6 @@ from itmatch.attention import (
     attended_features,
     cross_attention,
     local_similarities,
-    sim_vec,
     sim_vec_rows,
 )
 from itmatch.errors import ConfigError, ContractError, DimensionError
@@ -18,6 +17,22 @@ from scalar_reference import ref_attention, ref_sim_vec
 def _units(rng, n, d):
     x = rng.normal(size=(n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def sim_vec(x, y, w):
+    """Similarity vector of two d-vectors: sim_vec_rows on one row."""
+    rows = sim_vec_rows(tt.reshape(x, (1, x.shape[0])), tt.reshape(y, (1, y.shape[0])), w)
+    return tt.reshape(rows, (w.shape[0],))
+
+
+def _pair(v, t):
+    """A 1 x 1 tile: (k, d) regions and (l, d) words as (1, k, d) and (1, l, d) stacks."""
+    return tt.constant(np.asarray(v)[None]), tt.constant(np.asarray(t)[None])
+
+
+def _weights(v, t, temperature, direction):
+    """(k, l) attention weights of one image-caption pair."""
+    return cross_attention(*_pair(v, t), temperature, direction).weights.data[0, 0]
 
 
 # --- similarity vectors ---------------------------------------------------------
@@ -83,11 +98,28 @@ def test_sim_vec_rows_matches_scalar_reference():
 def test_sim_vec_rejects_bad_shapes():
     w = tt.constant(np.ones((3, 4)))
     with pytest.raises(DimensionError):
-        sim_vec(tt.constant(np.ones((2, 4))), tt.constant(np.ones((2, 4))), w)
-    with pytest.raises(DimensionError):
         sim_vec_rows(tt.constant(np.ones((2, 4))), tt.constant(np.ones((3, 4))), w)
     with pytest.raises(DimensionError):
-        sim_vec(tt.constant(np.ones(5)), tt.constant(np.ones(5)), w)
+        sim_vec_rows(tt.constant(np.ones((2, 5))), tt.constant(np.ones((2, 5))), w)
+    with pytest.raises(DimensionError):
+        sim_vec_rows(tt.constant(np.ones((2, 4))), tt.constant(np.ones((2, 4))), tt.constant(np.ones(4)))
+
+
+def test_sim_vec_rows_broadcast_and_row_mask():
+    rng = np.random.default_rng(13)
+    w = tt.constant(rng.normal(size=(3, 4)))
+    x = rng.normal(size=(2, 1, 4))
+    y = rng.normal(size=(5, 4))
+    mask = np.array([True, False, True, True, False])
+    out = sim_vec_rows(tt.constant(x), tt.constant(y), w, row_mask=mask).data
+    assert out.shape == (2, 5, 3)
+    for i in range(2):
+        for j in range(5):
+            if mask[j]:
+                want = sim_vec(tt.constant(x[i, 0]), tt.constant(y[j]), w).data
+                np.testing.assert_allclose(out[i, j], want, rtol=1e-14, atol=1e-14)
+            else:
+                np.testing.assert_array_equal(out[i, j], 0.0)
 
 
 # --- attention weights ----------------------------------------------------------
@@ -95,33 +127,27 @@ def test_sim_vec_rejects_bad_shapes():
 
 def test_i2t_columns_sum_to_one():
     rng = np.random.default_rng(3)
-    v = tt.constant(rng.normal(size=(5, 8)))
-    t = tt.constant(rng.normal(size=(3, 8)))
-    w = cross_attention(v, t, 9.0, "i2t").weights.data
+    w = _weights(rng.normal(size=(5, 8)), rng.normal(size=(3, 8)), 9.0, "i2t")
     assert w.shape == (5, 3)
     np.testing.assert_allclose(w.sum(axis=0), np.ones(3), atol=1e-6)
 
 
 def test_t2i_rows_sum_to_one():
     rng = np.random.default_rng(4)
-    v = tt.constant(rng.normal(size=(5, 8)))
-    t = tt.constant(rng.normal(size=(3, 8)))
-    w = cross_attention(v, t, 9.0, "t2i").weights.data
+    w = _weights(rng.normal(size=(5, 8)), rng.normal(size=(3, 8)), 9.0, "t2i")
     np.testing.assert_allclose(w.sum(axis=1), np.ones(5), atol=1e-6)
 
 
 def test_single_region_gets_full_weight():
     rng = np.random.default_rng(5)
-    v = tt.constant(rng.normal(size=(1, 8)))
-    t = tt.constant(rng.normal(size=(4, 8)))
-    w = cross_attention(v, t, 9.0, "i2t").weights.data
+    w = _weights(rng.normal(size=(1, 8)), rng.normal(size=(4, 8)), 9.0, "i2t")
     np.testing.assert_array_equal(w, np.ones((1, 4)))
 
 
 def test_orthogonal_features_give_uniform_weights():
-    v = tt.constant(np.eye(4)[:3])   # three regions on distinct axes
-    t = tt.constant(np.eye(4)[3:])   # one word on a fourth axis
-    w = cross_attention(v, t, 9.0, "i2t").weights.data
+    v = np.eye(4)[:3]   # three regions on distinct axes
+    t = np.eye(4)[3:]   # one word on a fourth axis
+    w = _weights(v, t, 9.0, "i2t")
     np.testing.assert_allclose(w, np.full((3, 1), 1 / 3), atol=1e-12)
 
 
@@ -130,12 +156,12 @@ def test_weights_invariant_to_row_rescaling(direction):
     rng = np.random.default_rng(6)
     v = rng.normal(size=(4, 8))
     t = rng.normal(size=(3, 8))
-    base = cross_attention(tt.constant(v), tt.constant(t), 9.0, direction).weights.data
+    base = _weights(v, t, 9.0, direction)
     v2 = v.copy()
     v2[2] *= 37.5  # positive rescaling must not move any weight
     t2 = t.copy()
     t2[0] *= 0.003
-    out = cross_attention(tt.constant(v2), tt.constant(t2), 9.0, direction).weights.data
+    out = _weights(v2, t2, 9.0, direction)
     np.testing.assert_allclose(out, base, atol=1e-10)
 
 
@@ -145,7 +171,7 @@ def test_lambda_1000_selects_argmax_one_hot():
     rng = np.random.default_rng(5)
     v = np.abs(rng.normal(size=(5, 8))) + 0.1
     t = np.abs(rng.normal(size=(3, 8))) + 0.1
-    att = cross_attention(tt.constant(v), tt.constant(t), 1000.0, "i2t").weights.data
+    att = _weights(v, t, 1000.0, "i2t")
     assert np.all(np.isfinite(att))
     # reproduce the normalised cosine logits to find each column's winner
     vu = v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -165,20 +191,21 @@ def test_weights_match_scalar_reference(direction):
     rng = np.random.default_rng(8)
     v = rng.normal(size=(4, 6))
     t = rng.normal(size=(3, 6))
-    out = cross_attention(tt.constant(v), tt.constant(t), 9.0, direction).weights.data
+    out = _weights(v, t, 9.0, direction)
     expected = ref_attention(v.tolist(), t.tolist(), 9.0, direction)
     np.testing.assert_allclose(out, np.array(expected), atol=1e-10)
 
 
 def test_cross_attention_validates_arguments():
-    v = tt.constant(np.ones((2, 4)))
-    t = tt.constant(np.ones((3, 4)))
+    v, t = _pair(np.ones((2, 4)), np.ones((3, 4)))
     with pytest.raises(ContractError):
         cross_attention(v, t, 9.0, "sideways")
     with pytest.raises(ConfigError):
         cross_attention(v, t, 0.0, "i2t")
     with pytest.raises(DimensionError):
-        cross_attention(v, tt.constant(np.ones((3, 5))), 9.0, "i2t")
+        cross_attention(v, tt.constant(np.ones((1, 3, 5))), 9.0, "i2t")
+    with pytest.raises(DimensionError):
+        cross_attention(tt.constant(np.ones((2, 4))), tt.constant(np.ones((3, 4))), 9.0, "i2t")
 
 
 def test_zero_rows_hit_the_guard_not_nan():
@@ -187,8 +214,31 @@ def test_zero_rows_hit_the_guard_not_nan():
     t = np.zeros((2, 4))
     t[0, 1] = 1.0
     for direction in ("i2t", "t2i"):
-        w = cross_attention(tt.constant(v), tt.constant(t), 9.0, direction).weights.data
+        w = _weights(v, t, 9.0, direction)
         assert np.all(np.isfinite(w))
+
+
+def test_padded_words_are_masked_out_of_the_t2i_softmax():
+    rng = np.random.default_rng(14)
+    v = rng.normal(size=(4, 6))
+    t = rng.normal(size=(2, 6))
+    padded = np.concatenate([t, np.zeros((3, 6))])
+    mask = np.array([[True, True, False, False, False]])
+    att = cross_attention(*_pair(v, padded), 9.0, "t2i", word_mask=mask).weights.data[0, 0]
+    np.testing.assert_array_equal(att[:, 2:], 0.0)
+    np.testing.assert_allclose(att[:, :2], _weights(v, t, 9.0, "t2i"), atol=1e-15)
+
+
+def test_tile_weights_equal_per_pair_weights():
+    rng = np.random.default_rng(15)
+    v = rng.normal(size=(3, 4, 6))
+    t = rng.normal(size=(2, 5, 6))
+    for direction in ("i2t", "t2i"):
+        tile = cross_attention(tt.constant(v), tt.constant(t), 9.0, direction).weights.data
+        assert tile.shape == (3, 2, 4, 5)
+        for i in range(3):
+            for j in range(2):
+                np.testing.assert_allclose(tile[i, j], _weights(v[i], t[j], 9.0, direction), atol=1e-15)
 
 
 # --- attended features ----------------------------------------------------------
@@ -196,34 +246,31 @@ def test_zero_rows_hit_the_guard_not_nan():
 
 def test_attended_features_shapes_and_pooling():
     rng = np.random.default_rng(9)
-    v = tt.constant(rng.normal(size=(4, 6)))
-    t = tt.constant(rng.normal(size=(3, 6)))
+    v, t = _pair(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)))
     att_i2t = cross_attention(v, t, 9.0, "i2t")
     pooled = attended_features(att_i2t, v, t)
-    assert pooled.shape == (3, 6)
-    np.testing.assert_allclose(pooled.data, att_i2t.weights.data.T @ v.data, atol=1e-12)
+    assert pooled.shape == (1, 1, 3, 6)
+    np.testing.assert_allclose(pooled.data[0, 0], att_i2t.weights.data[0, 0].T @ v.data[0], atol=1e-12)
     att_t2i = cross_attention(v, t, 9.0, "t2i")
     pooled = attended_features(att_t2i, v, t)
-    assert pooled.shape == (4, 6)
-    np.testing.assert_allclose(pooled.data, att_t2i.weights.data @ t.data, atol=1e-12)
+    assert pooled.shape == (1, 1, 4, 6)
+    np.testing.assert_allclose(pooled.data[0, 0], att_t2i.weights.data[0, 0] @ t.data[0], atol=1e-12)
 
 
 def test_attended_features_validates_shapes():
     rng = np.random.default_rng(10)
-    v = tt.constant(rng.normal(size=(4, 6)))
-    t = tt.constant(rng.normal(size=(3, 6)))
+    v, t = _pair(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)))
     att = cross_attention(v, t, 9.0, "i2t")
     with pytest.raises(DimensionError):
-        attended_features(att, tt.constant(rng.normal(size=(5, 6))), t)
+        attended_features(att, tt.constant(rng.normal(size=(1, 5, 6))), t)
 
 
 def test_uniform_weights_average_the_regions():
-    v = np.array([[2.0, 0.0], [0.0, 2.0]])
-    t = np.array([[1.0, 1.0]])  # equal cosine to both regions -> uniform column
-    att = cross_attention(tt.constant(v), tt.constant(t), 9.0, "i2t")
-    np.testing.assert_allclose(att.weights.data, [[0.5], [0.5]], atol=1e-12)
-    pooled = attended_features(att, tt.constant(v), tt.constant(t))
-    np.testing.assert_allclose(pooled.data, [[1.0, 1.0]], atol=1e-12)
+    v, t = _pair([[2.0, 0.0], [0.0, 2.0]], [[1.0, 1.0]])  # equal cosines -> uniform column
+    att = cross_attention(v, t, 9.0, "i2t")
+    np.testing.assert_allclose(att.weights.data[0, 0], [[0.5], [0.5]], atol=1e-12)
+    pooled = attended_features(att, v, t)
+    np.testing.assert_allclose(pooled.data[0, 0], [[1.0, 1.0]], atol=1e-12)
 
 
 # --- bundle ---------------------------------------------------------------------
@@ -231,13 +278,12 @@ def test_uniform_weights_average_the_regions():
 
 def test_local_similarities_streams_optional():
     rng = np.random.default_rng(11)
-    v = tt.constant(rng.normal(size=(4, 6)))
-    t = tt.constant(rng.normal(size=(3, 6)))
+    v, t = _pair(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)))
     w = tt.constant(rng.normal(size=(5, 6)))
     full = local_similarities(v, t, 9.0, w, w_i2t=w, w_t2i=w)
-    assert full.s_glob.shape == (5,)
-    assert full.s_i2t.shape == (3, 5)
-    assert full.s_t2i.shape == (4, 5)
+    assert full.s_glob.shape == (1, 1, 5)
+    assert full.s_i2t.shape == (1, 1, 3, 5)
+    assert full.s_t2i.shape == (1, 1, 4, 5)
     partial = local_similarities(v, t, 9.0, w, w_i2t=None, w_t2i=w)
     assert partial.s_i2t is None
     assert partial.s_t2i is not None
@@ -245,14 +291,35 @@ def test_local_similarities_streams_optional():
 
 def test_local_similarities_accepts_precomputed_globals():
     rng = np.random.default_rng(12)
-    v = tt.constant(rng.normal(size=(4, 6)))
-    t = tt.constant(rng.normal(size=(3, 6)))
+    v, t = _pair(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)))
     w = tt.constant(rng.normal(size=(5, 6)))
     from itmatch.encoders import global_feature
 
     lazy = local_similarities(v, t, 9.0, w, w_i2t=w, w_t2i=w)
     eager = local_similarities(
         v, t, 9.0, w, w_i2t=w, w_t2i=w,
-        v_glob=global_feature(v), t_glob=global_feature(t),
+        v_glob=tt.stack([global_feature(tt.constant(v.data[0]))]),
+        t_glob=tt.stack([global_feature(tt.constant(t.data[0]))]),
     )
     np.testing.assert_array_equal(lazy.s_glob.data, eager.s_glob.data)
+    with pytest.raises(ContractError):
+        local_similarities(v, t, 9.0, w, word_mask=np.ones((1, 3), dtype=bool))
+
+
+def test_padded_word_rows_are_zero_and_real_rows_unchanged():
+    rng = np.random.default_rng(16)
+    v = rng.normal(size=(4, 6))
+    t = rng.normal(size=(2, 6))
+    w = tt.constant(rng.normal(size=(5, 6)))
+    from itmatch.encoders import global_feature
+
+    t_glob = tt.stack([global_feature(tt.constant(t))])
+    plain = local_similarities(*_pair(v, t), 9.0, w, w_i2t=w, w_t2i=w, t_glob=t_glob)
+    padded = local_similarities(
+        *_pair(v, np.concatenate([t, np.zeros((2, 6))])), 9.0, w, w_i2t=w, w_t2i=w,
+        t_glob=t_glob, word_mask=np.array([[True, True, False, False]]),
+    )
+    np.testing.assert_array_equal(padded.s_i2t.data[0, 0, 2:], 0.0)
+    np.testing.assert_allclose(padded.s_i2t.data[0, 0, :2], plain.s_i2t.data[0, 0], atol=1e-14)
+    np.testing.assert_allclose(padded.s_t2i.data, plain.s_t2i.data, atol=1e-14)
+    np.testing.assert_array_equal(padded.s_glob.data, plain.s_glob.data)

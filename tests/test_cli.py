@@ -5,7 +5,7 @@ import os
 import pytest
 
 from itmatch.cli import main
-from itmatch.dataio import read_dataset
+from itmatch.dataio import read_dataset, write_dataset
 
 GEN_TINY = [
     "gen-data", "--pairs", "4", "--k", "2", "--draw", "6",
@@ -125,6 +125,22 @@ def test_eval_missing_dataset(tmp_path, capsys):
     main(["train", "--data", data, "--out", ckpt, "--epochs", "1",
           "--batch-size", "4", *MODEL_TINY])
     assert main(["eval", "--data", str(tmp_path / "nope"), "--checkpoint", ckpt]) == 3
+
+
+def test_eval_rejects_a_non_finite_score(tmp_path, capsys):
+    data = _gen(tmp_path)
+    ckpt = str(tmp_path / "ckpt")
+    main(["train", "--data", data, "--out", ckpt, "--epochs", "1",
+          "--batch-size", "4", *MODEL_TINY])
+    bundles, manifest = read_dataset(data)
+    bundles[1].regions = bundles[1].regions.copy()
+    bundles[1].regions[0, 2] = float("nan")
+    poisoned = str(tmp_path / "nan")
+    write_dataset(bundles, poisoned, vocab_size=manifest.vocab_size)
+    capsys.readouterr()
+    assert main(["eval", "--data", poisoned, "--checkpoint", ckpt]) == 3
+    err = capsys.readouterr().err
+    assert "image 1 and caption 0 is not finite" in err
 
 
 def test_train_rejects_mismatched_val_set(tmp_path, capsys):

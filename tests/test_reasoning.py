@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from itmatch import tensor as tt
-from itmatch.errors import ConfigError, ContractError, DimensionError
+from itmatch.errors import ConfigError, DimensionError
 from itmatch.reasoning import (
     ReasonLayerParams,
     build_node_set,
@@ -41,40 +41,42 @@ def _layer_as_ref(layer):
     }
 
 
-def _nodes(rng, n, m, stream="i2t"):
-    local = tt.constant(rng.normal(size=(n - 1, m)))
-    glob = tt.constant(rng.normal(size=m))
-    return build_node_set(local, glob, stream)
+def _nodes(rng, n, m):
+    """One unpadded node set: n - 1 local rows, then the global node."""
+    return tt.constant(rng.normal(size=(n, m)))
 
 
 def test_build_node_set_places_global_last():
-    local = tt.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    glob = tt.constant(np.array([9.0, 9.0]))
-    nodes = build_node_set(local, glob, "i2t")
-    assert nodes.nodes.data.tolist() == [[1.0, 2.0], [3.0, 4.0], [9.0, 9.0]]
-    assert nodes.stream == "i2t"
+    # caption 0 has two words, caption 1 one word and a zero padding row
+    local = tt.constant(np.array([
+        [[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]],
+        [[5.0, 6.0], [0.0, 0.0], [0.0, 0.0]],
+    ]))
+    glob = tt.constant(np.array([[9.0, 9.0], [7.0, 7.0]]))
+    nodes = build_node_set(local, glob, [2, 1])
+    assert nodes.data.tolist() == [
+        [[1.0, 2.0], [3.0, 4.0], [9.0, 9.0]],
+        [[5.0, 6.0], [7.0, 7.0], [0.0, 0.0]],
+    ]
 
 
 def test_build_node_set_validates():
-    glob = tt.constant(np.ones(2))
-    with pytest.raises(ContractError):
-        build_node_set(tt.constant(np.ones((2, 2))), glob, "up")
+    local = tt.constant(np.zeros((2, 3, 2)))
     with pytest.raises(DimensionError):
-        build_node_set(tt.constant(np.ones((2, 3))), glob, "i2t")
+        build_node_set(local, tt.constant(np.ones((2, 3))), [1, 1])
     with pytest.raises(DimensionError):
-        build_node_set(tt.constant(np.ones((2, 2))), tt.constant(np.ones((1, 2))), "i2t")
+        build_node_set(local, tt.constant(np.ones((2, 2))), [1, 3])
+    with pytest.raises(DimensionError):
+        build_node_set(local, tt.constant(np.ones((2, 2))), [1])
 
 
 def test_relation_matrix_hand_value():
-    nodes = build_node_set(
-        tt.constant(np.array([[1.0, 0.0]])), tt.constant(np.array([0.0, 1.0])), "i2t"
-    )
+    nodes = tt.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
     w_query = tt.constant(np.eye(2))
     w_key = tt.constant(np.eye(2))
     rel = relation_matrix(nodes, w_query, w_key)
     # identity projections: R = S S^T
-    assert rel.matrix.data.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-    assert rel.gated is False
+    assert rel.data.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_relation_matrix_loop_oracle():
@@ -82,8 +84,8 @@ def test_relation_matrix_loop_oracle():
     nodes = _nodes(rng, 4, 3)
     w_query = tt.constant(rng.normal(size=(3, 3)))
     w_key = tt.constant(rng.normal(size=(3, 3)))
-    rel = relation_matrix(nodes, w_query, w_key).matrix.data
-    s = nodes.nodes.data
+    rel = relation_matrix(nodes, w_query, w_key).data
+    s = nodes.data
     for p in range(4):
         for q in range(4):
             expected = np.dot(w_query.data @ s[p], w_key.data @ s[q])
@@ -97,8 +99,7 @@ def test_zero_kernel_gate_halves_relations():
                           tt.constant(rng.normal(size=(3, 3))))
     gated = gate_relations(rel, tt.constant(np.zeros((3, 3))), tt.constant(np.zeros(())))
     # sigmoid(0) = 1/2 exactly, so the gate halves every entry
-    np.testing.assert_array_equal(gated.matrix.data, 0.5 * rel.matrix.data)
-    assert gated.gated is True
+    np.testing.assert_array_equal(gated.data, 0.5 * rel.data)
 
 
 def test_saturated_bias_gate_is_identity():
@@ -107,19 +108,7 @@ def test_saturated_bias_gate_is_identity():
     rel = relation_matrix(nodes, tt.constant(rng.normal(size=(3, 3))),
                           tt.constant(rng.normal(size=(3, 3))))
     gated = gate_relations(rel, tt.constant(np.zeros((3, 3))), tt.constant(np.asarray(500.0)))
-    np.testing.assert_allclose(gated.matrix.data, rel.matrix.data, atol=1e-12)
-
-
-def test_double_gating_is_rejected():
-    rng = np.random.default_rng(3)
-    nodes = _nodes(rng, 4, 3)
-    rel = relation_matrix(nodes, tt.constant(rng.normal(size=(3, 3))),
-                          tt.constant(rng.normal(size=(3, 3))))
-    k = tt.constant(np.zeros((3, 3)))
-    b = tt.constant(np.zeros(()))
-    once = gate_relations(rel, k, b)
-    with pytest.raises(ContractError):
-        gate_relations(once, k, b)
+    np.testing.assert_allclose(gated.data, rel.data, atol=1e-12)
 
 
 def test_zero_output_map_keeps_nodes_and_readout():
@@ -128,7 +117,7 @@ def test_zero_output_map_keeps_nodes_and_readout():
     layers = [_layer(rng, 4, zero_out=True) for _ in range(3)]
     out = reason(nodes, layers, hierarchical=True)
     # residual-only updates: the global node must come back untouched
-    np.testing.assert_array_equal(out.data, nodes.nodes.data[-1])
+    np.testing.assert_array_equal(out.data, nodes.data[-1])
 
 
 def test_hierarchical_off_is_the_ungated_update():
@@ -138,14 +127,14 @@ def test_hierarchical_off_is_the_ungated_update():
     gated = reason_step(nodes, layer, hierarchical=True)
     plain = reason_step(nodes, layer, hierarchical=False)
     # recompute both mixing matrices: they differ exactly by the gate factor
-    rel = relation_matrix(nodes, layer.w_query, layer.w_key).matrix.data
+    rel = relation_matrix(nodes, layer.w_query, layer.w_key).data
     gate = 1.0 / (1.0 + np.exp(-(
         _conv3x3(rel, layer.kernel.data, float(layer.bias.data))
     )))
-    s = nodes.nodes.data
+    s = nodes.data
     diff_expected = ((rel * gate - rel) @ s) @ layer.w_mix.data @ layer.w_out.data.T
     np.testing.assert_allclose(
-        gated.nodes.data - plain.nodes.data, diff_expected, atol=1e-10
+        gated.data - plain.data, diff_expected, atol=1e-10
     )
 
 
@@ -170,9 +159,9 @@ def test_reason_step_matches_scalar_reference(hierarchical, row_softmax):
     layer = _layer(rng, 3)
     out = reason_step(nodes, layer, hierarchical=hierarchical, row_softmax=row_softmax)
     expected = ref_reason_step(
-        nodes.nodes.data.tolist(), _layer_as_ref(layer), hierarchical, row_softmax
+        nodes.data.tolist(), _layer_as_ref(layer), hierarchical, row_softmax
     )
-    np.testing.assert_allclose(out.nodes.data, expected, atol=1e-8)
+    np.testing.assert_allclose(out.data, expected, atol=1e-8)
 
 
 def test_multi_layer_reason_iterates_the_step():
@@ -180,7 +169,7 @@ def test_multi_layer_reason_iterates_the_step():
     nodes = _nodes(rng, 4, 3)
     layers = [_layer(rng, 3) for _ in range(3)]
     out = reason(nodes, layers, hierarchical=True)
-    state = nodes.nodes.data.tolist()
+    state = nodes.data.tolist()
     for layer in layers:
         state = ref_reason_step(state, _layer_as_ref(layer), True, False)
     np.testing.assert_allclose(out.data, state[-1], atol=1e-8)
@@ -203,24 +192,16 @@ def test_gated_update_is_permutation_sensitive():
     perm = [2, 0, 3, 1]
     inverse = np.argsort(perm)
 
-    base = reason_step(
-        build_node_set(tt.constant(local), tt.constant(glob), "i2t"), layer,
-        hierarchical=True,
-    ).nodes.data
+    base = reason_step(tt.constant(np.vstack([local, glob])), layer, hierarchical=True).data
     permuted = reason_step(
-        build_node_set(tt.constant(local[perm]), tt.constant(glob), "i2t"), layer,
-        hierarchical=True,
-    ).nodes.data
+        tt.constant(np.vstack([local[perm], glob])), layer, hierarchical=True
+    ).data
     assert not np.allclose(permuted[:4][inverse], base[:4], atol=1e-10)
 
-    base_plain = reason_step(
-        build_node_set(tt.constant(local), tt.constant(glob), "i2t"), layer,
-        hierarchical=False,
-    ).nodes.data
+    base_plain = reason_step(tt.constant(np.vstack([local, glob])), layer, hierarchical=False).data
     permuted_plain = reason_step(
-        build_node_set(tt.constant(local[perm]), tt.constant(glob), "i2t"), layer,
-        hierarchical=False,
-    ).nodes.data
+        tt.constant(np.vstack([local[perm], glob])), layer, hierarchical=False
+    ).data
     np.testing.assert_allclose(permuted_plain[:4][inverse], base_plain[:4], atol=1e-10)
     np.testing.assert_allclose(permuted_plain[4], base_plain[4], atol=1e-10)
 
@@ -240,7 +221,7 @@ def test_reasoning_stack_gradients():
     store = tt.ParamStore.from_dict(entries)
 
     def run(p):
-        nodes = build_node_set(p["local"], p["glob"], "i2t")
+        nodes = tt.vstack([p["local"], p["glob"]])
         layers = [
             ReasonLayerParams(
                 w_query=p[f"{i}.w_query"], w_key=p[f"{i}.w_key"],
@@ -257,3 +238,28 @@ def test_reasoning_stack_gradients():
         a, b = auto[name].data, fd[name].data
         err = np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-5))
         assert err < 1e-5, f"{name}: rel err {err}"
+
+
+@pytest.mark.parametrize("hierarchical", [True, False])
+@pytest.mark.parametrize("row_softmax", [True, False])
+def test_padded_node_sets_reason_like_unpadded_ones(hierarchical, row_softmax):
+    # node sets of 2, 4 and 1 local rows, padded to 5 rows with the global
+    # node right after the last local row
+    rng = np.random.default_rng(11)
+    m = 3
+    lengths = [2, 4, 1]
+    layers = [_layer(rng, m) for _ in range(2)]
+    local = np.zeros((2, 3, 5, m))
+    glob = rng.normal(size=(2, 3, m))
+    sets = {}
+    for i in range(2):
+        for j, n_local in enumerate(lengths):
+            local[i, j, :n_local] = rng.normal(size=(n_local, m))
+            sets[i, j] = np.vstack([local[i, j, :n_local], glob[i, j]])
+    nodes = build_node_set(tt.constant(local), tt.constant(glob), lengths)
+    out = reason(
+        nodes, layers, hierarchical=hierarchical, row_softmax=row_softmax, global_rows=lengths
+    ).data
+    for (i, j), alone in sets.items():
+        want = reason(tt.constant(alone), layers, hierarchical=hierarchical, row_softmax=row_softmax)
+        np.testing.assert_allclose(out[i, j], want.data, atol=1e-12)

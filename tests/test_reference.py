@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from itmatch import model
 from itmatch import tensor as tt
-from itmatch.model import ModelConfig, init_params, pair_score, score_grid
+from itmatch.model import ModelConfig, init_params, pair_score, score_grid, score_matrix
 from itmatch.scoring import LossBatch, bidirectional_ranking_loss
 from scalar_reference import ref_pair_score, ref_ranking_loss, weights_as_lists
 
@@ -70,8 +71,116 @@ def test_score_grid_matches_reference_pairs():
 def test_ranking_loss_matches_reference(seed):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(5, 5))
-    from itmatch import tensor as tt
-
     produced = bidirectional_ranking_loss(LossBatch(tt.constant(values), margin=0.2)).item()
     expected = ref_ranking_loss(values.tolist(), 0.2)
     assert abs(produced - expected) < 1e-12
+
+
+# --- tiles of mixed caption lengths ---------------------------------------------
+
+# one caption of every length from 1 to 4 (and a repeat), so every tile
+# pads some captions and the global reasoning node sits in a different
+# row for each length
+MIXED_LENGTHS = (1, 4, 2, 3, 1, 4)
+
+MIXED_CONFIGS = {
+    "both": dict(),
+    "i2t_only": dict(stream="i2t_only"),
+    "t2i_only": dict(stream="t2i_only"),
+    "no_layers": dict(n_layers=0),
+    "ungated": dict(hierarchical=False),
+    "row_softmax": dict(row_softmax=True),
+    "row_softmax_ungated": dict(row_softmax=True, hierarchical=False, share_sim_w=True),
+}
+
+
+def _mixed_instance(name, seed=0):
+    cfg = ModelConfig(
+        vocab_size=30, d_raw=7, embed_dim=5, hidden_dim=6, sim_dim=4,
+        **{"n_layers": 2, **MIXED_CONFIGS[name]},
+    )
+    rng = np.random.default_rng(3000 + seed)
+    params = _jitter(init_params(cfg, seed=seed), rng)
+    raws = [rng.normal(size=(3, cfg.d_raw)) for _ in range(5)]
+    token_lists = [[int(t) for t in rng.integers(0, cfg.vocab_size, size=n)] for n in MIXED_LENGTHS]
+    return cfg, params, raws, token_lists
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_CONFIGS))
+def test_score_grid_with_mixed_lengths_matches_reference(name):
+    cfg, params, raws, token_lists = _mixed_instance(name)
+    weights = weights_as_lists(params)
+    grid = score_grid(params, cfg, raws, token_lists[:5]).data
+    for i in range(5):
+        for j in range(5):
+            expected = ref_pair_score(weights, cfg, raws[i].tolist(), token_lists[j])
+            assert abs(grid[i, j] - expected) < 1e-8, (i, j)
+
+
+# the largest per-pair array here is 5 rows x 6 = 30 entries: 120 entries
+# make tiles of 1 image x 4 captions, 360 entries tiles of 2 images x 6
+@pytest.mark.parametrize("budget", [120, 360, None])
+@pytest.mark.parametrize("name", sorted(MIXED_CONFIGS))
+def test_score_matrix_tiles_match_reference(name, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(model, "TILE_ELEMENTS", budget)
+    cfg, params, raws, token_lists = _mixed_instance(name, seed=1)
+    weights = weights_as_lists(params)
+    scores = score_matrix(params, cfg, raws, token_lists)
+    assert scores.shape == (5, 6)
+    for i in range(5):
+        for j in range(6):
+            expected = ref_pair_score(weights, cfg, raws[i].tolist(), token_lists[j])
+            assert abs(scores[i, j] - expected) < 1e-8, (i, j)
+
+
+def test_gradients_on_a_mixed_length_batch_match_finite_differences():
+    cfg = ModelConfig(
+        vocab_size=12, d_raw=4, embed_dim=3, hidden_dim=4, sim_dim=3, n_layers=2, row_softmax=True,
+    )
+    rng = np.random.default_rng(5)
+    params = _jitter(init_params(cfg, seed=2), rng, scale=0.3)
+    raws = [rng.normal(size=(2, cfg.d_raw)) for _ in range(3)]
+    token_lists = [[3], [1, 7, 2], [5, 0]]
+
+    def loss(p):
+        return bidirectional_ranking_loss(LossBatch(score_grid(p, cfg, raws, token_lists), 0.2))
+
+    with tt.no_grad():
+        values = score_grid(params, cfg, raws, token_lists).data
+    off = values.copy()
+    np.fill_diagonal(off, -np.inf)
+    hinges = 0.2 - np.diag(values)[:, None] + np.stack([off.max(axis=1), off.max(axis=0)], axis=1)
+    assert np.min(np.abs(hinges)) > 1e-3  # no kink within finite-difference reach
+    auto = tt.backward(loss(params), params)
+    numeric = tt.finite_diff_grad(lambda p: loss(p).item(), params)
+    for name in params.names():
+        a, b = auto[name].data, numeric[name].data
+        err = np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-5))
+        assert err < 1e-4, f"{name}: rel err {err}"
+
+
+def _reachable(roots):
+    seen = {id(r): r for r in roots}
+    work = list(roots)
+    while work:
+        for parent in work.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                work.append(parent)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["both", "row_softmax"])
+def test_tile_tape_nodes_do_not_grow_with_the_batch(name):
+    cfg, params, raws, token_lists = _mixed_instance(name)
+    counts = []
+    for b in (2, 8):
+        images = [model.encode_image(params, cfg, raws[i % 5]) for i in range(b)]
+        captions = [model.encode_caption(params, cfg, token_lists[j % 6]) for j in range(b)]
+        encoded = _reachable(
+            [e.local for e in images + captions] + [e.glob for e in images + captions]
+        )
+        scores, _ = model.score_tile(params, cfg, images, captions)
+        counts.append(len(set(_reachable([scores])) - set(encoded)))
+    assert counts[0] == counts[1]

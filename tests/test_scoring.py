@@ -5,7 +5,6 @@ import pytest
 
 from itmatch import tensor as tt
 from itmatch.errors import ConfigError, ContractError, DimensionError
-from itmatch.reasoning import build_node_set
 from itmatch.scoring import (
     LossBatch,
     bidirectional_ranking_loss,
@@ -149,20 +148,10 @@ def test_fuse_validation():
 
 
 def test_pool_t2i_means_the_node_rows():
-    nodes = build_node_set(
-        tt.constant(np.array([[1.0, 2.0], [3.0, 4.0]])),
-        tt.constant(np.array([5.0, 6.0])),
-        "t2i",
-    )
+    nodes = tt.constant(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     assert pool_t2i(nodes).data.tolist() == [3.0, 4.0]
-
-
-def test_pool_t2i_rejects_wrong_stream():
-    nodes = build_node_set(
-        tt.constant(np.ones((2, 2))), tt.constant(np.ones(2)), "i2t"
-    )
-    with pytest.raises(ContractError):
-        pool_t2i(nodes)
+    stacked = tt.constant(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [[0.0, 0.0], [0.0, 3.0], [3.0, 0.0]]]))
+    assert pool_t2i(stacked).data.tolist() == [[3.0, 4.0], [1.0, 1.0]]
 
 
 def test_score_is_affine_in_the_fused_vector():
@@ -170,3 +159,24 @@ def test_score_is_affine_in_the_fused_vector():
     b = tt.constant(np.asarray(0.25))
     fused = tt.constant(np.array([2.0, 1.0, 4.0]))
     assert score(fused, w, b).item() == 2.0 - 2.0 + 2.0 + 0.25
+    grid = score(tt.constant(np.array([[[2.0, 1.0, 4.0], [0.0, 0.0, 0.0]]])), w, b).data
+    assert grid.tolist() == [[2.0 - 2.0 + 2.0 + 0.25, 0.25]]
+
+
+def test_loss_matches_a_per_pair_loop_and_its_gradient():
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(6, 6))
+    store = tt.ParamStore.from_dict({"s": tt.parameter(values)})
+    g = tt.backward(bidirectional_ranking_loss(LossBatch(store["s"], margin=0.2)), store)["s"].data
+    expected = np.zeros((6, 6))
+    for k in range(6):
+        row = [j for j in range(6) if j != k]
+        hardest_caption = row[int(np.argmax(values[k, row]))]
+        hardest_image = row[int(np.argmax(values[row, k]))]
+        if 0.2 - values[k, k] + values[k, hardest_caption] > 0.0:
+            expected[k, k] -= 1.0
+            expected[k, hardest_caption] += 1.0
+        if 0.2 - values[k, k] + values[hardest_image, k] > 0.0:
+            expected[k, k] -= 1.0
+            expected[hardest_image, k] += 1.0
+    np.testing.assert_array_equal(g, expected)
