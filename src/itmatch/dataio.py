@@ -12,8 +12,8 @@ Features are widened to float64 in memory; bundles whose region values
 lie on the float32 grid (everything ``gen_synthetic`` produces) round-trip
 bitwise.  Loading validates blob lengths against the manifest before any
 array is built, verifies checksums, and bounds-checks token ids and
-offsets, so a truncated or corrupted directory fails loudly instead of
-yielding garbage.
+offsets and rejects non-finite region features, so a truncated or
+corrupted directory fails loudly instead of yielding garbage.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ MANIFEST_FILE = "manifest"
 REGIONS_FILE = "regions.bin"
 TOKENS_FILE = "tokens.bin"
 OFFSETS_FILE = "offsets.bin"
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -106,6 +107,11 @@ def write_dataset(
     regions = np.concatenate(
         [np.asarray(b.regions, dtype=np.float64).reshape(1, k, d_raw) for b in bundles]
     ) if bundles else np.zeros((0, k, d_raw))
+    # NaN fails the comparison; values past the float32 range would be
+    # written as infinities
+    bad = np.flatnonzero(~(np.abs(regions) <= F32_MAX).all(axis=(1, 2)))
+    if bad.size:
+        raise DataError(f"bundle {bundles[bad[0]].image_id!r}: region features must be finite float32 values")
     tokens: list[int] = []
     caption_counts = [0]
     token_offsets = [0]
@@ -238,6 +244,10 @@ def read_dataset(path: str | os.PathLike) -> tuple[list[FeatureBundle], DatasetM
 
     regions = np.frombuffer(regions_blob, dtype="<f4").astype(np.float64)
     regions = regions.reshape(n_images, k, d_raw) if n_images else regions.reshape(0, k or 1, d_raw or 1)
+    bad = np.flatnonzero(~np.isfinite(regions).all(axis=(1, 2)))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"image {fields.get(f'image_id.{i}')!r} (index {i}): region features are not finite")
     token_ids = np.frombuffer(tokens_blob, dtype="<u4")
     if token_ids.size and int(token_ids.max()) >= vocab_size:
         raise DataError(f"token id {int(token_ids.max())} outside vocabulary {vocab_size}")

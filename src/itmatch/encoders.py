@@ -2,8 +2,9 @@
 
 Images arrive as precomputed region feature matrices (k, d_raw) and are
 mapped into the joint space by a single linear layer.  Captions are token
-id sequences, embedded and run through a bidirectional GRU whose two
-hidden sequences are averaged position-wise.  The global feature of
+id sequences, zero-padded into one batch, embedded and run through a
+bidirectional GRU (one tape node per direction) whose two hidden
+sequences are averaged position-wise.  The global feature of
 either modality gates each local vector by the mean vector before
 pooling.
 """
@@ -34,6 +35,14 @@ class GruWeights:
     b_update: Tensor
     b_cand: Tensor
 
+    def gates(self) -> tuple[Tensor, ...]:
+        """The nine tensors in the order ``tensor.gru_sequence`` takes them."""
+        return (
+            self.w_reset, self.w_update, self.w_cand,
+            self.u_reset, self.u_update, self.u_cand,
+            self.b_reset, self.b_update, self.b_cand,
+        )
+
 
 def project_image(regions, weight: Tensor, bias: Tensor) -> Tensor:
     """Map raw region features (k, d_raw) to the joint space (k, d)."""
@@ -48,62 +57,59 @@ def project_image(regions, weight: Tensor, bias: Tensor) -> Tensor:
     return tt.add(tt.matmul(regions, weight), bias)
 
 
-def gru_step(x: Tensor, h: Tensor, w: GruWeights) -> Tensor:
-    """One GRU step. The update gate weights the candidate state:
-    h' = h + z * (cand - h), so z -> 1 hands the state to the candidate."""
-    reset = tt.sigmoid(tt.add(tt.add(tt.matmul(w.w_reset, x), tt.matmul(w.u_reset, h)), w.b_reset))
-    update = tt.sigmoid(tt.add(tt.add(tt.matmul(w.w_update, x), tt.matmul(w.u_update, h)), w.b_update))
-    cand = tt.tanh(
-        tt.add(tt.add(tt.matmul(w.w_cand, x), tt.matmul(w.u_cand, tt.mul(reset, h))), w.b_cand)
-    )
-    return tt.add(h, tt.mul(update, tt.sub(cand, h)))
-
-
-def _gru_run(embedded: Tensor, order: Sequence[int], w: GruWeights) -> list[Tensor]:
-    hidden_dim = w.u_reset.shape[0]
-    h = tt.zeros((hidden_dim,))
-    states: dict[int, Tensor] = {}
-    for t in order:
-        h = gru_step(tt.take(embedded, t), h, w)
-        states[t] = h
-    return [states[t] for t in range(embedded.shape[0])]
-
-
-def encode_text(
-    tokens: Sequence[int],
+def encode_texts(
+    token_lists: Sequence[Sequence[int]],
     table: Tensor,
     fwd: GruWeights,
     bwd: GruWeights,
     max_len: int | None = None,
-) -> Tensor:
-    """Encode token ids to (l, d): mean of forward and backward GRU states."""
-    ids = [int(t) for t in tokens]
-    if len(ids) == 0:
-        raise InputError("caption has no tokens")
-    if max_len is not None and len(ids) > max_len:
-        raise InputError(f"caption length {len(ids)} exceeds maximum {max_len}")
+) -> tuple[Tensor, np.ndarray]:
+    """Encode a batch of captions: (C, L + 1, d) word features and the C lengths.
+
+    Row j of caption c is the mean of the forward and backward GRU states
+    at word j; rows from lengths[c] on are zero, so every caption, the
+    longest (length L) included, has at least one zero row after its last
+    word.  Both directions run every caption at once.
+    """
+    if len(token_lists) == 0:
+        raise InputError("no captions to encode")
     vocab = table.shape[0]
-    for t in ids:
-        if t < 0 or t >= vocab:
-            raise InputError(f"token id {t} outside vocabulary of size {vocab}")
-    embedded = tt.take_rows(table, ids)
-    length = len(ids)
-    forward_states = _gru_run(embedded, range(length), fwd)
-    backward_states = _gru_run(embedded, range(length - 1, -1, -1), bwd)
-    merged = [
-        tt.mul(tt.add(forward_states[j], backward_states[j]), 0.5)
-        for j in range(length)
-    ]
-    return tt.stack(merged)
+    lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.intp)
+    rows = int(lengths.max()) + 1
+    ids = np.zeros((len(token_lists), rows), dtype=np.intp)
+    for c, tokens in enumerate(token_lists):
+        if len(tokens) == 0:
+            raise InputError(f"caption {c} has no tokens")
+        if max_len is not None and len(tokens) > max_len:
+            raise InputError(f"caption {c}: length {len(tokens)} exceeds maximum {max_len}")
+        ids[c, :len(tokens)] = tokens
+    bad = np.argwhere((ids < 0) | (ids >= vocab))
+    if bad.size:
+        c, j = bad[0]
+        raise InputError(f"caption {c}: token id {ids[c, j]} outside vocabulary of size {vocab}")
+    # padded positions embed token 0; the GRU never reads them
+    embedded = tt.reshape(tt.take_rows(table, ids.ravel()), ids.shape + (table.shape[1],))
+    states = tt.add(
+        tt.gru_sequence(embedded, lengths, fwd.gates()),
+        tt.gru_sequence(embedded, lengths, bwd.gates(), reverse=True),
+    )
+    return tt.mul(states, 0.5), lengths
 
 
-def global_feature(local: Tensor) -> Tensor:
+def global_feature(local: Tensor, lengths=None) -> Tensor:
     """Gate each local vector by the mean vector, then mean-pool:
-    (..., n, d) -> (..., d)."""
+    (..., n, d) -> (..., d).
+
+    The pool of the gated vectors, sum_i (l_i * m) / n, is m * m, so it is
+    computed as the square of the mean.  With `lengths` (one per matrix of
+    the stack) only the first lengths[i] rows of matrix i count, and the
+    rows after them must be zero.
+    """
     if local.ndim < 2 or local.shape[-2] < 1:
         raise DimensionError(f"global_feature needs (..., n, d) with n >= 1, got {local.shape}")
-    mean_vec = tt.mean(local, axis=-2)
-    if local.ndim > 2:
-        mean_vec = tt.reshape(mean_vec, mean_vec.shape[:-1] + (1, local.shape[-1]))
-    gated = tt.mul(local, mean_vec)
-    return tt.mean(gated, axis=-2)
+    counts = np.full(local.shape[:-2], float(local.shape[-2]))
+    if lengths is not None:
+        counts = np.asarray(lengths, dtype=np.float64)
+        if counts.shape != local.shape[:-2]:
+            raise DimensionError(f"lengths {counts.shape} do not match the stack {local.shape}")
+    return tt.square(tt.mul(tt.sum(local, axis=-2), tt.constant((1.0 / counts)[..., None])))

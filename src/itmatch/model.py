@@ -5,13 +5,15 @@ local similarity vectors through cross attention, run the image-to-text
 node set through gated graph reasoning, mean-pool the text-to-image node
 set, fuse the two stream vectors, and apply a linear head.
 
-Every (image, caption) pairing of a tile is scored at once: images and
-captions are encoded one by one, then stacked, and the pair path runs
-on (images, captions, ...) arrays, so a tile costs a fixed number of tape
-nodes whatever its size.  Captions in a tile are zero-padded to one row
-past the longest one (the row that longest caption's global reasoning
-node takes) and carry a length mask.  ``score_matrix`` walks a large
-evaluation grid in tiles sized against ``TILE_ELEMENTS``.
+Every (image, caption) pairing of a tile is scored at once: images are
+encoded one by one and stacked, all captions are encoded as one padded
+batch, and the pair path runs on (images, captions, ...) arrays, so a
+tile costs a fixed number of tape nodes whatever its size.  Captions are
+zero-padded to one row past the longest one (the row that longest
+caption's global reasoning node takes) and carry their lengths.
+``score_matrix`` encodes every caption once, then walks a large
+evaluation grid in tiles sized against ``TILE_ELEMENTS``, each trimmed to
+one row past its own longest caption.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import tensor as tt
 from .attention import local_similarities
-from .encoders import GruWeights, encode_text, global_feature, project_image
+from .encoders import GruWeights, encode_texts, global_feature, project_image
 from .errors import ConfigError, DataError, DimensionError
 from .reasoning import ReasonLayerParams, build_node_set, reason
 from .scoring import PairScore, fuse, pool_t2i, score
@@ -79,71 +81,83 @@ class EncodedImage:
 
 
 @dataclass(frozen=True)
-class EncodedCaption:
-    local: Tensor  # (l, d)
-    glob: Tensor   # (d,)
+class EncodedCaptions:
+    local: Tensor         # (C, rows, d), zero from row lengths[c] on; rows > max(lengths)
+    lengths: np.ndarray   # (C,) word counts
+    glob: Tensor          # (C, d), over each caption's words only
+
+
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter of cfg's model, in creation order.
+
+    Streams that are switched off have no parameters.  Nothing is allocated
+    or drawn, so a checkpoint can be checked against its config cheaply.
+    """
+    d, m = cfg.hidden_dim, cfg.sim_dim
+    shapes: dict[str, tuple[int, ...]] = {"embed.table": (cfg.vocab_size, cfg.embed_dim)}
+    for direction in ("fwd", "bwd"):
+        for gate in ("reset", "update", "cand"):
+            shapes[f"gru.{direction}.w_{gate}"] = (d, cfg.embed_dim)
+            shapes[f"gru.{direction}.u_{gate}"] = (d, d)
+            shapes[f"gru.{direction}.b_{gate}"] = (d,)
+    shapes["img_proj.w"] = (cfg.d_raw, d)
+    shapes["img_proj.b"] = (d,)
+    if cfg.share_sim_w:
+        shapes["sim.w_shared"] = (m, d)
+    else:
+        shapes["sim.w_glob"] = (m, d)
+        if cfg.uses_i2t:
+            shapes["sim.w_i2t"] = (m, d)
+        if cfg.uses_t2i:
+            shapes["sim.w_t2i"] = (m, d)
+    if cfg.uses_i2t:
+        for i in range(cfg.n_layers):
+            for name in ("w_query", "w_key", "w_out", "w_mix"):
+                shapes[f"reason.{i}.{name}"] = (m, m)
+            shapes[f"reason.{i}.kernel"] = (3, 3)
+            shapes[f"reason.{i}.bias"] = ()
+    shapes["head.w"] = (m,)
+    shapes["head.b"] = ()
+    return shapes
+
+
+def _init_bound(name: str, shape: tuple[int, ...]) -> float | None:
+    """Half-width of a parameter's uniform start, or None to start at zero."""
+    leaf = name.rsplit(".", 1)[1]
+    if name == "embed.table":
+        # word vectors start at unit scale; fan-in scaling would starve the
+        # GRU, whose inputs these are, of signal at the start of training
+        return 1.0
+    if leaf in ("b", "bias", "w_out") or leaf.startswith("b_"):
+        # biases start at zero, and so does each reasoning layer's residual
+        # output projection: every layer is then a no-op at first and a deep
+        # model scores exactly like its depth-0 counterpart; with a random
+        # start the residual updates drown the global node and training
+        # stalls for thousands of steps
+        return None
+    if name == "img_proj.w":
+        fan_in = shape[0]  # applied as regions @ w
+    elif leaf == "kernel":
+        fan_in = 9
+    else:
+        fan_in = shape[-1]
+    return math.sqrt(3.0 / fan_in)
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
-    """Seeded LeCun-uniform matrices (variance 1/fan_in), zero biases.
+    """Seeded LeCun-uniform weights (variance 1/fan_in), zero biases.
 
     Two deliberate exceptions: the embedding table starts at unit scale, and
-    each reasoning layer's output projection starts at zero (see below).
-    Creation order is fixed, so one seed always yields the same store.
-    Streams that are switched off do not create their parameters.
+    each reasoning layer's output projection starts at zero (see
+    ``_init_bound``).  Parameters are drawn in ``param_shapes`` order, so
+    one seed always yields the same store.
     """
     rng = np.random.default_rng(seed)
     store = ParamStore()
-
-    def matrix(name: str, rows: int, cols: int, fan_in: int) -> None:
-        bound = math.sqrt(3.0 / fan_in)
-        store.add(name, tt.parameter(rng.uniform(-bound, bound, size=(rows, cols))))
-
-    def vector(name: str, n: int, fan_in: int | None = None) -> None:
-        if fan_in is None:
-            store.add(name, tt.parameter(np.zeros(n)))
-        else:
-            bound = math.sqrt(3.0 / fan_in)
-            store.add(name, tt.parameter(rng.uniform(-bound, bound, size=n)))
-
-    # word vectors start at unit scale; fan-in scaling would starve the GRU,
-    # whose inputs these are, of signal at the start of training
-    store.add(
-        "embed.table",
-        tt.parameter(rng.uniform(-1.0, 1.0, size=(cfg.vocab_size, cfg.embed_dim))),
-    )
-    for direction in ("fwd", "bwd"):
-        for gate in ("reset", "update", "cand"):
-            matrix(f"gru.{direction}.w_{gate}", cfg.hidden_dim, cfg.embed_dim, fan_in=cfg.embed_dim)
-            matrix(f"gru.{direction}.u_{gate}", cfg.hidden_dim, cfg.hidden_dim, fan_in=cfg.hidden_dim)
-            vector(f"gru.{direction}.b_{gate}", cfg.hidden_dim)
-    matrix("img_proj.w", cfg.d_raw, cfg.hidden_dim, fan_in=cfg.d_raw)
-    vector("img_proj.b", cfg.hidden_dim)
-    if cfg.share_sim_w:
-        matrix("sim.w_shared", cfg.sim_dim, cfg.hidden_dim, fan_in=cfg.hidden_dim)
-    else:
-        matrix("sim.w_glob", cfg.sim_dim, cfg.hidden_dim, fan_in=cfg.hidden_dim)
-        if cfg.uses_i2t:
-            matrix("sim.w_i2t", cfg.sim_dim, cfg.hidden_dim, fan_in=cfg.hidden_dim)
-        if cfg.uses_t2i:
-            matrix("sim.w_t2i", cfg.sim_dim, cfg.hidden_dim, fan_in=cfg.hidden_dim)
-    if cfg.uses_i2t:
-        for i in range(cfg.n_layers):
-            matrix(f"reason.{i}.w_query", cfg.sim_dim, cfg.sim_dim, fan_in=cfg.sim_dim)
-            matrix(f"reason.{i}.w_key", cfg.sim_dim, cfg.sim_dim, fan_in=cfg.sim_dim)
-            # the residual output projection starts at zero, so every layer is
-            # a no-op at first and a deep model scores exactly like its
-            # depth-0 counterpart; with a random start the residual updates
-            # drown the global node and training stalls for thousands of steps
-            store.add(
-                f"reason.{i}.w_out",
-                tt.parameter(np.zeros((cfg.sim_dim, cfg.sim_dim))),
-            )
-            matrix(f"reason.{i}.w_mix", cfg.sim_dim, cfg.sim_dim, fan_in=cfg.sim_dim)
-            matrix(f"reason.{i}.kernel", 3, 3, fan_in=9)
-            store.add(f"reason.{i}.bias", tt.parameter(np.zeros(())))
-    vector("head.w", cfg.sim_dim, fan_in=cfg.sim_dim)
-    store.add("head.b", tt.parameter(np.zeros(())))
+    for name, shape in param_shapes(cfg).items():
+        bound = _init_bound(name, shape)
+        values = np.zeros(shape) if bound is None else rng.uniform(-bound, bound, size=shape)
+        store.add(name, tt.parameter(values))
     return store
 
 
@@ -197,44 +211,45 @@ def encode_image(params: ParamStore, cfg: ModelConfig, regions) -> EncodedImage:
     return EncodedImage(local=local, glob=global_feature(local))
 
 
-def encode_caption(params: ParamStore, cfg: ModelConfig, tokens) -> EncodedCaption:
-    local = encode_text(
-        tokens,
+def encode_caption(params: ParamStore, cfg: ModelConfig, token_lists) -> EncodedCaptions:
+    """Encode a batch of captions together, padded to one row past the longest."""
+    local, lengths = encode_texts(
+        token_lists,
         params["embed.table"],
         _gru_weights(params, "fwd"),
         _gru_weights(params, "bwd"),
         max_len=cfg.max_caption_len,
     )
-    return EncodedCaption(local=local, glob=global_feature(local))
+    return EncodedCaptions(local=local, lengths=lengths, glob=global_feature(local, lengths))
 
 
 def score_tile(
     params: ParamStore,
     cfg: ModelConfig,
     images: Sequence[EncodedImage],
-    captions: Sequence[EncodedCaption],
+    captions: EncodedCaptions,
 ) -> tuple[Tensor, Tensor]:
     """Scores (I, C) and fused vectors (I, C, m) of every image x caption pairing."""
-    if not images or not captions:
+    if not images:
         raise DimensionError("a tile needs at least one image and one caption")
     regions = {img.local.shape for img in images}
     if len(regions) != 1:
         raise DimensionError(f"images in one tile must share one region shape, got {sorted(regions)}")
-    lengths = np.array([cap.local.shape[0] for cap in captions], dtype=np.intp)
-    # one spare row past the longest caption holds its global reasoning node
-    rows = int(lengths.max()) + 1
-    word_mask = np.arange(rows) < lengths[:, None]
+    lengths = captions.lengths
+    # the rows past each caption's last word are zero; the first of them
+    # holds its global reasoning node
+    word_mask = np.arange(captions.local.shape[1]) < lengths[:, None]
     w_glob, w_i2t, w_t2i = _sim_weights(params, cfg)
     local = local_similarities(
         tt.stack([img.local for img in images]),
-        tt.stack_padded([cap.local for cap in captions], rows),
+        captions.local,
         cfg.temperature,
         w_glob,
         # with no reasoning layer the i2t stream is its global node alone
         w_i2t=w_i2t if cfg.n_layers else None,
         w_t2i=w_t2i,
         v_glob=tt.stack([img.glob for img in images]),
-        t_glob=tt.stack([cap.glob for cap in captions]),
+        t_glob=captions.glob,
         word_mask=word_mask,
     )
     s_i2t = None
@@ -258,7 +273,7 @@ def score_tile(
 def pair_score(params: ParamStore, cfg: ModelConfig, regions, tokens) -> PairScore:
     """Score of one pair: a 1 x 1 tile."""
     scores, fused = score_tile(
-        params, cfg, [encode_image(params, cfg, regions)], [encode_caption(params, cfg, tokens)]
+        params, cfg, [encode_image(params, cfg, regions)], encode_caption(params, cfg, [tokens])
     )
     return PairScore(score=tt.reshape(scores, ()), fused=tt.reshape(fused, fused.shape[-1:]))
 
@@ -274,8 +289,7 @@ def score_grid(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -
             f" and {len(token_lists)} captions"
         )
     images = [encode_image(params, cfg, r) for r in region_list]
-    captions = [encode_caption(params, cfg, t) for t in token_lists]
-    return score_tile(params, cfg, images, captions)[0]
+    return score_tile(params, cfg, images, encode_caption(params, cfg, token_lists))[0]
 
 
 def _tile_shape(cfg: ModelConfig, k: int, rows: int, n_captions: int) -> tuple[int, int]:
@@ -287,6 +301,17 @@ def _tile_shape(cfg: ModelConfig, k: int, rows: int, n_captions: int) -> tuple[i
     return max(1, pairs // captions), captions
 
 
+def _caption_slice(captions: EncodedCaptions, start: int, stop: int) -> EncodedCaptions:
+    """Gradient-free captions start..stop-1, trimmed to one row past their longest."""
+    lengths = captions.lengths[start:stop]
+    rows = int(lengths.max()) + 1
+    return EncodedCaptions(
+        local=tt.constant(captions.local.data[start:stop, :rows]),
+        lengths=lengths,
+        glob=tt.constant(captions.glob.data[start:stop]),
+    )
+
+
 def score_matrix(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -> np.ndarray:
     """Dense evaluation scores (n_images, n_captions), gradient-free.
 
@@ -294,16 +319,15 @@ def score_matrix(params: ParamStore, cfg: ModelConfig, region_list, token_lists)
     """
     with tt.no_grad():
         images = [encode_image(params, cfg, r) for r in region_list]
-        captions = [encode_caption(params, cfg, t) for t in token_lists]
-        out = np.empty((len(images), len(captions)))
-        if images and captions:
-            rows = max(cap.local.shape[0] for cap in captions) + 1
-            tile_images, tile_captions = _tile_shape(cfg, images[0].local.shape[0], rows, len(captions))
-            for i in range(0, len(images), tile_images):
-                for j in range(0, len(captions), tile_captions):
-                    scores, _ = score_tile(
-                        params, cfg, images[i:i + tile_images], captions[j:j + tile_captions]
-                    )
+        out = np.empty((len(images), len(token_lists)))
+        if images and len(token_lists):
+            captions = encode_caption(params, cfg, token_lists)
+            n_captions, rows = captions.local.shape[:2]
+            tile_images, tile_captions = _tile_shape(cfg, images[0].local.shape[0], rows, n_captions)
+            for j in range(0, n_captions, tile_captions):
+                tile = _caption_slice(captions, j, j + tile_captions)
+                for i in range(0, len(images), tile_images):
+                    scores, _ = score_tile(params, cfg, images[i:i + tile_images], tile)
                     out[i:i + tile_images, j:j + tile_captions] = scores.data
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:

@@ -14,6 +14,8 @@ Shapes that do not broadcast raise :class:`DimensionError`.  The batched
 ops (``matmul``, ``transpose``, ``scale_rows``, ``softmax_rows``,
 ``conv2d_3x3``, ``pick_rows``) work on the last one or two axes and carry
 any leading axes along, so a whole stack of matrices is one tape node.
+``gru_sequence`` runs one GRU direction over a padded batch of sequences
+as a single node with a hand-written backward pass.
 All storage is 64-bit floats and result arrays are frozen (read-only) on
 creation, so tensors behave as immutable values.
 """
@@ -88,10 +90,6 @@ def constant(values) -> Tensor:
 
 def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
 
 
 # --- graph plumbing ---------------------------------------------------------
@@ -394,25 +392,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _result(out, (a,), backward_fn)
 
 
-def take(a: Tensor, index: int) -> Tensor:
-    """Row i of a matrix, or entry i of a vector."""
-    if a.data.ndim not in (1, 2):
-        raise DimensionError(f"take needs a vector or matrix, got shape {a.data.shape}")
-    n = a.data.shape[0]
-    if not 0 <= index < n:
-        raise DimensionError(f"take index {index} out of range for shape {a.data.shape}")
-    out = np.asarray(a.data[index])
-    if not _tracking(a):
-        return _result(out)
-    shape = a.data.shape
-
-    def backward_fn(g):
-        grad = np.zeros(shape)
-        grad[index] = g
-        return (grad,)
-    return _result(out, (a,), backward_fn)
-
-
 def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather matrix rows; repeated indices accumulate gradient."""
     if a.data.ndim != 2:
@@ -450,28 +429,6 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
 
     def backward_fn(g):
         return tuple(g[i] for i in range(len(parts)))
-    return _result(out, parts, backward_fn)
-
-
-def stack_padded(parts: Sequence[Tensor], rows: int) -> Tensor:
-    """Stack (l_i, d) matrices into (n, rows, d); rows l_i and on are zero."""
-    parts = tuple(parts)
-    if not parts:
-        raise DimensionError("stack_padded needs at least one tensor")
-    width = parts[0].data.shape[-1]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[1] != width or p.data.shape[0] > rows:
-            raise DimensionError(
-                f"stack_padded needs (l, {width}) matrices with l <= {rows}, got {p.data.shape}"
-            )
-    out = np.zeros((len(parts), rows, width))
-    for i, p in enumerate(parts):
-        out[i, :p.data.shape[0]] = p.data
-    if not _tracking(*parts):
-        return _result(out)
-
-    def backward_fn(g):
-        return tuple(g[i, :p.data.shape[0]] for i, p in enumerate(parts))
     return _result(out, parts, backward_fn)
 
 
@@ -636,6 +593,98 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             gk[u, v] = np.sum(g[o] * x.data[i])
         return (gx, gk, np.asarray(np.sum(g)))
     return _result(out, (x, kernel, bias), backward_fn)
+
+
+def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = False) -> Tensor:
+    """One GRU direction over a zero-padded batch of sequences, as one node.
+
+    x: (n, T, e) inputs, sequence i in positions 0..lengths[i]-1.  gates:
+    w_reset, w_update, w_cand (h, e), u_reset, u_update, u_cand (h, h),
+    b_reset, b_update, b_cand (h,).  From a zero state each position runs
+
+        r = sigmoid(W_r x + U_r s + b_r),  z = sigmoid(W_z x + U_z s + b_z)
+        s' = s + z * (tanh(W_c x + U_c (r * s) + b_c) - s)
+
+    visiting positions 0..T-1, or T-1..0 with `reverse`.  A sequence's
+    state is frozen at every position past its length, so a reverse pass
+    starts from zero at each sequence's own last element.  Returns the
+    (n, T, h) states, zero at padded positions.
+
+    The input projections of every position are one product; the
+    backward pass is hand-written BPTT, and each weight and bias
+    gradient is one product or sum over all positions.
+    """
+    gates = tuple(gates)
+    if x.data.ndim != 3 or len(gates) != 9:
+        raise DimensionError(f"gru_sequence needs (n, T, e) inputs and nine gate tensors, got {x.data.shape}")
+    n, steps, e = x.data.shape
+    h = gates[3].data.shape[0]
+    for gate, shape in zip(gates, [(h, e)] * 3 + [(h, h)] * 3 + [(h,)] * 3):
+        if gate.data.shape != shape:
+            raise DimensionError(f"gru_sequence gate shape {gate.data.shape}, expected {shape}")
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > steps):
+        raise DimensionError(f"need {n} sequence lengths in 1..{steps}, got {lengths.tolist()}")
+    u_cand = gates[5].data
+
+    def blocks():
+        # (3h, e) input weights and (2h, h) reset-and-update hidden weights,
+        # concatenated at use so each gate stays its own parameter; the
+        # backward pass builds them again rather than hold them in between
+        return np.concatenate([g.data for g in gates[:3]]), np.concatenate([g.data for g in gates[3:5]])
+
+    w_in, u_gates = blocks()
+    proj = (x.data.reshape(-1, e) @ w_in.T + np.concatenate([g.data for g in gates[6:]])).reshape(n, steps, 3 * h)
+    active = (np.arange(steps) < lengths[:, None])[..., None]  # (n, T, 1)
+    order = range(int(lengths.max()))
+    if reverse:
+        order = order[::-1]
+    tracking = _tracking(x, *gates)
+    if tracking:
+        # per position: the incoming state, sigmoid(reset, update), the
+        # candidate and reset * state; untouched positions stay zero
+        prev, rz_all, cand_all, rs_all = (np.zeros((n, steps, k * h)) for k in (1, 2, 1, 1))
+    out = np.zeros((n, steps, h))
+    state = np.zeros((n, h))
+    for t in order:
+        rz = _sigmoid_values(proj[:, t, :2 * h] + state @ u_gates.T)
+        rs = rz[:, :h] * state
+        cand = np.tanh(proj[:, t, 2 * h:] + rs @ u_cand.T)
+        new = state + rz[:, h:] * (cand - state)
+        if tracking:
+            prev[:, t], rz_all[:, t], cand_all[:, t], rs_all[:, t] = state, rz, cand, rs
+        out[:, t] = np.where(active[:, t], new, 0.0)
+        state = np.where(active[:, t], new, state)
+    if not tracking:
+        return _result(out)
+
+    def backward_fn(g):
+        w_in, u_gates = blocks()
+        d_pre = np.zeros((n, steps, 3 * h))  # gradient of the three pre-activations
+        d_state = np.zeros((n, h))
+        for t in order[::-1]:
+            # a frozen sequence passes d_state through; its output is a constant 0
+            d_new = np.where(active[:, t], d_state + g[:, t], 0.0)
+            rz, cand, state = rz_all[:, t], cand_all[:, t], prev[:, t]
+            update = rz[:, h:]
+            d_cand = d_new * update * (1.0 - cand * cand)
+            d_rs = d_cand @ u_cand
+            d_rz = np.concatenate([d_rs * state, d_new * (cand - state)], axis=1) * rz * (1.0 - rz)
+            d_pre[:, t, :2 * h] = d_rz
+            d_pre[:, t, 2 * h:] = d_cand
+            d_prev = d_new * (1.0 - update) + d_rs * rz[:, :h] + d_rz @ u_gates
+            d_state = np.where(active[:, t], d_prev, d_state)
+        flat = d_pre.reshape(-1, 3 * h)
+        d_w = flat.T @ x.data.reshape(-1, e)
+        d_u = flat[:, :2 * h].T @ prev.reshape(-1, h)
+        d_b = flat.sum(axis=0)
+        return (
+            (flat @ w_in).reshape(n, steps, e),
+            d_w[:h], d_w[h:2 * h], d_w[2 * h:],
+            d_u[:h], d_u[h:], flat[:, 2 * h:].T @ rs_all.reshape(-1, h),
+            d_b[:h], d_b[h:2 * h], d_b[2 * h:],
+        )
+    return _result(out, (x, *gates), backward_fn)
 
 
 # --- parameter store ----------------------------------------------------------

@@ -20,7 +20,7 @@ from .dataio import FeatureBundle
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import evaluate, flatten_captions, rsum
 from .kvfile import read_kv, write_kv
-from .model import ModelConfig, init_params, score_grid
+from .model import ModelConfig, init_params, param_shapes, score_grid
 from .scoring import LossBatch, bidirectional_ranking_loss
 from .tensor import ParamStore, Tensor, backward
 
@@ -274,8 +274,17 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig]:
                 shapes[name] = tuple(int(s) for s in value.split("x"))
             except ValueError:
                 raise DataError(f"checkpoint field {key!r} has a bad shape: {value!r}") from None
-    if not shapes:
-        raise DataError("checkpoint lists no parameters")
+    expected = param_shapes(cfg)
+    for name in sorted(expected.keys() | shapes.keys()):
+        if name not in shapes:
+            raise DataError(f"checkpoint lacks parameter {name!r}, which its model configuration needs")
+        if name not in expected:
+            raise DataError(f"checkpoint parameter {name!r} is not part of its model configuration")
+        if shapes[name] != expected[name]:
+            raise DataError(
+                f"checkpoint parameter {name!r} has shape {shapes[name]}, "
+                f"its model configuration gives {expected[name]}"
+            )
 
     blob_path = os.path.join(path, CHECKPOINT_BLOB)
     if not os.path.exists(blob_path):

@@ -1,11 +1,13 @@
 """End-to-end command-line behaviour through main(argv)."""
 
+import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from itmatch.cli import main
-from itmatch.dataio import read_dataset, write_dataset
+from itmatch.dataio import MANIFEST_FILE, REGIONS_FILE, read_dataset
 
 GEN_TINY = [
     "gen-data", "--pairs", "4", "--k", "2", "--draw", "6",
@@ -132,15 +134,28 @@ def test_eval_rejects_a_non_finite_score(tmp_path, capsys):
     ckpt = str(tmp_path / "ckpt")
     main(["train", "--data", data, "--out", ckpt, "--epochs", "1",
           "--batch-size", "4", *MODEL_TINY])
-    bundles, manifest = read_dataset(data)
-    bundles[1].regions = bundles[1].regions.copy()
-    bundles[1].regions[0, 2] = float("nan")
-    poisoned = str(tmp_path / "nan")
-    write_dataset(bundles, poisoned, vocab_size=manifest.vocab_size)
+    # a NaN region planted in the blob, with the checksum updated to match,
+    # is rejected when the dataset is read
+    regions_path = os.path.join(data, REGIONS_FILE)
+    with open(regions_path, "rb") as fh:
+        regions = np.frombuffer(fh.read(), dtype="<f4").copy()
+    regions[2 * 6 + 2] = np.nan  # image 1 of (4, k=2, d_raw=6)
+    blob = regions.tobytes()
+    with open(regions_path, "wb") as fh:
+        fh.write(blob)
+    manifest_path = os.path.join(data, MANIFEST_FILE)
+    with open(manifest_path, encoding="utf-8") as fh:
+        lines = [
+            f"checksum_regions: {hashlib.sha256(blob).hexdigest()}\n"
+            if line.startswith("checksum_regions:") else line
+            for line in fh
+        ]
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
     capsys.readouterr()
-    assert main(["eval", "--data", poisoned, "--checkpoint", ckpt]) == 3
+    assert main(["eval", "--data", data, "--checkpoint", ckpt]) == 3
     err = capsys.readouterr().err
-    assert "image 1 and caption 0 is not finite" in err
+    assert "(index 1): region features are not finite" in err
 
 
 def test_train_rejects_mismatched_val_set(tmp_path, capsys):

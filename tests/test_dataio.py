@@ -247,3 +247,34 @@ def test_write_rejects_captionless_images(tmp_path):
     bundles = [FeatureBundle(image_id="a", regions=np.zeros((2, 3)), captions=[])]
     with pytest.raises(DataError):
         write_dataset(bundles, tmp_path / "bad", vocab_size=5, name="x", split="train")
+
+
+def test_write_rejects_non_finite_regions(tmp_path):
+    for value in (float("nan"), float("inf"), 1e200):  # 1e200 would be written as inf
+        regions = np.zeros((2, 3))
+        regions[1, 2] = value
+        bundles = [
+            FeatureBundle(image_id="a", regions=np.zeros((2, 3)), captions=[[0]]),
+            FeatureBundle(image_id="b", regions=regions, captions=[[0]]),
+        ]
+        with pytest.raises(DataError, match="'b'"):
+            write_dataset(bundles, tmp_path / "bad", vocab_size=5, name="x", split="train")
+
+
+def test_nan_region_on_disk_is_rejected(tmp_path):
+    out = _write_sample(tmp_path)
+    path = out / REGIONS_FILE
+    regions = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
+    regions[2 * 2 * 4 + 5] = np.nan  # image 2 of (4, k=2, d_raw=4)
+    blob = regions.tobytes()
+    path.write_bytes(blob)
+    digest = hashlib.sha256(blob).hexdigest()
+    _edit_manifest(
+        out,
+        lambda lines: [
+            f"checksum_regions: {digest}\n" if line.startswith("checksum_regions:") else line
+            for line in lines
+        ],
+    )
+    with pytest.raises(DataError, match="'syn-7-2' \\(index 2\\): region features are not finite"):
+        read_dataset(out)

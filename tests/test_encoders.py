@@ -1,17 +1,12 @@
-"""Encoder behaviour: projection, BiGRU recurrence, global pooling."""
+"""Encoder behaviour: projection, batched BiGRU recurrence, global pooling."""
 
 import numpy as np
 import pytest
 
 from itmatch import tensor as tt
-from itmatch.encoders import (
-    GruWeights,
-    encode_text,
-    global_feature,
-    gru_step,
-    project_image,
-)
+from itmatch.encoders import GruWeights, encode_texts, global_feature, project_image
 from itmatch.errors import DimensionError, InputError
+from itmatch.model import ModelConfig, encode_caption, init_params
 from itmatch.tensor import ParamStore, backward, finite_diff_grad
 from scalar_reference import ref_encode_text, ref_gru_step
 
@@ -74,14 +69,22 @@ def test_projection_rejects_bad_shapes():
         project_image(np.zeros((2, 4)), w, b)
 
 
+def _run_forward(tokens, table, w):
+    """Forward-direction states of one caption through the batch op."""
+    x = tt.constant(table.data[tokens][None])
+    return tt.gru_sequence(x, [len(tokens)], w.gates()).data[0]
+
+
 def test_gru_step_matches_scalar_reference():
     rng = np.random.default_rng(1)
     w = _gru_weights(rng, d=4, e=3)
-    x = rng.normal(size=3)
-    h = rng.normal(size=4)
-    out = gru_step(tt.constant(x), tt.constant(h), w).data
-    expected = ref_gru_step(x.tolist(), h.tolist(), _as_ref(w))
-    np.testing.assert_allclose(out, expected, atol=1e-10)
+    table = tt.constant(rng.normal(size=(2, 3)))
+    states = _run_forward([0, 1], table, w)
+    # the second step starts from a non-zero state
+    first = ref_gru_step(table.data[0].tolist(), [0.0] * 4, _as_ref(w))
+    second = ref_gru_step(table.data[1].tolist(), states[0].tolist(), _as_ref(w))
+    np.testing.assert_allclose(states[0], first, atol=1e-10)
+    np.testing.assert_allclose(states[1], second, atol=1e-10)
 
 
 def test_gru_saturated_update_gate_hands_over_to_candidate():
@@ -94,15 +97,20 @@ def test_gru_saturated_update_gate_hands_over_to_candidate():
         u_reset=w.u_reset, u_update=tt.parameter(np.zeros((3, 3))), u_cand=w.u_cand,
         b_reset=w.b_reset, b_update=tt.parameter(np.full(3, 60.0)), b_cand=w.b_cand,
     )
-    x = rng.normal(size=2)
-    h = rng.normal(size=3)
-    out = gru_step(tt.constant(x), tt.constant(h), w).data
+    table = tt.constant(rng.normal(size=(2, 2)))
+    states = _run_forward([0, 1], table, w)
+    x, h = table.data[1], states[0]
     ref = ref_gru_step(x.tolist(), h.tolist(), _as_ref(w))
-    np.testing.assert_allclose(out, ref, atol=1e-12)
+    np.testing.assert_allclose(states[1], ref, atol=1e-12)
     # recompute the candidate directly
     reset = 1.0 / (1.0 + np.exp(-(w.w_reset.data @ x + w.u_reset.data @ h + w.b_reset.data)))
     cand = np.tanh(w.w_cand.data @ x + w.u_cand.data @ (reset * h) + w.b_cand.data)
-    np.testing.assert_allclose(out, cand, atol=1e-12)
+    np.testing.assert_allclose(states[1], cand, atol=1e-12)
+
+
+# lengths 1..5 and the maximum, out of order; token 5 repeats within and across captions
+MIXED_CAPTIONS = [[1, 5, 5, 0, 9], [2], [7, 5, 3, 3, 8, 6, 5], [4, 4], [0, 9, 1, 2], [5, 5, 5]]
+MAX_LEN = 7
 
 
 def test_encode_text_matches_scalar_reference():
@@ -110,11 +118,13 @@ def test_encode_text_matches_scalar_reference():
     table = tt.parameter(rng.normal(size=(10, 3)))
     fwd = _gru_weights(rng, d=4, e=3)
     bwd = _gru_weights(rng, d=4, e=3)
-    tokens = [1, 5, 5, 0, 9]
-    out = encode_text(tokens, table, fwd, bwd).data
-    expected = ref_encode_text(tokens, table.data.tolist(), _as_ref(fwd), _as_ref(bwd))
-    np.testing.assert_allclose(out, expected, atol=1e-10)
-    assert out.shape == (5, 4)
+    local, lengths = encode_texts(MIXED_CAPTIONS, table, fwd, bwd, max_len=MAX_LEN)
+    assert local.shape == (len(MIXED_CAPTIONS), MAX_LEN + 1, 4)
+    assert lengths.tolist() == [len(c) for c in MIXED_CAPTIONS]
+    for c, tokens in enumerate(MIXED_CAPTIONS):
+        expected = ref_encode_text(tokens, table.data.tolist(), _as_ref(fwd), _as_ref(bwd))
+        np.testing.assert_allclose(local.data[c, :len(tokens)], expected, rtol=0, atol=1e-8)
+        assert not local.data[c, len(tokens):].any(), f"caption {c}: padded rows are not zero"
 
 
 def test_encode_text_single_token():
@@ -122,25 +132,42 @@ def test_encode_text_single_token():
     table = tt.parameter(rng.normal(size=(6, 3)))
     fwd = _gru_weights(rng, d=4, e=3)
     bwd = _gru_weights(rng, d=4, e=3)
-    out = encode_text([2], table, fwd, bwd).data
+    out = encode_texts([[2]], table, fwd, bwd)[0].data
+    assert out.shape == (1, 2, 4)
     x = table.data[2]
     zero = np.zeros(4)
     f = ref_gru_step(x.tolist(), zero.tolist(), _as_ref(fwd))
     b = ref_gru_step(x.tolist(), zero.tolist(), _as_ref(bwd))
-    np.testing.assert_allclose(out[0], 0.5 * (np.array(f) + np.array(b)), atol=1e-12)
+    np.testing.assert_allclose(out[0, 0], 0.5 * (np.array(f) + np.array(b)), atol=1e-12)
+    assert out[0, 1].tolist() == [0.0] * 4
 
 
 def test_encode_text_direction_symmetry():
-    # reversing the sequence and swapping the two directions' weights
-    # must exactly reverse the rows of the output
+    # reversing every caption and swapping the two directions' weights
+    # must reverse each caption's rows within its own length
     rng = np.random.default_rng(5)
-    table = tt.parameter(rng.normal(size=(8, 3)))
+    table = tt.parameter(rng.normal(size=(10, 3)))
     fwd = _gru_weights(rng, d=4, e=3)
     bwd = _gru_weights(rng, d=4, e=3)
-    tokens = [1, 2, 3, 7]
-    out = encode_text(tokens, table, fwd, bwd).data
-    swapped = encode_text(tokens[::-1], table, bwd, fwd).data
-    np.testing.assert_array_equal(out, swapped[::-1])
+    out = encode_texts(MIXED_CAPTIONS, table, fwd, bwd)[0].data
+    swapped = encode_texts([c[::-1] for c in MIXED_CAPTIONS], table, bwd, fwd)[0].data
+    for c, tokens in enumerate(MIXED_CAPTIONS):
+        n = len(tokens)
+        np.testing.assert_allclose(out[c, :n], swapped[c, :n][::-1], rtol=0, atol=1e-14)
+
+
+def test_a_caption_encodes_alike_alone_and_beside_longer_ones():
+    # padding must neither leak into a caption's states (either direction)
+    # nor come out as anything but zero rows
+    rng = np.random.default_rng(8)
+    table = tt.parameter(rng.normal(size=(10, 3)))
+    fwd = _gru_weights(rng, d=4, e=3)
+    bwd = _gru_weights(rng, d=4, e=3)
+    batch = encode_texts(MIXED_CAPTIONS, table, fwd, bwd)[0].data
+    for c, tokens in enumerate(MIXED_CAPTIONS):
+        alone = encode_texts([tokens], table, fwd, bwd)[0].data[0]
+        np.testing.assert_allclose(batch[c, :len(tokens) + 1], alone, rtol=0, atol=1e-14)
+        assert not batch[c, len(tokens):].any()
 
 
 def test_encode_text_input_errors():
@@ -149,13 +176,31 @@ def test_encode_text_input_errors():
     fwd = _gru_weights(rng, d=3, e=2)
     bwd = _gru_weights(rng, d=3, e=2)
     with pytest.raises(InputError):
-        encode_text([], table, fwd, bwd)
+        encode_texts([], table, fwd, bwd)
     with pytest.raises(InputError):
-        encode_text([5], table, fwd, bwd)  # out of vocabulary
+        encode_texts([[1], []], table, fwd, bwd)
     with pytest.raises(InputError):
-        encode_text([-1], table, fwd, bwd)
+        encode_texts([[5]], table, fwd, bwd)  # out of vocabulary
     with pytest.raises(InputError):
-        encode_text([0, 1, 2], table, fwd, bwd, max_len=2)
+        encode_texts([[-1]], table, fwd, bwd)
+    with pytest.raises(InputError):
+        encode_texts([[0], [0, 1, 2]], table, fwd, bwd, max_len=2)
+
+
+def test_gru_sequence_rejects_bad_shapes():
+    rng = np.random.default_rng(9)
+    gates = _gru_weights(rng, d=3, e=2).gates()
+    x = tt.constant(np.zeros((2, 4, 2)))
+    with pytest.raises(DimensionError):
+        tt.gru_sequence(tt.constant(np.zeros((4, 2))), [4], gates)
+    with pytest.raises(DimensionError):
+        tt.gru_sequence(x, [4, 0], gates)
+    with pytest.raises(DimensionError):
+        tt.gru_sequence(x, [4, 5], gates)
+    with pytest.raises(DimensionError):
+        tt.gru_sequence(x, [4], gates)
+    with pytest.raises(DimensionError):
+        tt.gru_sequence(tt.constant(np.zeros((2, 4, 3))), [4, 1], gates)
 
 
 def test_global_feature_is_elementwise_square_of_mean():
@@ -169,20 +214,32 @@ def test_global_feature_single_row():
     assert global_feature(local).data.tolist() == [4.0, 9.0]
 
 
+def test_global_feature_counts_only_real_rows():
+    local = tt.constant(np.array([[[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]], [[2.0, -3.0], [0.0, 0.0], [0.0, 0.0]]]))
+    assert global_feature(local, [2, 1]).data.tolist() == [[4.0, 9.0], [4.0, 9.0]]
+    with pytest.raises(DimensionError):
+        global_feature(local, [2, 1, 1])
+
+
 def test_global_feature_rejects_vectors():
     with pytest.raises(DimensionError):
         global_feature(tt.constant(np.zeros(3)))
 
 
 def test_encoder_stack_gradients():
+    # central differences for every gate tensor of both directions and the
+    # embedding table, through a mixed-length batch, its padded rows and
+    # the length-masked global feature
     rng = np.random.default_rng(7)
-    entries = {"table": tt.parameter(rng.normal(size=(6, 3)))}
+    entries = {"table": tt.parameter(rng.normal(size=(8, 3)))}
     for direction in ("fwd", "bwd"):
         for gate in ("reset", "update", "cand"):
             entries[f"{direction}.w_{gate}"] = tt.parameter(0.5 * rng.normal(size=(4, 3)))
             entries[f"{direction}.u_{gate}"] = tt.parameter(0.5 * rng.normal(size=(4, 4)))
             entries[f"{direction}.b_{gate}"] = tt.parameter(0.5 * rng.normal(size=4))
     store = ParamStore.from_dict(entries)
+    captions = [[7, 3, 3, 5], [2], [4, 1, 3]]
+    probe = tt.constant(0.1 * rng.normal(size=(3, 5, 4)))
 
     def run(p):
         def weights(direction):
@@ -194,8 +251,9 @@ def test_encoder_stack_gradients():
                 }
             )
 
-        encoded = encode_text([0, 3, 3, 5], p["table"], weights("fwd"), weights("bwd"))
-        return tt.sum(tt.square(global_feature(encoded)))
+        local, lengths = encode_texts(captions, p["table"], weights("fwd"), weights("bwd"))
+        glob = global_feature(local, lengths)
+        return tt.add(tt.sum(tt.square(glob)), tt.sum(tt.mul(local, probe)))
 
     auto = backward(run(store), store)
     fd = finite_diff_grad(lambda p: run(p).item(), store)
@@ -203,3 +261,26 @@ def test_encoder_stack_gradients():
         a, b = auto[name].data, fd[name].data
         err = np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-5))
         assert err < 1e-6, f"{name}: rel err {err}"
+    # padded positions embed token 0: it and the unused token 6 get no gradient
+    assert not auto["table"].data[[0, 6]].any()
+
+
+def _reachable(root):
+    seen = {id(root)}
+    work = [root]
+    while work:
+        for parent in work.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                work.append(parent)
+    return len(seen)
+
+
+def test_text_encoding_tape_nodes_do_not_grow_with_the_batch():
+    cfg = ModelConfig(vocab_size=10, d_raw=3, embed_dim=3, hidden_dim=4, sim_dim=2, n_layers=1)
+    params = init_params(cfg, seed=0)
+    counts = []
+    for b in (2, 8):
+        encoded = encode_caption(params, cfg, [MIXED_CAPTIONS[j % 6] for j in range(b)])
+        counts.append(_reachable(tt.add(tt.sum(encoded.local), tt.sum(encoded.glob))))
+    assert counts[0] == counts[1]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from itmatch.dataio import gen_synthetic
-from itmatch.errors import ConfigError, DimensionError
+from itmatch import tensor as tt
+from itmatch.errors import ConfigError, DataError, DimensionError
 from itmatch.evaluation import (
     evaluate,
     flatten_captions,
@@ -116,6 +117,18 @@ def _setup(n_pairs=4, captions_per_image=1):
         seed=5, signal_strength=0.7, captions_per_image=captions_per_image,
     )
     return params, cfg, bundles
+
+
+def test_score_matrix_names_the_first_non_finite_score():
+    # features are checked when a dataset is read, so a non-finite score
+    # comes from the parameters: here a NaN embedding row poisons caption 1
+    params, cfg, bundles = _setup()
+    regions, captions, _ = flatten_captions(bundles)
+    table = params["embed.table"].data.copy()
+    table[captions[1][0]] = np.nan
+    params = params.copy_with({"embed.table": tt.parameter(table)})
+    with pytest.raises(DataError, match="image 0 and caption 1 is not finite"):
+        score_matrix(params, cfg, regions, captions)
 
 
 def test_single_fold_equals_unpartitioned():

@@ -177,9 +177,9 @@ def test_tile_tape_nodes_do_not_grow_with_the_batch(name):
     counts = []
     for b in (2, 8):
         images = [model.encode_image(params, cfg, raws[i % 5]) for i in range(b)]
-        captions = [model.encode_caption(params, cfg, token_lists[j % 6]) for j in range(b)]
+        captions = model.encode_caption(params, cfg, [token_lists[j % 6] for j in range(b)])
         encoded = _reachable(
-            [e.local for e in images + captions] + [e.glob for e in images + captions]
+            [e.local for e in images] + [e.glob for e in images] + [captions.local, captions.glob]
         )
         scores, _ = model.score_tile(params, cfg, images, captions)
         counts.append(len(set(_reachable([scores])) - set(encoded)))

@@ -1,6 +1,7 @@
 """Engine ops against hand-computed values and finite differences."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -16,13 +17,17 @@ def _store(**arrays):
     )
 
 
-def _check_against_fd(f, store, tol=1e-6):
+def _check_against_fd(f, store, tol=1e-6, epsilon=1e-5):
     loss = f(store)
     auto = backward(loss, store)
-    fd = finite_diff_grad(lambda p: f(p).item(), store)
+    fd = finite_diff_grad(lambda p: f(p).item(), store, epsilon)
+    # a central difference carries rounding of about 1e-16 * |loss| / epsilon;
+    # entries below the size at which that rounding alone would reach tol
+    # are compared absolutely, so a near-zero entry of a large loss passes
+    floor = 1e-5 + 1e-16 * abs(loss.item()) / epsilon / tol
     for name in store.names():
         a, b = auto[name].data, fd[name].data
-        err = np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-5))
+        err = np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor))
         assert err < tol, f"{name}: rel err {err}"
 
 
@@ -87,10 +92,9 @@ def test_matmul_shapes_and_values():
 
 def test_take_and_stack_values():
     a = tt.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert tt.take(a, 1).data.tolist() == [3.0, 4.0]
-    assert tt.take(tt.take(a, 1), 0).item() == 3.0
+    assert tt.take_rows(a, [1]).data.tolist() == [[3.0, 4.0]]
     with pytest.raises(DimensionError):
-        tt.take(a, 2)
+        tt.take_rows(a, [2])
     s = tt.stack([tt.constant(np.array([1.0, 2.0])), tt.constant(np.array([3.0, 4.0]))])
     assert s.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     v = tt.vstack([a, tt.constant(np.array([5.0, 6.0]))])
@@ -216,19 +220,12 @@ def test_batched_matmul_broadcasts_leading_axes():
         tt.matmul(tt.constant(np.zeros(4)), tt.constant(np.zeros((2, 4, 2))))
 
 
-def test_pick_rows_and_stack_padded_values():
+def test_pick_rows_values():
     a = tt.constant(np.arange(12.0).reshape(2, 3, 2))
     assert tt.pick_rows(a, [2, 0]).data.tolist() == [[4.0, 5.0], [6.0, 7.0]]
     assert tt.pick_rows(a, 1).data.tolist() == [[2.0, 3.0], [8.0, 9.0]]
     with pytest.raises(DimensionError):
         tt.pick_rows(a, [3, 0])
-    padded = tt.stack_padded([tt.constant(np.ones((1, 2))), tt.constant(np.full((2, 2), 2.0))], 3)
-    assert padded.data.tolist() == [
-        [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
-        [[2.0, 2.0], [2.0, 2.0], [0.0, 0.0]],
-    ]
-    with pytest.raises(DimensionError):
-        tt.stack_padded([tt.constant(np.ones((4, 2)))], 3)
 
 
 def test_l2norm_zero_vector_has_finite_grad():
@@ -330,7 +327,6 @@ OP_CASES = [
     ("vecmat", lambda p: tt.sum(tt.square(tt.matmul(p["u"], p["a"])))),
     ("dot", lambda p: tt.square(tt.matmul(p["v"], p["v"]))),
     ("transpose", lambda p: tt.sum(tt.square(tt.matmul(tt.transpose(p["a"]), p["a"])))),
-    ("take_row", lambda p: tt.sum(tt.square(tt.take(p["a"], 1)))),
     ("stack", lambda p: tt.sum(tt.square(tt.stack([p["v"], p["v"]])))),
     ("vstack", lambda p: tt.sum(tt.square(tt.vstack([p["a"], p["v"]])))),
     ("scale_rows", lambda p: tt.sum(tt.square(tt.scale_rows(p["a"], p["u"])))),
@@ -343,7 +339,7 @@ OP_CASES = [
 @pytest.mark.parametrize("magnitude", [0.1, 2.0])
 @pytest.mark.parametrize("name,f", OP_CASES, ids=[c[0] for c in OP_CASES])
 def test_op_gradients_match_finite_differences(name, f, magnitude):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     store = _store(
         a=magnitude * rng.normal(size=(3, 4)),
         b=magnitude * rng.normal(size=(4, 2)),
@@ -372,13 +368,10 @@ BATCHED_OP_CASES = [
     ("conv_stack", lambda p: tt.sum(tt.square(tt.conv2d_3x3(p["t"], p["k"], p["s"])))),
     ("pick_rows", lambda p: tt.sum(tt.square(tt.pick_rows(p["t"], [2, 0])))),
     ("vstack_stack", lambda p: tt.sum(tt.square(tt.vstack([p["t"], tt.pick_rows(p["t"], 1)])))),
-    ("stack_padded", lambda p: tt.sum(tt.square(tt.stack_padded([tt.transpose(p["b"]), p["a"]], 3)))),
 ]
 
 
-# a central difference carries rounding of about 1e-16 * loss / epsilon,
-# which a 1e-6 relative check resolves only on losses below about 0.1 when
-# some gradient entry is near zero; these sizes keep the losses that small
+# small inputs keep the losses small, so the rounding floor stays near 1e-5
 @pytest.mark.parametrize("magnitude", [0.1, 0.3])
 @pytest.mark.parametrize("index", range(len(BATCHED_OP_CASES)), ids=[c[0] for c in BATCHED_OP_CASES])
 def test_batched_op_gradients_match_finite_differences(index, magnitude):

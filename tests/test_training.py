@@ -276,6 +276,20 @@ def test_checkpoint_bad_model_field_detected(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+def test_checkpoint_disagreeing_with_its_own_config_is_rejected(tmp_path):
+    cfg = _tiny_model()
+    save_checkpoint(tmp_path / "ckpt", init_params(cfg, seed=4), cfg)
+    manifest = tmp_path / "ckpt" / "manifest"
+    text = manifest.read_text()
+    assert f"model.n_layers: {cfg.n_layers}\n" in text
+    manifest.write_text(text.replace(f"model.n_layers: {cfg.n_layers}\n", f"model.n_layers: {cfg.n_layers + 1}\n"))
+    with pytest.raises(DataError, match=f"lacks parameter 'reason.{cfg.n_layers}.bias'"):
+        load_checkpoint(tmp_path / "ckpt")
+    manifest.write_text(text.replace("param.head.w: ", "param.head.w: 1x"))
+    with pytest.raises(DataError, match="'head.w' has shape"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 # ------------------------------------------------------------ loss csv
 
 def test_write_loss_csv_roundtrips_exact_floats(tmp_path):
