@@ -9,6 +9,7 @@ or usage error, 3 io/data error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -17,7 +18,7 @@ from .errors import ConfigError, DataError, InputError, ItmatchError
 from .evaluation import RANKS, evaluate, rsum
 from .gradcheck import run_gradcheck
 from .kvfile import read_kv
-from .model import ModelConfig, init_params
+from .model import ModelConfig, param_shapes
 from .training import (
     PROFILES,
     TrainConfig,
@@ -245,10 +246,11 @@ def _resolve_schedule(args) -> tuple[int, int]:
     return epochs, decay
 
 
-def _model_config(args, manifest, max_caption_len: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=manifest.vocab_size,
-        d_raw=manifest.d_raw,
+def _model_config(args, vocab_size: int, d_raw: int, **overrides) -> ModelConfig:
+    """The model the shared model flags describe; `overrides` win."""
+    fields = dict(
+        vocab_size=vocab_size,
+        d_raw=d_raw,
         embed_dim=args.embed_dim,
         hidden_dim=args.d,
         sim_dim=args.m,
@@ -258,11 +260,14 @@ def _model_config(args, manifest, max_caption_len: int) -> ModelConfig:
         hierarchical=args.hierarchical,
         row_softmax=args.row_softmax,
         share_sim_w=args.share_sim_w,
-        max_caption_len=max(max_caption_len, 1),
     )
+    fields.update(overrides)
+    return ModelConfig(**fields)
 
 
-def cmd_train(args) -> int:
+def _read_train_and_val(args):
+    """The --data set, the --val set (None without one), the training
+    manifest and the longest caption of both sets (at least 1)."""
     bundles, manifest = read_dataset(args.data)
     val_bundles = None
     max_len = manifest.max_caption_len
@@ -271,9 +276,14 @@ def cmd_train(args) -> int:
         if val_manifest.d_raw != manifest.d_raw or val_manifest.vocab_size != manifest.vocab_size:
             raise DataError("validation dataset disagrees with training dataset dimensions")
         max_len = max(max_len, val_manifest.max_caption_len)
+    return bundles, val_bundles, manifest, max(max_len, 1)
+
+
+def cmd_train(args) -> int:
+    bundles, val_bundles, manifest, max_len = _read_train_and_val(args)
     epochs, decay = _resolve_schedule(args)
     config = TrainConfig(
-        model=_model_config(args, manifest, max_len),
+        model=_model_config(args, manifest.vocab_size, manifest.d_raw, max_caption_len=max_len),
         epochs=epochs,
         lr=args.lr,
         lr_decay_epoch=decay,
@@ -323,20 +333,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = ModelConfig(
-        vocab_size=args.vocab,
-        d_raw=args.draw,
-        embed_dim=args.embed_dim,
-        hidden_dim=args.d,
-        sim_dim=args.m,
-        n_layers=args.layers,
-        temperature=args.temperature,
-        stream=args.stream,
-        hierarchical=args.hierarchical,
-        row_softmax=args.row_softmax,
-        share_sim_w=args.share_sim_w,
-    )
-    total = init_params(cfg, seed=args.seed).total_size()
+    cfg = _model_config(args, args.vocab, args.draw)
+    total = sum(math.prod(shape) for shape in param_shapes(cfg).values())
     if total > args.max_params:
         raise ConfigError(
             f"{total} parameters exceed the gradcheck budget of {args.max_params};"
@@ -368,14 +366,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    bundles, manifest = read_dataset(args.data)
-    eval_bundles = bundles
-    max_len = manifest.max_caption_len
-    if args.val is not None:
-        eval_bundles, val_manifest = read_dataset(args.val)
-        if val_manifest.d_raw != manifest.d_raw or val_manifest.vocab_size != manifest.vocab_size:
-            raise DataError("validation dataset disagrees with training dataset dimensions")
-        max_len = max(max_len, val_manifest.max_caption_len)
+    bundles, val_bundles, manifest, max_len = _read_train_and_val(args)
+    eval_bundles = bundles if val_bundles is None else val_bundles
     epochs, decay = _resolve_schedule(args)
     for value in args.hier_list:
         if value not in ("on", "off"):
@@ -391,19 +383,9 @@ def cmd_ablate(args) -> int:
     for depth in sorted(args.m_list):
         for hier in args.hier_list:
             for stream in args.stream_list:
-                cfg = ModelConfig(
-                    vocab_size=manifest.vocab_size,
-                    d_raw=manifest.d_raw,
-                    embed_dim=args.embed_dim,
-                    hidden_dim=args.d,
-                    sim_dim=args.m,
-                    n_layers=depth,
-                    temperature=args.temperature,
-                    stream=stream,
-                    hierarchical=(hier == "on"),
-                    row_softmax=args.row_softmax,
-                    share_sim_w=args.share_sim_w,
-                    max_caption_len=max(max_len, 1),
+                cfg = _model_config(
+                    args, manifest.vocab_size, manifest.d_raw, n_layers=depth, stream=stream,
+                    hierarchical=(hier == "on"), max_caption_len=max_len,
                 )
                 config = TrainConfig(
                     model=cfg,

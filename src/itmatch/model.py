@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -334,7 +334,3 @@ def score_matrix(params: ParamStore, cfg: ModelConfig, region_list, token_lists)
         i, j = (int(x) for x in bad[0])
         raise DataError(f"score of image {i} and caption {j} is not finite ({out[i, j]!r})")
     return out
-
-
-def config_with(cfg: ModelConfig, **overrides) -> ModelConfig:
-    return replace(cfg, **overrides)

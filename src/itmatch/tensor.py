@@ -95,14 +95,27 @@ def parameter(values) -> Tensor:
 # --- graph plumbing ---------------------------------------------------------
 
 
-def _result(data, parents: tuple[Tensor, ...] = (), backward=None) -> Tensor:
+def adopt(data, requires_grad: bool = False) -> Tensor:
+    """Wrap a float64 array as a Tensor without copying it.
+
+    The array is frozen in place, so the caller hands it over: no writable
+    view of it may be used afterwards.
+    """
     out = Tensor.__new__(Tensor)
     arr = np.asarray(data, dtype=np.float64)
     arr.flags.writeable = False
     out.data = arr
-    out.requires_grad = backward is not None
-    out._parents = parents if backward is not None else ()
-    out._backward = backward
+    out.requires_grad = requires_grad
+    out._parents = ()
+    out._backward = None
+    return out
+
+
+def _result(data, parents: tuple[Tensor, ...] = (), backward=None) -> Tensor:
+    out = adopt(data, requires_grad=backward is not None)
+    if backward is not None:
+        out._parents = parents
+        out._backward = backward
     return out
 
 
@@ -610,9 +623,10 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = Fa
     starts from zero at each sequence's own last element.  Returns the
     (n, T, h) states, zero at padded positions.
 
-    The input projections of every position are one product; the
-    backward pass is hand-written BPTT, and each weight and bias
-    gradient is one product or sum over all positions.
+    Each gate's input projections for every position are one product
+    against that gate's own weight; the backward pass is hand-written
+    BPTT, and each weight and bias gradient is one product or sum over all
+    positions.
     """
     gates = tuple(gates)
     if x.data.ndim != 3 or len(gates) != 9:
@@ -625,64 +639,77 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = Fa
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > steps):
         raise DimensionError(f"need {n} sequence lengths in 1..{steps}, got {lengths.tolist()}")
-    u_cand = gates[5].data
+    w_gates, u_gates, b_gates = ([g.data for g in gates[i:i + 3]] for i in (0, 3, 6))
+    u_reset, u_update, u_cand = u_gates
 
-    def blocks():
-        # (3h, e) input weights and (2h, h) reset-and-update hidden weights,
-        # concatenated at use so each gate stays its own parameter; the
-        # backward pass builds them again rather than hold them in between
-        return np.concatenate([g.data for g in gates[:3]]), np.concatenate([g.data for g in gates[3:5]])
-
-    w_in, u_gates = blocks()
-    proj = (x.data.reshape(-1, e) @ w_in.T + np.concatenate([g.data for g in gates[6:]])).reshape(n, steps, 3 * h)
+    # gate-major input projections of every position, proj[k] for gate k,
+    # one product per gate against its own weight, so no weight is concatenated
+    proj = np.empty((3, n * steps, h))
+    for k in range(3):
+        np.matmul(x.data.reshape(-1, e), w_gates[k].T, out=proj[k])
+        proj[k] += b_gates[k]
+    proj = proj.reshape(3, n, steps, h)
     active = (np.arange(steps) < lengths[:, None])[..., None]  # (n, T, 1)
     order = range(int(lengths.max()))
     if reverse:
         order = order[::-1]
     tracking = _tracking(x, *gates)
     if tracking:
-        # per position: the incoming state, sigmoid(reset, update), the
-        # candidate and reset * state; untouched positions stay zero
-        prev, rz_all, cand_all, rs_all = (np.zeros((n, steps, k * h)) for k in (1, 2, 1, 1))
+        # per position: the incoming state, sigmoid(reset), sigmoid(update)
+        # (gate-major), the candidate and reset * state; untouched
+        # positions stay zero
+        prev, cand_all, rs_all = (np.zeros((n, steps, h)) for _ in range(3))
+        rz_all = np.zeros((2, n, steps, h))
     out = np.zeros((n, steps, h))
     state = np.zeros((n, h))
+    pre = np.empty((2, n, h))  # reset and update pre-activations of one position
     for t in order:
-        rz = _sigmoid_values(proj[:, t, :2 * h] + state @ u_gates.T)
-        rs = rz[:, :h] * state
-        cand = np.tanh(proj[:, t, 2 * h:] + rs @ u_cand.T)
-        new = state + rz[:, h:] * (cand - state)
+        np.matmul(state, u_reset.T, out=pre[0])
+        np.matmul(state, u_update.T, out=pre[1])
+        pre += proj[:2, :, t]
+        rz = _sigmoid_values(pre)
+        rs = rz[0] * state
+        cand = np.tanh(proj[2, :, t] + rs @ u_cand.T)
+        new = state + rz[1] * (cand - state)
         if tracking:
-            prev[:, t], rz_all[:, t], cand_all[:, t], rs_all[:, t] = state, rz, cand, rs
+            prev[:, t], rz_all[:, :, t], cand_all[:, t], rs_all[:, t] = state, rz, cand, rs
         out[:, t] = np.where(active[:, t], new, 0.0)
         state = np.where(active[:, t], new, state)
     if not tracking:
         return _result(out)
 
     def backward_fn(g):
-        w_in, u_gates = blocks()
-        d_pre = np.zeros((n, steps, 3 * h))  # gradient of the three pre-activations
+        d_pre = np.zeros((3, n, steps, h))  # gradient of the three pre-activations
         d_state = np.zeros((n, h))
+        d_rz, d_hidden, d_part = np.empty((2, n, h)), np.empty((n, h)), np.empty((n, h))
         for t in order[::-1]:
             # a frozen sequence passes d_state through; its output is a constant 0
             d_new = np.where(active[:, t], d_state + g[:, t], 0.0)
-            rz, cand, state = rz_all[:, t], cand_all[:, t], prev[:, t]
-            update = rz[:, h:]
+            rz, cand, state = rz_all[:, :, t], cand_all[:, t], prev[:, t]
+            update = rz[1]
             d_cand = d_new * update * (1.0 - cand * cand)
             d_rs = d_cand @ u_cand
-            d_rz = np.concatenate([d_rs * state, d_new * (cand - state)], axis=1) * rz * (1.0 - rz)
-            d_pre[:, t, :2 * h] = d_rz
-            d_pre[:, t, 2 * h:] = d_cand
-            d_prev = d_new * (1.0 - update) + d_rs * rz[:, :h] + d_rz @ u_gates
+            np.multiply(d_rs, state, out=d_rz[0])
+            np.multiply(d_new, cand - state, out=d_rz[1])
+            d_rz *= rz * (1.0 - rz)
+            d_pre[:2, :, t] = d_rz
+            d_pre[2, :, t] = d_cand
+            np.matmul(d_rz[0], u_reset, out=d_hidden)
+            d_hidden += np.matmul(d_rz[1], u_update, out=d_part)
+            d_prev = d_new * (1.0 - update) + d_rs * rz[0] + d_hidden
             d_state = np.where(active[:, t], d_prev, d_state)
-        flat = d_pre.reshape(-1, 3 * h)
-        d_w = flat.T @ x.data.reshape(-1, e)
-        d_u = flat[:, :2 * h].T @ prev.reshape(-1, h)
-        d_b = flat.sum(axis=0)
+        flat = d_pre.reshape(3, -1, h)
+        d_x = flat[0] @ w_gates[0]
+        for k in (1, 2):
+            d_x += flat[k] @ w_gates[k]
+        d_w = np.matmul(flat.transpose(0, 2, 1), x.data.reshape(-1, e))
+        d_u = np.matmul(flat[:2].transpose(0, 2, 1), prev.reshape(-1, h))
+        d_b = flat.sum(axis=1)
         return (
-            (flat @ w_in).reshape(n, steps, e),
-            d_w[:h], d_w[h:2 * h], d_w[2 * h:],
-            d_u[:h], d_u[h:], flat[:, 2 * h:].T @ rs_all.reshape(-1, h),
-            d_b[:h], d_b[h:2 * h], d_b[2 * h:],
+            d_x.reshape(n, steps, e),
+            d_w[0], d_w[1], d_w[2],
+            d_u[0], d_u[1], flat[2].T @ rs_all.reshape(-1, h),
+            d_b[0], d_b[1], d_b[2],
         )
     return _result(out, (x, *gates), backward_fn)
 
@@ -759,6 +786,7 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, Tensor]:
     """Gradient of a scalar loss for every parameter in the store.
 
     Parameters that do not appear in the loss graph get zero gradients.
+    Each gradient is a read-only constant.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -805,10 +833,12 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, Tensor]:
             else:
                 grads[key] = pg
 
+    # nothing reads or writes the buffers after this loop, so each gradient
+    # is frozen and handed over as it is, not copied
     out: dict[str, Tensor] = {}
     for name, tensor in params.items():
         g = grads.get(id(tensor))
-        out[name] = constant(np.zeros(tensor.data.shape) if g is None else g)
+        out[name] = adopt(np.zeros(tensor.data.shape) if g is None else g)
     return out
 
 

@@ -10,6 +10,7 @@ runs produce bitwise-identical loss curves.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -28,6 +29,11 @@ CHECKPOINT_FORMAT = "itmatch-checkpoint"
 CHECKPOINT_VERSION = 1
 CHECKPOINT_MANIFEST = "manifest"
 CHECKPOINT_BLOB = "params.bin"
+
+# elements per Adam block: the block's slices of the parameter, its
+# gradient, both moments, their outputs and the scratch buffer (128 KB
+# each) stay in cache through the whole update of the block
+ADAM_BLOCK = 1 << 14
 
 # dataset-profile defaults: (epochs, decay epoch)
 PROFILES = {"mscoco": (20, 10), "flickr30k": (40, 30)}
@@ -89,8 +95,21 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[ParamStore, AdamState]:
-    """One Adam update; returns a fresh store and state, inputs untouched."""
+    """One Adam update; returns a fresh store and state, inputs untouched.
+
+    The update takes Kingma & Ba's efficient order (arXiv:1412.6980, sec. 2):
+    with alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
+    eps_hat = eps * sqrt(1 - beta2^t), theta <- theta - alpha_t * m /
+    (sqrt(v) + eps_hat), which equals the bias-corrected textbook update.
+    Each parameter is walked in blocks of ADAM_BLOCK elements, one pass per
+    block through a reused scratch buffer, straight into fresh outputs.
+    A gradient that is not finite raises DataError, naming the step and
+    the parameter, before anything is returned.
+    """
     t = state.step + 1
+    alpha = lr * math.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)
+    eps_hat = eps * math.sqrt(1.0 - beta2 ** t)
+    scratch = np.empty(ADAM_BLOCK)
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
     updates: dict[str, Tensor] = {}
@@ -102,13 +121,35 @@ def adam_step(
             raise ContractError(
                 f"gradient shape {g.shape} does not match parameter {name!r} {param.data.shape}"
             )
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        new_m[name] = m
-        new_v[name] = v
-        updates[name] = tt.parameter(param.data - lr * m_hat / (np.sqrt(v_hat) + eps))
+        m, v, theta = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
+        arrays = (g, state.m[name], state.v[name], param.data, m, v, theta)
+        if g.size <= ADAM_BLOCK:
+            blocks = [arrays]  # one block, taken as it is: no flat views to build
+        else:
+            flat = [a.reshape(-1) for a in arrays]
+            blocks = ([a[lo:lo + ADAM_BLOCK] for a in flat] for lo in range(0, g.size, ADAM_BLOCK))
+        for g_b, m_b, v_b, theta_b, m_out, v_out, theta_out in blocks:
+            # the block's sum of g*g: NaN and inf survive it, and a finite g
+            # whose square overflows (|g| > 1e154) is refused too, since v
+            # would not be finite
+            if not math.isfinite(np.vdot(g_b, g_b)):
+                raise DataError(f"step {t}: the gradient of parameter {name!r} is not finite")
+            s = scratch[:g_b.size].reshape(g_b.shape)
+            np.multiply(g_b, g_b, out=s)
+            s *= 1.0 - beta2
+            np.multiply(v_b, beta2, out=v_out)
+            v_out += s                                  # v = beta2 v + (1 - beta2) g^2
+            np.multiply(g_b, 1.0 - beta1, out=s)
+            np.multiply(m_b, beta1, out=m_out)
+            m_out += s                                  # m = beta1 m + (1 - beta1) g
+            np.sqrt(v_out, out=s)
+            s += eps_hat
+            np.divide(m_out, s, out=s)
+            s *= alpha
+            np.subtract(theta_b, s, out=theta_out)
+        m.flags.writeable = v.flags.writeable = False
+        new_m[name], new_v[name] = m, v
+        updates[name] = tt.adopt(theta, requires_grad=True)
     return params.copy_with(updates), AdamState(m=new_m, v=new_v, step=t)
 
 
@@ -130,7 +171,8 @@ def train(
     """Train from a seeded initialisation; snapshot the best validation rsum.
 
     Without a validation set the training set doubles as one, which is
-    what small synthetic overfitting runs want.
+    what small synthetic overfitting runs want.  A step whose loss or
+    gradient is not finite raises DataError naming the step.
     """
     if not bundles:
         raise ConfigError("training needs a non-empty dataset")
@@ -161,7 +203,10 @@ def train(
             batch_tokens = [captions[i] for i in batch]
             grid = score_grid(params, config.model, batch_regions, batch_tokens)
             loss = bidirectional_ranking_loss(LossBatch(scores=grid, margin=config.margin))
+            if not math.isfinite(loss.item()):
+                raise DataError(f"step {step + 1}: the loss is not finite ({loss.item()!r})")
             grads = backward(loss, params)
+            # a non-finite gradient raises here, before params is replaced
             params, state = adam_step(
                 params, grads, state, lr,
                 beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps,

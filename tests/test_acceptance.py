@@ -7,6 +7,7 @@ ablation criteria train real models and dominate the runtime.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from itmatch.evaluation import evaluate, recalls_from_matrix, rsum
 from itmatch.gradcheck import run_gradcheck
 from itmatch.model import (
     ModelConfig,
-    config_with,
     init_params,
     pair_score,
     score_matrix,
@@ -290,8 +290,8 @@ def test_criterion_08_ablation_direction():
     data = gen_synthetic(**ABLATION_DATA)
     base = ModelConfig(n_layers=3, **ABLATION_MODEL)
     deep = _ablation_rsum(data, base)
-    shallow = _ablation_rsum(data, config_with(base, n_layers=0))
-    ungated = _ablation_rsum(data, config_with(base, hierarchical=False))
+    shallow = _ablation_rsum(data, replace(base, n_layers=0))
+    ungated = _ablation_rsum(data, replace(base, hierarchical=False))
     _line(
         8, "rsum(M=3) >= rsum(M=0) and gated >= ungated - 1.0",
         deep >= shallow and deep >= ungated - 1.0,

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from itmatch import cli, gradcheck, model
 from itmatch.cli import main
 from itmatch.dataio import MANIFEST_FILE, REGIONS_FILE, read_dataset
 
@@ -170,6 +171,40 @@ def test_train_rejects_mismatched_val_set(tmp_path, capsys):
     assert rc == 3
 
 
+def test_train_stops_on_non_finite_features_and_writes_no_checkpoint(tmp_path, capsys, monkeypatch):
+    # a dataset cannot hold 1e200 (its features are float32), so the reader
+    # hands the scaled features to train directly
+    data = _gen(tmp_path)
+    ckpt = tmp_path / "ckpt"
+
+    def read_scaled(path):
+        bundles, manifest = read_dataset(path)
+        for bundle in bundles:
+            bundle.regions = bundle.regions * 1e200
+        return bundles, manifest
+
+    monkeypatch.setattr(cli, "read_dataset", read_scaled)
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--data", data, "--out", str(ckpt), "--epochs", "2",
+                   "--batch-size", "4", *MODEL_TINY])
+    assert rc == 3
+    assert "step 1: the loss is not finite" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_ablate_rejects_mismatched_val_set(tmp_path, capsys):
+    data = _gen(tmp_path)
+    wide = str(tmp_path / "wide")
+    main(["gen-data", "--out", wide, "--pairs", "4", "--k", "2", "--draw", "8",
+          "--caption-len", "2", "--vocab", "32"])
+    capsys.readouterr()
+    rc = main(["ablate", "--data", data, "--val", wide, "--m-list", "0",
+               "--epochs", "1", "--batch-size", "4", *MODEL_TINY])
+    assert rc == 3
+    assert "validation dataset disagrees" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ gradcheck
 
 def test_gradcheck_passes_and_reports_every_param(tmp_path, capsys):
@@ -194,6 +229,22 @@ def test_gradcheck_enforces_param_budget(tmp_path, capsys):
     rc = main(GRADCHECK_TINY + ["--max-params", "10"])
     assert rc == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_gradcheck_budget_counts_parameters_without_drawing_them(capsys, monkeypatch):
+    # about 10^8 parameters at these widths: drawing them would take 800 MB
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the budget check drew a parameter store")
+
+    monkeypatch.setattr(gradcheck, "init_params", no_draw)
+    monkeypatch.setattr(model, "init_params", no_draw)
+    rc = main(["gradcheck", "--d", "4096", "--m", "64", "--embed-dim", "12", "--layers", "1",
+               "--draw", "8", "--vocab", "20"])
+    assert rc == 2
+    cfg = model.ModelConfig(vocab_size=20, d_raw=8, embed_dim=12, hidden_dim=4096,
+                            sim_dim=64, n_layers=1, temperature=9.0)
+    total = sum(int(np.prod(shape)) for shape in model.param_shapes(cfg).values())
+    assert f"{total} parameters exceed the gradcheck budget" in capsys.readouterr().err
 
 
 def test_gradcheck_lambda_flag_sets_temperature(tmp_path, capsys):

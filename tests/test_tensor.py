@@ -286,6 +286,46 @@ def test_backward_accumulates_three_uses_without_mutating_upstream_gradients():
         np.testing.assert_array_equal(array, snapshot)
 
 
+def test_backward_hands_over_read_only_gradients_with_the_copied_values():
+    # exact dyadic values: matmul's transposed product, a broadcast bias,
+    # add's shared gradient accumulated in place, and an unused parameter;
+    # the expected lists are what backward returned when it copied each
+    # gradient into a new constant
+    store = _store(
+        b=[0.5, -1.0, 0.25], u=[[2.0, 3.0]],
+        w=[[1.0, -0.5, 2.0], [0.0, 1.5, -1.0]], x=[1.5, -2.0],
+    )
+    a = tt.constant([[1.0, 2.0], [-1.0, 0.5]])
+    x = store["x"]
+    h = tt.add(tt.matmul(a, store["w"]), store["b"])
+    loss = tt.add(tt.sum(tt.square(h)), tt.sum(tt.mul(tt.add(x, x), x)))
+    grads = backward(loss, store)
+    expected = {
+        "b": [2.0, 3.5, -4.0],
+        "u": [[0.0, 0.0]],
+        "w": [[4.0, 2.5, 5.0], [5.5, 6.25, -1.25]],
+        "x": [6.0, -8.0],
+    }
+    assert sorted(grads) == sorted(expected)
+    for name, values in expected.items():
+        g = grads[name]
+        assert not g.requires_grad
+        assert g.data.dtype == np.float64
+        np.testing.assert_array_equal(g.data, np.asarray(values))
+        assert not g.data.flags.writeable
+        with pytest.raises(ValueError):
+            g.data[...] = 0.0
+        assert not np.shares_memory(g.data, store[name].data)
+
+
+def test_adopt_freezes_without_copying():
+    values = np.arange(3.0)
+    t = tt.adopt(values, requires_grad=True)
+    assert t.data is values and t.requires_grad
+    assert not values.flags.writeable
+    assert t._parents == () and t._backward is None
+
+
 def test_backward_unused_param_gets_zeros():
     store = _store(x=[1.0], y=[[1.0, 2.0]])
     g = backward(tt.sum(store["x"]), store)

@@ -10,6 +10,7 @@ from itmatch.evaluation import evaluate, rsum
 from itmatch.model import ModelConfig, init_params
 from itmatch.tensor import ParamStore, backward
 from itmatch.training import (
+    ADAM_BLOCK,
     TrainConfig,
     adam_init,
     adam_step,
@@ -105,6 +106,114 @@ def test_adam_grad_shape_mismatch_rejected():
         adam_step(store, grads, adam_init(store), lr=0.1)
 
 
+def _textbook_adam(theta, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    # Kingma & Ba, Algorithm 1, in plain numpy
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+# a parameter of more than three blocks whose size is not a multiple of the
+# block, a (1,) one, a scalar, and one whose gradient is always zero
+ADAM_SHAPES = {"big": (3, ADAM_BLOCK + 41), "one": (1,), "scalar": (), "still": (5, 7)}
+
+
+def _adam_problem(seed):
+    rng = np.random.default_rng(seed)
+    store = ParamStore.from_dict(
+        {name: tt.parameter(rng.standard_normal(shape)) for name, shape in ADAM_SHAPES.items()}
+    )
+
+    def grads():
+        return {
+            name: tt.constant(np.zeros(shape) if name == "still" else rng.standard_normal(shape))
+            for name, shape in ADAM_SHAPES.items()
+        }
+    return store, grads
+
+
+@pytest.mark.parametrize("lr", [0.01, 0.0])
+def test_adam_matches_the_textbook_update_over_five_steps(lr):
+    store, draw = _adam_problem(5)
+    state = adam_init(store)
+    start = {name: t.data for name, t in store.items()}
+    want = {name: (t.data, np.zeros(t.shape), np.zeros(t.shape)) for name, t in store.items()}
+    for t in range(1, 6):
+        grads = draw()
+        store, state = adam_step(store, grads, state, lr=lr)
+        assert state.step == t
+        for name, shape in ADAM_SHAPES.items():
+            before, m, v = want[name]
+            theta, m, v = want[name] = _textbook_adam(before, grads[name].data, m, v, t, lr)
+            got = (store[name].data, state.m[name], state.v[name])
+            assert [a.shape for a in got] == [shape] * 3
+            # theta relative to the size of its step, which is 0 when nothing moves
+            scale = np.max(np.abs(theta - before), initial=0.0)
+            assert np.max(np.abs(got[0] - theta), initial=0.0) <= 1e-12 * scale
+            for a, ref in ((got[1], m), (got[2], v)):
+                assert np.max(np.abs(a - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+    # zero gradients, or a zero rate, leave a parameter exactly where it was
+    for name in ADAM_SHAPES if lr == 0.0 else ["still"]:
+        np.testing.assert_array_equal(store[name].data, start[name])
+
+
+def test_adam_over_many_blocks_leaves_its_inputs_untouched():
+    store, draw = _adam_problem(6)
+    state = adam_init(store)
+    store, state = adam_step(store, draw(), state, lr=0.01)
+    grads = draw()
+    kept = {
+        name: (store[name].data.copy(), grads[name].data.copy(), state.m[name].copy(), state.v[name].copy())
+        for name in ADAM_SHAPES
+    }
+    new_store, new_state = adam_step(store, grads, state, lr=0.01)
+    assert state.step == 1 and new_state.step == 2
+    for name, arrays in kept.items():
+        inputs = (store[name].data, grads[name].data, state.m[name], state.v[name])
+        for now, then in zip(inputs, arrays):
+            np.testing.assert_array_equal(now, then)
+        outputs = (new_store[name].data, new_state.m[name], new_state.v[name])
+        for out in outputs:
+            assert not out.flags.writeable
+            assert not any(np.shares_memory(out, a) for a in inputs)
+        assert new_store[name].requires_grad
+
+
+def test_adam_is_bitwise_deterministic():
+    runs = []
+    for _ in range(2):
+        store, draw = _adam_problem(7)
+        state = adam_init(store)
+        for _ in range(3):
+            store, state = adam_step(store, draw(), state, lr=0.01)
+        runs.append(store)
+    for name in ADAM_SHAPES:
+        assert runs[0][name].data.tobytes() == runs[1][name].data.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_stops_on_a_non_finite_gradient_before_returning(bad):
+    store, draw = _adam_problem(8)
+    state = adam_init(store)
+    store, state = adam_step(store, draw(), state, lr=0.01)
+    grads = draw()
+    # "big" sorts first; plant the value in its third block, and one more
+    # in a parameter that sorts after it
+    big = grads["big"].data.copy()
+    big.reshape(-1)[2 * ADAM_BLOCK + 5] = bad
+    one = grads["one"].data.copy()
+    one[0] = bad
+    grads.update(big=tt.constant(big), one=tt.constant(one))
+    kept = {name: store[name].data.copy() for name in ADAM_SHAPES}
+    with pytest.raises(DataError, match=r"step 2: .*'big' is not finite"):
+        adam_step(store, grads, state, lr=0.01)
+    assert state.step == 1
+    for name, values in kept.items():
+        np.testing.assert_array_equal(store[name].data, values)
+
+
 # ------------------------------------------------------------ training
 
 @pytest.mark.parametrize(
@@ -177,6 +286,16 @@ def test_train_decay_at_final_epoch_never_fires():
     with_boundary = train(data, TrainConfig(lr_decay_epoch=3, lr_decay_factor=0.0, **base))
     without = train(data, TrainConfig(lr_decay_epoch=3, lr_decay_factor=1.0, **base))
     assert with_boundary.loss_curve == without.loss_curve
+
+
+def test_train_stops_at_the_first_non_finite_loss():
+    # features of 1e200 overflow the squared norms of the image encoder
+    data = _tiny_data()
+    for bundle in data:
+        bundle.regions = bundle.regions * 1e200
+    tc = TrainConfig(model=_tiny_model(), epochs=2, lr_decay_epoch=2, batch_size=4)
+    with np.errstate(all="ignore"), pytest.raises(DataError, match=r"step 1: the loss is not finite"):
+        train(data, tc)
 
 
 def test_train_skips_single_leftover_pair():
