@@ -18,7 +18,7 @@ from .errors import ConfigError, DataError, InputError, ItmatchError
 from .evaluation import RANKS, evaluate, rsum
 from .gradcheck import run_gradcheck
 from .kvfile import read_kv
-from .model import ModelConfig, param_shapes
+from .model import STREAMS, ModelConfig, param_shapes
 from .training import (
     PROFILES,
     TrainConfig,
@@ -60,7 +60,7 @@ def _add_model_flags(p: argparse.ArgumentParser, d: int, m: int, embed: int, lay
     p.add_argument("--layers", type=int, default=layers, help="reasoning layers (0 bypasses)")
     p.add_argument("--lambda", dest="temperature", type=float, default=9.0,
                    help="attention temperature")
-    p.add_argument("--stream", choices=("both", "i2t_only", "t2i_only"), default="both")
+    p.add_argument("--stream", choices=STREAMS, default="both")
     p.add_argument("--hierarchical", type=_on_off, default=True, metavar="on|off",
                    help="gate the relation matrix through the conv gate")
     p.add_argument("--row-softmax", type=_on_off, default=False, metavar="on|off",
@@ -373,7 +373,7 @@ def cmd_ablate(args) -> int:
         if value not in ("on", "off"):
             raise ConfigError(f"--hier-list entries must be on/off, got {value!r}")
     for value in args.stream_list:
-        if value not in ("both", "i2t_only", "t2i_only"):
+        if value not in STREAMS:
             raise ConfigError(f"--stream-list entry {value!r} is not a stream mode")
     for depth in args.m_list:
         if depth < 0:

@@ -1,7 +1,8 @@
 """Dataset serialisation and synthetic data generation.
 
-A dataset directory holds one human-readable manifest plus three binary
-blobs, each checksummed:
+A dataset is a ``kvfile`` container (format ``itmatch-dataset``, version
+1): the manifest holds the counts and widths of ``DatasetManifest`` and
+one ``image_id.<i>`` per image, and three checksummed blobs hold
 
 * ``regions.bin``  little-endian float32, row-major, (n_images, k, d_raw)
 * ``tokens.bin``   little-endian uint32, every caption concatenated
@@ -10,31 +11,25 @@ blobs, each checksummed:
 
 Features are widened to float64 in memory; bundles whose region values
 lie on the float32 grid (everything ``gen_synthetic`` produces) round-trip
-bitwise.  Loading validates blob lengths against the manifest before any
-array is built, verifies checksums, and bounds-checks token ids and
-offsets and rejects non-finite region features, so a truncated or
-corrupted directory fails loudly instead of yielding garbage.
+bitwise.  Loading checks each blob's length and checksum before building
+its array, then bounds-checks token ids and offsets and rejects
+non-finite region features, so a truncated or corrupted directory fails
+loudly instead of yielding garbage.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kvfile import read_kv, write_kv
+from .kvfile import Container, write_container
 
 FORMAT_NAME = "itmatch-dataset"
 FORMAT_VERSION = 1
 SPLITS = ("train", "val", "test")
-
-MANIFEST_FILE = "manifest"
-REGIONS_FILE = "regions.bin"
-TOKENS_FILE = "tokens.bin"
-OFFSETS_FILE = "offsets.bin"
 F32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -61,8 +56,7 @@ class DatasetManifest:
     checksums: dict[str, str]
 
 
-def _sha256(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()
+COUNTS = ("n_images", "n_captions", "n_tokens", "k", "d_raw", "vocab_size", "max_caption_len")
 
 
 def _validate_bundles(bundles, vocab_size: int, k: int | None, d_raw: int | None):
@@ -123,22 +117,7 @@ def write_dataset(
             token_offsets.append(len(tokens))
             max_len = max(max_len, len(caption))
 
-    regions_blob = regions.astype("<f4").tobytes(order="C")
-    tokens_blob = np.asarray(tokens, dtype="<u4").tobytes()
-    offsets_blob = np.asarray(caption_counts + token_offsets, dtype="<u4").tobytes()
-
-    os.makedirs(path, exist_ok=True)
-    for file_name, blob in (
-        (REGIONS_FILE, regions_blob),
-        (TOKENS_FILE, tokens_blob),
-        (OFFSETS_FILE, offsets_blob),
-    ):
-        with open(os.path.join(path, file_name), "wb") as fh:
-            fh.write(blob)
-
-    manifest = DatasetManifest(
-        name=name,
-        split=split,
+    counts = dict(
         n_images=len(bundles),
         n_captions=caption_counts[-1],
         n_tokens=len(tokens),
@@ -146,111 +125,50 @@ def write_dataset(
         d_raw=d_raw,
         vocab_size=vocab_size,
         max_caption_len=max_len,
-        checksums={
-            "regions": _sha256(regions_blob),
-            "tokens": _sha256(tokens_blob),
-            "offsets": _sha256(offsets_blob),
+    )
+    checksums = write_container(
+        path,
+        FORMAT_NAME,
+        FORMAT_VERSION,
+        [("name", name), ("split", split), *counts.items()]
+        + [(f"image_id.{i}", b.image_id) for i, b in enumerate(bundles)],
+        {
+            "regions": regions.astype("<f4").tobytes(order="C"),
+            "tokens": np.asarray(tokens, dtype="<u4").tobytes(),
+            "offsets": np.asarray(caption_counts + token_offsets, dtype="<u4").tobytes(),
         },
     )
-    lines = [
-        ("format", FORMAT_NAME),
-        ("version", FORMAT_VERSION),
-        ("name", name),
-        ("split", split),
-        ("n_images", manifest.n_images),
-        ("n_captions", manifest.n_captions),
-        ("n_tokens", manifest.n_tokens),
-        ("k", k),
-        ("d_raw", d_raw),
-        ("vocab_size", vocab_size),
-        ("max_caption_len", max_len),
-        ("checksum_regions", manifest.checksums["regions"]),
-        ("checksum_tokens", manifest.checksums["tokens"]),
-        ("checksum_offsets", manifest.checksums["offsets"]),
-    ]
-    lines.extend((f"image_id.{i}", str(b.image_id)) for i, b in enumerate(bundles))
-    write_kv(os.path.join(path, MANIFEST_FILE), lines)
-    return manifest
-
-
-def _manifest_int(fields: dict[str, str], key: str, minimum: int = 0) -> int:
-    if key not in fields:
-        raise DataError(f"manifest is missing field {key!r}")
-    try:
-        value = int(fields[key])
-    except ValueError:
-        raise DataError(f"manifest field {key!r} is not an integer: {fields[key]!r}") from None
-    if value < minimum:
-        raise DataError(f"manifest field {key!r} must be >= {minimum}, got {value}")
-    return value
-
-
-def _read_blob(path: str, file_name: str, expected_bytes: int, checksum: str, field: str) -> bytes:
-    full = os.path.join(path, file_name)
-    if not os.path.exists(full):
-        raise DataError(f"dataset blob missing: {file_name}")
-    with open(full, "rb") as fh:
-        blob = fh.read()
-    if len(blob) != expected_bytes:
-        raise DataError(
-            f"{file_name}: expected {expected_bytes} bytes from the manifest, found {len(blob)}"
-        )
-    if _sha256(blob) != checksum:
-        raise DataError(f"checksum mismatch for {field}")
-    return blob
+    return DatasetManifest(name=name, split=split, **counts, checksums=checksums)
 
 
 def read_dataset(path: str | os.PathLike) -> tuple[list[FeatureBundle], DatasetManifest]:
-    path = str(path)
-    manifest_path = os.path.join(path, MANIFEST_FILE)
-    if not os.path.exists(manifest_path):
-        raise DataError(f"no manifest at {manifest_path}")
-    fields = read_kv(manifest_path)
-    if fields.get("format") != FORMAT_NAME:
-        raise DataError(f"unexpected format {fields.get('format')!r}")
-    if _manifest_int(fields, "version", 1) != FORMAT_VERSION:
-        raise DataError(f"unsupported version {fields['version']}")
-    split = fields.get("split", "")
+    container = Container(path, FORMAT_NAME, FORMAT_VERSION)
+    split = container.get_text("split")
     if split not in SPLITS:
-        raise DataError(f"manifest field 'split' must be one of {SPLITS}, got {split!r}")
-
-    n_images = _manifest_int(fields, "n_images")
-    n_captions = _manifest_int(fields, "n_captions")
-    n_tokens = _manifest_int(fields, "n_tokens")
-    k = _manifest_int(fields, "k")
-    d_raw = _manifest_int(fields, "d_raw")
-    vocab_size = _manifest_int(fields, "vocab_size", 1)
-    max_caption_len = _manifest_int(fields, "max_caption_len")
+        raise DataError(f"{container.manifest}: field 'split' must be one of {SPLITS}, got {split!r}")
+    manifest = DatasetManifest(
+        name=container.fields.get("name", ""),
+        split=split,
+        **{key: container.get_int(key, 1 if key == "vocab_size" else 0) for key in COUNTS},
+        checksums={stem: container.get_text(f"checksum_{stem}") for stem in ("regions", "tokens", "offsets")},
+    )
+    n_images, n_captions, n_tokens = manifest.n_images, manifest.n_captions, manifest.n_tokens
+    k, d_raw = manifest.k, manifest.d_raw
     if n_images > 0 and (k < 1 or d_raw < 1):
-        raise DataError("manifest fields 'k' and 'd_raw' must be >= 1 for a non-empty dataset")
+        raise DataError(f"{container.manifest}: fields 'k' and 'd_raw' must be >= 1 for a non-empty dataset")
 
-    for key in ("checksum_regions", "checksum_tokens", "checksum_offsets"):
-        if key not in fields:
-            raise DataError(f"manifest is missing field {key!r}")
-
-    regions_blob = _read_blob(
-        path, REGIONS_FILE, n_images * k * d_raw * 4, fields["checksum_regions"], "checksum_regions"
-    )
-    tokens_blob = _read_blob(
-        path, TOKENS_FILE, n_tokens * 4, fields["checksum_tokens"], "checksum_tokens"
-    )
-    offsets_blob = _read_blob(
-        path,
-        OFFSETS_FILE,
-        (n_images + n_captions + 2) * 4,
-        fields["checksum_offsets"],
-        "checksum_offsets",
-    )
+    regions_blob = container.blob("regions", n_images * k * d_raw * 4)
+    token_ids = np.frombuffer(container.blob("tokens", n_tokens * 4), dtype="<u4")
+    offsets_blob = container.blob("offsets", (n_images + n_captions + 2) * 4)
 
     regions = np.frombuffer(regions_blob, dtype="<f4").astype(np.float64)
     regions = regions.reshape(n_images, k, d_raw) if n_images else regions.reshape(0, k or 1, d_raw or 1)
     bad = np.flatnonzero(~np.isfinite(regions).all(axis=(1, 2)))
     if bad.size:
         i = int(bad[0])
-        raise DataError(f"image {fields.get(f'image_id.{i}')!r} (index {i}): region features are not finite")
-    token_ids = np.frombuffer(tokens_blob, dtype="<u4")
-    if token_ids.size and int(token_ids.max()) >= vocab_size:
-        raise DataError(f"token id {int(token_ids.max())} outside vocabulary {vocab_size}")
+        raise DataError(f"image {container.fields.get(f'image_id.{i}')!r} (index {i}): region features are not finite")
+    if token_ids.size and int(token_ids.max()) >= manifest.vocab_size:
+        raise DataError(f"token id {int(token_ids.max())} outside vocabulary {manifest.vocab_size}")
     offsets = np.frombuffer(offsets_blob, dtype="<u4").astype(np.int64)
     caption_counts = offsets[: n_images + 1]
     token_offsets = offsets[n_images + 1:]
@@ -263,37 +181,19 @@ def read_dataset(path: str | os.PathLike) -> tuple[list[FeatureBundle], DatasetM
     lengths = np.diff(token_offsets)
     if np.any(lengths < 1):
         raise DataError("offsets.bin: empty caption")
-    if lengths.size and int(lengths.max()) > max_caption_len:
+    if lengths.size and int(lengths.max()) > manifest.max_caption_len:
         raise DataError(
-            f"offsets.bin: caption length {int(lengths.max())} exceeds manifest maximum {max_caption_len}"
+            f"offsets.bin: caption length {int(lengths.max())} exceeds manifest maximum {manifest.max_caption_len}"
         )
 
     bundles: list[FeatureBundle] = []
     for i in range(n_images):
-        image_id = fields.get(f"image_id.{i}")
-        if image_id is None:
-            raise DataError(f"manifest is missing field 'image_id.{i}'")
         captions = []
         for c in range(int(caption_counts[i]), int(caption_counts[i + 1])):
             lo, hi = int(token_offsets[c]), int(token_offsets[c + 1])
             captions.append([int(t) for t in token_ids[lo:hi]])
+        image_id = container.get_text(f"image_id.{i}")
         bundles.append(FeatureBundle(image_id=image_id, regions=regions[i], captions=captions))
-    manifest = DatasetManifest(
-        name=fields.get("name", ""),
-        split=split,
-        n_images=n_images,
-        n_captions=n_captions,
-        n_tokens=n_tokens,
-        k=k,
-        d_raw=d_raw,
-        vocab_size=vocab_size,
-        max_caption_len=max_caption_len,
-        checksums={
-            "regions": fields["checksum_regions"],
-            "tokens": fields["checksum_tokens"],
-            "offsets": fields["checksum_offsets"],
-        },
-    )
     return bundles, manifest
 
 

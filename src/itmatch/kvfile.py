@@ -1,15 +1,24 @@
-"""Plain-text "key: value" files.
+"""Plain-text "key: value" files and the manifest-and-blob container.
 
 One dialect serves dataset manifests, checkpoints, and CLI config files:
 UTF-8 lines of ``key: value``, blank lines and ``#`` comments allowed,
 duplicate keys rejected.  Values keep everything after the first colon.
+
+A container is a directory holding a ``manifest`` in this dialect plus
+binary blobs ``<stem>.bin``.  The manifest opens with the container's
+``format`` and ``version`` and ends with one ``checksum_<stem>`` (sha256,
+hex) per blob.  ``write_container`` and ``Container`` are the only code
+that writes or reads one; datasets and checkpoints are both containers.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 from .errors import DataError
+
+MANIFEST_FILE = "manifest"
 
 
 def format_kv(pairs) -> str:
@@ -24,11 +33,6 @@ def format_kv(pairs) -> str:
             raise DataError(f"value for {key!r} contains a newline")
         lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"
-
-
-def write_kv(path: str | os.PathLike, pairs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_kv(pairs))
 
 
 def parse_kv_text(text: str, source: str = "<text>") -> dict[str, str]:
@@ -51,5 +55,90 @@ def parse_kv_text(text: str, source: str = "<text>") -> dict[str, str]:
 
 
 def read_kv(path: str | os.PathLike) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kv_text(fh.read(), source=str(path))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text (byte offset {err.start})") from None
+    return parse_kv_text(text, source=str(path))
+
+
+def write_container(
+    path: str | os.PathLike, fmt: str, version: int, fields: list, blobs: dict[str, bytes]
+) -> dict[str, str]:
+    """Write each blob as ``<stem>.bin``, then the manifest; return the checksums.
+
+    The (key, value) ``fields`` go between the format header and the
+    checksum lines.  The manifest text is built, and so validated, before
+    any file is opened: a field that cannot be written leaves an existing
+    container as it was.
+    """
+    checksums = {stem: hashlib.sha256(blob).hexdigest() for stem, blob in blobs.items()}
+    text = format_kv(
+        [("format", fmt), ("version", version), *fields]
+        + [(f"checksum_{stem}", digest) for stem, digest in checksums.items()]
+    )
+    os.makedirs(path, exist_ok=True)
+    for stem, blob in blobs.items():
+        with open(os.path.join(path, f"{stem}.bin"), "wb") as fh:
+            fh.write(blob)
+    with open(os.path.join(path, MANIFEST_FILE), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return checksums
+
+
+class Container:
+    """A container directory opened for reading.
+
+    Opening checks that the manifest exists, is UTF-8 in the dialect and
+    names format ``fmt`` at ``version``.  Fields come out typed and blobs
+    checked; every failure is a DataError naming the file and the field.
+    """
+
+    def __init__(self, path: str | os.PathLike, fmt: str, version: int):
+        self.path = str(path)
+        self.manifest = os.path.join(self.path, MANIFEST_FILE)
+        if not os.path.exists(self.manifest):
+            raise DataError(f"no manifest at {self.manifest}")
+        self.fields = read_kv(self.manifest)
+        if self.fields.get("format") != fmt:
+            raise DataError(f"{self.manifest}: unexpected format {self.fields.get('format')!r}, expected {fmt!r}")
+        if self.get_int("version", 1) != version:
+            raise DataError(f"{self.manifest}: unsupported version {self.fields['version']}, expected {version}")
+
+    def get_text(self, key: str) -> str:
+        if key not in self.fields:
+            raise DataError(f"{self.manifest}: missing field {key!r}")
+        return self.fields[key]
+
+    def get_int(self, key: str, minimum: int = 0) -> int:
+        raw = self.get_text(key)
+        try:
+            value = int(raw)
+        except ValueError:
+            raise DataError(f"{self.manifest}: field {key!r} is not an integer: {raw!r}") from None
+        if value < minimum:
+            raise DataError(f"{self.manifest}: field {key!r} must be >= {minimum}, got {value}")
+        return value
+
+    def get_float(self, key: str) -> float:
+        raw = self.get_text(key)
+        try:
+            return float(raw)
+        except ValueError:
+            raise DataError(f"{self.manifest}: field {key!r} is not a number: {raw!r}") from None
+
+    def blob(self, stem: str, n_bytes: int) -> bytes:
+        """Blob ``<stem>.bin``, checked to hold n_bytes and match its checksum."""
+        full = os.path.join(self.path, f"{stem}.bin")
+        checksum = self.get_text(f"checksum_{stem}")
+        if not os.path.exists(full):
+            raise DataError(f"blob missing: {full}")
+        with open(full, "rb") as fh:
+            blob = fh.read()
+        if len(blob) != n_bytes:
+            raise DataError(f"{full}: expected {n_bytes} bytes from the manifest, found {len(blob)}")
+        if hashlib.sha256(blob).hexdigest() != checksum:
+            raise DataError(f"{full}: checksum mismatch for checksum_{stem}")
+        return blob

@@ -60,8 +60,8 @@ class ModelConfig:
                 raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
         if self.n_layers < 0:
             raise ConfigError(f"n_layers must be >= 0, got {self.n_layers}")
-        if self.temperature <= 0.0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        if not 0.0 < self.temperature < math.inf:  # NaN fails both comparisons
+            raise ConfigError(f"temperature must be finite and positive, got {self.temperature}")
         if self.stream not in STREAMS:
             raise ConfigError(f"stream must be one of {STREAMS}, got {self.stream!r}")
 
@@ -266,7 +266,7 @@ def score_tile(
     s_t2i = None
     if cfg.uses_t2i:
         s_t2i = pool_t2i(tt.vstack([local.s_t2i, local.s_glob]))
-    fused = fuse(s_i2t, s_t2i, cfg.stream)
+    fused = fuse(s_i2t, s_t2i)
     return score(fused, params["head.w"], params["head.b"]), fused
 
 

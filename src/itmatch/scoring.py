@@ -10,9 +10,6 @@ from . import tensor as tt
 from .errors import ConfigError, ContractError, DimensionError
 from .tensor import Tensor
 
-FUSE_MODES = ("both", "i2t_only", "t2i_only")
-
-
 @dataclass(frozen=True)
 class PairScore:
     score: Tensor   # ()
@@ -40,19 +37,12 @@ def pool_t2i(nodes: Tensor) -> Tensor:
     return tt.mean(nodes, axis=-2)
 
 
-def fuse(s_i2t: Tensor | None, s_t2i: Tensor | None, mode: str = "both") -> Tensor:
-    if mode not in FUSE_MODES:
-        raise ConfigError(f"fuse mode must be one of {FUSE_MODES}, got {mode!r}")
-    if mode == "i2t_only":
-        if s_i2t is None:
-            raise ContractError("fuse mode 'i2t_only' needs the i2t vector")
-        return s_i2t
-    if mode == "t2i_only":
-        if s_t2i is None:
-            raise ContractError("fuse mode 't2i_only' needs the t2i vector")
-        return s_t2i
+def fuse(s_i2t: Tensor | None, s_t2i: Tensor | None) -> Tensor:
+    """Sum of the two stream vectors, or the one given when a stream is off."""
+    if s_i2t is None and s_t2i is None:
+        raise ContractError("fuse needs at least one stream vector")
     if s_i2t is None or s_t2i is None:
-        raise ContractError("fuse mode 'both' needs both stream vectors")
+        return s_t2i if s_i2t is None else s_i2t
     if s_i2t.shape != s_t2i.shape:
         raise DimensionError(f"stream shapes differ: {s_i2t.shape} vs {s_t2i.shape}")
     return tt.add(s_i2t, s_t2i)

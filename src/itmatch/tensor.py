@@ -246,16 +246,6 @@ def relu(a: Tensor) -> Tensor:
     return _result(out, (a,), backward_fn)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    if not _tracking(a):
-        return _result(out)
-
-    def backward_fn(g):
-        return ((1.0 - out * out) * g,)
-    return _result(out, (a,), backward_fn)
-
-
 # --- reductions ---------------------------------------------------------------
 
 

@@ -5,11 +5,15 @@ the bidirectional hinge loss against the hardest in-batch negatives, and
 takes one Adam step.  The run keeps the parameter snapshot with the best
 validation rsum.  Everything is driven by explicit seeds; two identical
 runs produce bitwise-identical loss curves.
+
+A checkpoint is a ``kvfile`` container (format ``itmatch-checkpoint``,
+version 1): the manifest holds the dtype, every ``ModelConfig`` field as
+``model.<name>`` and every parameter's shape as ``param.<name>``, and
+``params.bin`` holds the parameters as little-endian float64 in name order.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -20,15 +24,13 @@ from . import tensor as tt
 from .dataio import FeatureBundle
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import evaluate, flatten_captions, rsum
-from .kvfile import read_kv, write_kv
+from .kvfile import Container, write_container
 from .model import ModelConfig, init_params, param_shapes, score_grid
 from .scoring import LossBatch, bidirectional_ranking_loss
 from .tensor import ParamStore, Tensor, backward
 
 CHECKPOINT_FORMAT = "itmatch-checkpoint"
 CHECKPOINT_VERSION = 1
-CHECKPOINT_MANIFEST = "manifest"
-CHECKPOINT_BLOB = "params.bin"
 
 # elements per Adam block: the block's slices of the parameter, its
 # gradient, both moments, their outputs and the scratch buffer (128 KB
@@ -246,69 +248,44 @@ _MODEL_FIELDS = (
 
 
 def save_checkpoint(path: str | os.PathLike, params: ParamStore, cfg: ModelConfig) -> None:
-    """Manifest plus one float64 blob holding every parameter by name."""
-    os.makedirs(path, exist_ok=True)
-    blob = b"".join(t.data.astype("<f8").tobytes(order="C") for _, t in params.items())
-    lines = [
-        ("format", CHECKPOINT_FORMAT),
-        ("version", CHECKPOINT_VERSION),
-        ("dtype", "<f8"),
-    ]
-    for name in _MODEL_FIELDS:
-        lines.append((f"model.{name}", getattr(cfg, name)))
+    """Container with one float64 blob ``params.bin`` holding every parameter by name."""
+    fields = [("dtype", "<f8")]
+    fields += [(f"model.{name}", getattr(cfg, name)) for name in _MODEL_FIELDS]
     for name, t in params.items():
         shape = "x".join(str(s) for s in t.data.shape) if t.data.shape else "scalar"
-        lines.append((f"param.{name}", shape))
-    lines.append(("checksum_params", hashlib.sha256(blob).hexdigest()))
-    with open(os.path.join(path, CHECKPOINT_BLOB), "wb") as fh:
-        fh.write(blob)
-    write_kv(os.path.join(path, CHECKPOINT_MANIFEST), lines)
+        fields.append((f"param.{name}", shape))
+    blob = b"".join(t.data.astype("<f8").tobytes(order="C") for _, t in params.items())
+    write_container(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, fields, {"params": blob})
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _model_field(container: Container, name: str):
+    key = f"model.{name}"
+    if name == "temperature":
+        return container.get_float(key)
+    if name == "stream":
+        return container.get_text(key)
+    if name not in ("hierarchical", "row_softmax", "share_sim_w"):
+        return container.get_int(key)
+    value = container.get_text(key)
     if value in ("True", "true", "1"):
         return True
     if value in ("False", "false", "0"):
         return False
-    raise DataError(f"checkpoint field {key!r} is not a boolean: {value!r}")
+    raise DataError(f"{container.manifest}: field {key!r} is not a boolean: {value!r}")
 
 
 def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig]:
-    manifest_path = os.path.join(path, CHECKPOINT_MANIFEST)
-    if not os.path.exists(manifest_path):
-        raise DataError(f"no checkpoint manifest at {manifest_path}")
-    fields = read_kv(manifest_path)
-    if fields.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"unexpected checkpoint format {fields.get('format')!r}")
-    if fields.get("version") != str(CHECKPOINT_VERSION):
-        raise DataError(f"unsupported checkpoint version {fields.get('version')!r}")
-    if fields.get("dtype") != "<f8":
-        raise DataError(f"unsupported checkpoint dtype {fields.get('dtype')!r}")
-
-    kwargs = {}
-    for name in _MODEL_FIELDS:
-        key = f"model.{name}"
-        if key not in fields:
-            raise DataError(f"checkpoint is missing field {key!r}")
-        raw = fields[key]
-        if name in ("hierarchical", "row_softmax", "share_sim_w"):
-            kwargs[name] = _parse_bool(raw, key)
-        elif name == "temperature":
-            kwargs[name] = float(raw)
-        elif name == "stream":
-            kwargs[name] = raw
-        else:
-            try:
-                kwargs[name] = int(raw)
-            except ValueError:
-                raise DataError(f"checkpoint field {key!r} is not an integer: {raw!r}") from None
+    container = Container(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
+    if container.get_text("dtype") != "<f8":
+        raise DataError(f"{container.manifest}: unsupported dtype {container.fields['dtype']!r}")
+    kwargs = {name: _model_field(container, name) for name in _MODEL_FIELDS}
     try:
         cfg = ModelConfig(**kwargs)
     except ConfigError as err:
-        raise DataError(f"checkpoint model configuration invalid: {err}") from None
+        raise DataError(f"{container.manifest}: model configuration invalid: {err}") from None
 
     shapes: dict[str, tuple[int, ...]] = {}
-    for key, value in fields.items():
+    for key, value in container.fields.items():
         if not key.startswith("param."):
             continue
         name = key[len("param."):]
@@ -318,33 +295,21 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig]:
             try:
                 shapes[name] = tuple(int(s) for s in value.split("x"))
             except ValueError:
-                raise DataError(f"checkpoint field {key!r} has a bad shape: {value!r}") from None
+                raise DataError(f"{container.manifest}: field {key!r} has a bad shape: {value!r}") from None
     expected = param_shapes(cfg)
     for name in sorted(expected.keys() | shapes.keys()):
         if name not in shapes:
-            raise DataError(f"checkpoint lacks parameter {name!r}, which its model configuration needs")
+            raise DataError(f"{container.manifest}: lacks parameter {name!r}, which its model configuration needs")
         if name not in expected:
-            raise DataError(f"checkpoint parameter {name!r} is not part of its model configuration")
+            raise DataError(f"{container.manifest}: parameter {name!r} is not part of its model configuration")
         if shapes[name] != expected[name]:
             raise DataError(
-                f"checkpoint parameter {name!r} has shape {shapes[name]}, "
+                f"{container.manifest}: parameter {name!r} has shape {shapes[name]}, "
                 f"its model configuration gives {expected[name]}"
             )
 
-    blob_path = os.path.join(path, CHECKPOINT_BLOB)
-    if not os.path.exists(blob_path):
-        raise DataError(f"checkpoint blob missing: {CHECKPOINT_BLOB}")
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
     total = sum(int(np.prod(s)) if s else 1 for s in shapes.values())
-    if len(blob) != total * 8:
-        raise DataError(f"params.bin: expected {total * 8} bytes, found {len(blob)}")
-    if "checksum_params" not in fields:
-        raise DataError("checkpoint is missing field 'checksum_params'")
-    if hashlib.sha256(blob).hexdigest() != fields["checksum_params"]:
-        raise DataError("checksum mismatch for checksum_params")
-
-    flat = np.frombuffer(blob, dtype="<f8")
+    flat = np.frombuffer(container.blob("params", total * 8), dtype="<f8")
     store = ParamStore()
     offset = 0
     for name in sorted(shapes):  # blob order matches store iteration order

@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from itmatch import cli, gradcheck, model
+from itmatch import cli, gradcheck, model, training
 from itmatch.cli import main
-from itmatch.dataio import MANIFEST_FILE, REGIONS_FILE, read_dataset
+from itmatch.dataio import read_dataset
 
 GEN_TINY = [
     "gen-data", "--pairs", "4", "--k", "2", "--draw", "6",
@@ -137,14 +137,14 @@ def test_eval_rejects_a_non_finite_score(tmp_path, capsys):
           "--batch-size", "4", *MODEL_TINY])
     # a NaN region planted in the blob, with the checksum updated to match,
     # is rejected when the dataset is read
-    regions_path = os.path.join(data, REGIONS_FILE)
+    regions_path = os.path.join(data, "regions.bin")
     with open(regions_path, "rb") as fh:
         regions = np.frombuffer(fh.read(), dtype="<f4").copy()
     regions[2 * 6 + 2] = np.nan  # image 1 of (4, k=2, d_raw=6)
     blob = regions.tobytes()
     with open(regions_path, "wb") as fh:
         fh.write(blob)
-    manifest_path = os.path.join(data, MANIFEST_FILE)
+    manifest_path = os.path.join(data, "manifest")
     with open(manifest_path, encoding="utf-8") as fh:
         lines = [
             f"checksum_regions: {hashlib.sha256(blob).hexdigest()}\n"
@@ -157,6 +157,47 @@ def test_eval_rejects_a_non_finite_score(tmp_path, capsys):
     assert main(["eval", "--data", data, "--checkpoint", ckpt]) == 3
     err = capsys.readouterr().err
     assert "(index 1): region features are not finite" in err
+
+
+def test_train_rejects_a_manifest_that_is_not_utf8(tmp_path, capsys):
+    data = _gen(tmp_path)
+    manifest = os.path.join(data, "manifest")
+    offset = os.path.getsize(manifest) + len(b"note: caf")
+    with open(manifest, "ab") as fh:
+        fh.write(b"note: caf\xe9\n")  # latin-1, not UTF-8
+    capsys.readouterr()
+    rc = main(["train", "--data", data, "--out", str(tmp_path / "ckpt"), "--epochs", "1",
+               "--batch-size", "4", *MODEL_TINY])
+    assert rc == 3
+    assert f"{manifest}: not UTF-8 text (byte offset {offset})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+def test_eval_rejects_a_checkpoint_temperature_that_is_not_a_finite_number(tmp_path, capsys, value):
+    data = _gen(tmp_path)
+    ckpt = str(tmp_path / "ckpt")
+    cfg = model.ModelConfig(vocab_size=32, d_raw=6, embed_dim=8, hidden_dim=8, sim_dim=4, n_layers=1)
+    training.save_checkpoint(ckpt, model.init_params(cfg), cfg)
+    manifest = os.path.join(ckpt, "manifest")
+    with open(manifest, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("model.temperature: 9.0\n", f"model.temperature: {value}\n"))
+    capsys.readouterr()
+    assert main(["eval", "--data", data, "--checkpoint", ckpt]) == 3
+    err = capsys.readouterr().err
+    assert f"{manifest}: " in err and "temperature" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_rejects_a_lambda_that_is_not_finite(tmp_path, capsys, value):
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    rc = main(["train", "--data", data, "--out", str(tmp_path / "ckpt"), "--epochs", "1",
+               "--batch-size", "4", "--lambda", value, *MODEL_TINY])
+    assert rc == 2
+    assert "temperature must be finite and positive" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "ckpt")
 
 
 def test_train_rejects_mismatched_val_set(tmp_path, capsys):
@@ -313,6 +354,14 @@ def test_config_missing_file_is_io_error(tmp_path, capsys):
     rc = main(["gen-data", "--config", str(tmp_path / "nope.cfg"),
                "--out", str(tmp_path / "d")])
     assert rc == 3
+
+
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_bytes(b"pairs: 6\nname: \xff\n")
+    rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert f"bad config file: {cfg}: not UTF-8 text (byte offset 15)" in capsys.readouterr().err
 
 
 def test_config_malformed_file_is_usage_error(tmp_path, capsys):

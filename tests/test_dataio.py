@@ -8,9 +8,6 @@ import pytest
 
 from itmatch.dataio import (
     FeatureBundle,
-    MANIFEST_FILE,
-    REGIONS_FILE,
-    TOKENS_FILE,
     gen_synthetic,
     read_dataset,
     write_dataset,
@@ -145,7 +142,7 @@ def _write_sample(tmp_path):
 
 def test_corrupt_regions_blob_fails_checksum(tmp_path):
     out = _write_sample(tmp_path)
-    path = out / REGIONS_FILE
+    path = out / "regions.bin"
     blob = bytearray(path.read_bytes())
     blob[3] ^= 0xFF
     path.write_bytes(bytes(blob))
@@ -155,7 +152,7 @@ def test_corrupt_regions_blob_fails_checksum(tmp_path):
 
 def test_truncated_tokens_blob_is_rejected(tmp_path):
     out = _write_sample(tmp_path)
-    path = out / TOKENS_FILE
+    path = out / "tokens.bin"
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(DataError):
         read_dataset(out)
@@ -163,13 +160,13 @@ def test_truncated_tokens_blob_is_rejected(tmp_path):
 
 def test_missing_manifest_is_a_data_error(tmp_path):
     out = _write_sample(tmp_path)
-    os.remove(out / MANIFEST_FILE)
+    os.remove(out / "manifest")
     with pytest.raises((DataError, OSError)):
         read_dataset(out)
 
 
 def _edit_manifest(out, transform):
-    path = os.path.join(out, MANIFEST_FILE)
+    path = os.path.join(out, "manifest")
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     with open(path, "w", encoding="utf-8") as fh:
@@ -211,7 +208,7 @@ def test_missing_field_is_rejected(tmp_path):
 
 def test_out_of_vocab_token_on_disk_is_rejected(tmp_path):
     out = _write_sample(tmp_path)
-    path = out / TOKENS_FILE
+    path = out / "tokens.bin"
     tokens = np.frombuffer(path.read_bytes(), dtype="<u4").copy()
     tokens[0] = 60000
     blob = tokens.tobytes()
@@ -263,7 +260,7 @@ def test_write_rejects_non_finite_regions(tmp_path):
 
 def test_nan_region_on_disk_is_rejected(tmp_path):
     out = _write_sample(tmp_path)
-    path = out / REGIONS_FILE
+    path = out / "regions.bin"
     regions = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
     regions[2 * 2 * 4 + 5] = np.nan  # image 2 of (4, k=2, d_raw=4)
     blob = regions.tobytes()

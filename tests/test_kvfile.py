@@ -1,0 +1,253 @@
+"""The manifest-and-blob container: its dialect, typed fields, checked
+blobs, the pinned format version 1 of datasets and checkpoints, and a
+corruption fuzz over both."""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from itmatch import tensor as tt
+from itmatch.dataio import FeatureBundle, read_dataset, write_dataset
+from itmatch.errors import DataError
+from itmatch.kvfile import Container, format_kv, read_kv, write_container
+from itmatch.model import ModelConfig, param_shapes
+from itmatch.training import load_checkpoint, save_checkpoint
+
+# A fixed tiny dataset and checkpoint, with the sha256 of every blob and
+# the parsed manifest (in file order) that format version 1 gives them.
+PINNED_BUNDLES = [
+    FeatureBundle("a", regions=np.arange(6.0).reshape(2, 3) / 4 - 0.5, captions=[[1, 2, 3], [4]]),
+    FeatureBundle("b", regions=-np.arange(6.0).reshape(2, 3) / 8, captions=[[0, 5]]),
+]
+PINNED_CONFIG = ModelConfig(
+    vocab_size=3, d_raw=2, embed_dim=2, hidden_dim=2, sim_dim=2, n_layers=1,
+    temperature=4.5, max_caption_len=4,
+)
+DATASET_BLOBS = {
+    "regions.bin": "8b0b17dff378f8a41c9df2298bab84c9ccd5ba63a7ffb78492773c6d91e17f2d",
+    "tokens.bin": "f04014935f4f9a664558d648c21e4e522ecfa5565fc5e89dc8379354ed705b32",
+    "offsets.bin": "3584dbe87e549ee7ee79f552d03ccbd629b2d04bac892f1d360b3b2003d2988b",
+}
+DATASET_MANIFEST = {
+    "format": "itmatch-dataset",
+    "version": "1",
+    "name": "pin",
+    "split": "val",
+    "n_images": "2",
+    "n_captions": "3",
+    "n_tokens": "6",
+    "k": "2",
+    "d_raw": "3",
+    "vocab_size": "6",
+    "max_caption_len": "3",
+    "checksum_regions": DATASET_BLOBS["regions.bin"],
+    "checksum_tokens": DATASET_BLOBS["tokens.bin"],
+    "checksum_offsets": DATASET_BLOBS["offsets.bin"],
+    "image_id.0": "a",
+    "image_id.1": "b",
+}
+CHECKPOINT_BLOBS = {
+    "params.bin": "b7632e32c26d10f8136165a6f841096006e4fe65297928d4bf7489f46362c88c",
+}
+CHECKPOINT_MANIFEST = {
+    "format": "itmatch-checkpoint",
+    "version": "1",
+    "dtype": "<f8",
+    "model.vocab_size": "3",
+    "model.d_raw": "2",
+    "model.embed_dim": "2",
+    "model.hidden_dim": "2",
+    "model.sim_dim": "2",
+    "model.n_layers": "1",
+    "model.temperature": "4.5",
+    "model.stream": "both",
+    "model.hierarchical": "True",
+    "model.row_softmax": "False",
+    "model.share_sim_w": "False",
+    "model.max_caption_len": "4",
+    "param.embed.table": "3x2",
+    "param.gru.bwd.b_cand": "2",
+    "param.gru.bwd.b_reset": "2",
+    "param.gru.bwd.b_update": "2",
+    "param.gru.bwd.u_cand": "2x2",
+    "param.gru.bwd.u_reset": "2x2",
+    "param.gru.bwd.u_update": "2x2",
+    "param.gru.bwd.w_cand": "2x2",
+    "param.gru.bwd.w_reset": "2x2",
+    "param.gru.bwd.w_update": "2x2",
+    "param.gru.fwd.b_cand": "2",
+    "param.gru.fwd.b_reset": "2",
+    "param.gru.fwd.b_update": "2",
+    "param.gru.fwd.u_cand": "2x2",
+    "param.gru.fwd.u_reset": "2x2",
+    "param.gru.fwd.u_update": "2x2",
+    "param.gru.fwd.w_cand": "2x2",
+    "param.gru.fwd.w_reset": "2x2",
+    "param.gru.fwd.w_update": "2x2",
+    "param.head.b": "scalar",
+    "param.head.w": "2",
+    "param.img_proj.b": "2",
+    "param.img_proj.w": "2x2",
+    "param.reason.0.bias": "scalar",
+    "param.reason.0.kernel": "3x3",
+    "param.reason.0.w_key": "2x2",
+    "param.reason.0.w_mix": "2x2",
+    "param.reason.0.w_out": "2x2",
+    "param.reason.0.w_query": "2x2",
+    "param.sim.w_glob": "2x2",
+    "param.sim.w_i2t": "2x2",
+    "param.sim.w_t2i": "2x2",
+    "checksum_params": CHECKPOINT_BLOBS["params.bin"],
+}
+
+
+def _pinned_params():
+    store = tt.ParamStore()
+    offset = 0
+    for name, shape in param_shapes(PINNED_CONFIG).items():
+        count = int(np.prod(shape)) if shape else 1
+        store.add(name, tt.parameter((np.arange(count) + offset).reshape(shape) / 16 - 1))
+        offset += count
+    return store
+
+
+def _write_pinned(tmp_path):
+    dataset, checkpoint = tmp_path / "ds", tmp_path / "ckpt"
+    write_dataset(PINNED_BUNDLES, dataset, vocab_size=6, name="pin", split="val")
+    save_checkpoint(checkpoint, _pinned_params(), PINNED_CONFIG)
+    return dataset, checkpoint
+
+
+def _assert_bundles_equal(a, b):
+    assert [(x.image_id, x.captions) for x in a] == [(y.image_id, y.captions) for y in b]
+    for x, y in zip(a, b):
+        assert x.regions.tobytes() == y.regions.tobytes()
+
+
+def _assert_checkpoint_is_pinned(checkpoint):
+    params, cfg = load_checkpoint(checkpoint)
+    assert cfg == PINNED_CONFIG
+    expected = _pinned_params()
+    assert params.names() == expected.names()
+    for name in params.names():
+        assert params[name].data.tobytes() == expected[name].data.tobytes(), name
+
+
+# ------------------------------------------------------------- dialect
+
+def test_read_kv_names_the_file_and_byte_offset_of_bad_utf8(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_bytes(b"a: 1\nb: caf\xe9\n")
+    with pytest.raises(DataError, match=f"{path}: not UTF-8 text \\(byte offset 11\\)"):
+        read_kv(path)
+
+
+# ----------------------------------------------------------- container
+
+def test_container_fields_and_blobs_are_checked_and_errors_name_the_file(tmp_path):
+    path = tmp_path / "c"
+    checksums = write_container(path, "toy", 3, [("n", -1), ("x", "abc"), ("f", 2.5)], {"b": b"abc"})
+    assert checksums == {"b": hashlib.sha256(b"abc").hexdigest()}
+    assert list(read_kv(path / "manifest")) == ["format", "version", "n", "x", "f", "checksum_b"]
+    container = Container(path, "toy", 3)
+    assert container.get_text("x") == "abc"
+    assert container.get_int("n", minimum=-1) == -1
+    assert container.get_float("f") == 2.5
+    assert container.blob("b", 3) == b"abc"
+    manifest = str(path / "manifest")
+    for call, message in [
+        (lambda: container.get_int("n"), "field 'n' must be >= 0, got -1"),
+        (lambda: container.get_int("x"), "field 'x' is not an integer: 'abc'"),
+        (lambda: container.get_float("x"), "field 'x' is not a number: 'abc'"),
+        (lambda: container.get_text("y"), "missing field 'y'"),
+        (lambda: container.blob("z", 0), "missing field 'checksum_z'"),
+        (lambda: Container(path, "other", 3), "unexpected format 'toy'"),
+        (lambda: Container(path, "toy", 4), "unsupported version 3"),
+    ]:
+        with pytest.raises(DataError) as err:
+            call()
+        assert str(err.value).startswith(f"{manifest}: "), str(err.value)
+        assert message in str(err.value)
+    with pytest.raises(DataError, match="b.bin: expected 4 bytes from the manifest, found 3"):
+        container.blob("b", 4)
+    (path / "b.bin").write_bytes(b"abd")
+    with pytest.raises(DataError, match="b.bin: checksum mismatch"):
+        container.blob("b", 3)
+    os.remove(path / "b.bin")
+    with pytest.raises(DataError, match="blob missing"):
+        container.blob("b", 3)
+
+
+def test_a_failed_overwrite_leaves_the_old_dataset_readable(tmp_path):
+    dataset, _ = _write_pinned(tmp_path)
+    before = {name: (dataset / name).read_bytes() for name in os.listdir(dataset)}
+    bad = [FeatureBundle("x\ny", regions=np.ones((2, 3)), captions=[[1]])]
+    with pytest.raises(DataError, match="newline"):
+        write_dataset(bad, dataset, vocab_size=6)
+    assert {name: (dataset / name).read_bytes() for name in os.listdir(dataset)} == before
+    back, _ = read_dataset(dataset)
+    _assert_bundles_equal(back, PINNED_BUNDLES)
+
+
+# ------------------------------------------------------ format version 1
+
+def test_format_version_1_is_pinned(tmp_path):
+    dataset, checkpoint = _write_pinned(tmp_path)
+    assert (checkpoint / "manifest").read_text(encoding="utf-8") == format_kv(CHECKPOINT_MANIFEST)
+    for directory, blobs, manifest in (
+        (dataset, DATASET_BLOBS, DATASET_MANIFEST),
+        (checkpoint, CHECKPOINT_BLOBS, CHECKPOINT_MANIFEST),
+    ):
+        assert sorted(os.listdir(directory)) == sorted([*blobs, "manifest"])
+        for name, digest in blobs.items():
+            assert hashlib.sha256((directory / name).read_bytes()).hexdigest() == digest, name
+        assert read_kv(directory / "manifest") == manifest
+        # the same fields in the order older writers put them read back alike
+        (directory / "manifest").write_text(format_kv(manifest), encoding="utf-8")
+    back, _ = read_dataset(dataset)
+    _assert_bundles_equal(back, PINNED_BUNDLES)
+    _assert_checkpoint_is_pinned(checkpoint)
+
+
+# ---------------------------------------------------------------- fuzz
+
+def test_corrupted_files_raise_data_error_and_nothing_else(tmp_path):
+    """Byte flips and truncations of every file of a dataset and a checkpoint.
+
+    A changed blob must be rejected; a changed manifest must be rejected
+    or load (an image id or a looser maximum may change); no exception
+    but DataError may escape.
+    """
+    rng = np.random.default_rng(20240611)
+    dataset, checkpoint = _write_pinned(tmp_path)
+    loaded = 0
+    for directory, load in ((dataset, read_dataset), (checkpoint, load_checkpoint)):
+        for name in sorted(os.listdir(directory)):
+            path = directory / name
+            original = path.read_bytes()
+            for _ in range(300):
+                data = bytearray(original)
+                if rng.random() < 0.25:
+                    cut = int(rng.integers(len(data)))
+                    mutation = f"truncated to {cut} bytes"
+                    del data[cut:]
+                else:
+                    at, mask = int(rng.integers(len(data))), int(rng.integers(1, 256))
+                    mutation = f"byte {at} ^= {mask:#04x}"
+                    data[at] ^= mask
+                path.write_bytes(bytes(data))
+                try:
+                    load(directory)
+                except DataError:
+                    continue
+                except Exception as err:  # anything but DataError fails: name the mutation
+                    pytest.fail(f"{path} {mutation}: {type(err).__name__}: {err}")
+                assert name == "manifest", f"{path} {mutation} loaded"
+                loaded += 1
+            path.write_bytes(original)
+    assert 0 < loaded < 300
+    back, _ = read_dataset(dataset)
+    _assert_bundles_equal(back, PINNED_BUNDLES)
+    _assert_checkpoint_is_pinned(checkpoint)

@@ -123,28 +123,24 @@ def test_loss_tie_gradient_goes_to_first_index():
 def test_fuse_adds_elementwise_and_commutes():
     a = tt.constant(np.array([1.0, 2.0]))
     b = tt.constant(np.array([10.0, 20.0]))
-    out = fuse(a, b, "both")
+    out = fuse(a, b)
     assert out.data.tolist() == [11.0, 22.0]
-    np.testing.assert_array_equal(out.data, fuse(b, a, "both").data)
+    np.testing.assert_array_equal(out.data, fuse(b, a).data)
 
 
 def test_fuse_single_stream_modes():
     a = tt.constant(np.array([1.0, 2.0]))
     b = tt.constant(np.array([10.0, 20.0]))
-    assert fuse(a, None, "i2t_only").data.tolist() == [1.0, 2.0]
-    assert fuse(None, b, "t2i_only").data.tolist() == [10.0, 20.0]
+    assert fuse(a, None) is a
+    assert fuse(None, b) is b
 
 
 def test_fuse_validation():
     a = tt.constant(np.array([1.0, 2.0]))
     with pytest.raises(ContractError):
-        fuse(a, None, "both")
-    with pytest.raises(ContractError):
-        fuse(None, a, "i2t_only")
-    with pytest.raises(ConfigError):
-        fuse(a, a, "sideways")
+        fuse(None, None)
     with pytest.raises(DimensionError):
-        fuse(a, tt.constant(np.ones(3)), "both")
+        fuse(a, tt.constant(np.ones(3)))
 
 
 def test_pool_t2i_means_the_node_rows():
