@@ -9,7 +9,7 @@ from .errors import (
     InputError,
     ItmatchError,
 )
-from .model import ModelConfig, init_params, pair_score
+from .model import ModelConfig, init_params, score_grid, score_matrix
 from .tensor import ParamStore, Tensor, backward, finite_diff_grad, no_grad
 
 __version__ = "0.1.0"
@@ -28,6 +28,7 @@ __all__ = [
     "finite_diff_grad",
     "init_params",
     "no_grad",
-    "pair_score",
+    "score_grid",
+    "score_matrix",
     "__version__",
 ]

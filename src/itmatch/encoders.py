@@ -1,12 +1,12 @@
 """Feature encoders for the two modalities.
 
 Images arrive as precomputed region feature matrices (k, d_raw) and are
-mapped into the joint space by a single linear layer.  Captions are token
-id sequences, zero-padded into one batch, embedded and run through a
-bidirectional GRU (one tape node per direction) whose two hidden
-sequences are averaged position-wise.  The global feature of
-either modality gates each local vector by the mean vector before
-pooling.
+mapped into the joint space by a single linear layer, a whole stack of
+them in one product.  Captions are token id sequences, zero-padded into
+one batch, embedded and run through a bidirectional GRU (one tape node
+per direction) whose two hidden sequences are averaged position-wise.
+The global feature of either modality gates each local vector by the
+mean vector before pooling.
 """
 
 from __future__ import annotations
@@ -45,16 +45,13 @@ class GruWeights:
 
 
 def project_image(regions, weight: Tensor, bias: Tensor) -> Tensor:
-    """Map raw region features (k, d_raw) to the joint space (k, d)."""
-    if not isinstance(regions, Tensor):
-        regions = tt.constant(np.asarray(regions, dtype=np.float64))
-    if regions.ndim != 2:
-        raise DimensionError(f"region features must be (k, d_raw), got {regions.shape}")
-    if regions.shape[1] != weight.shape[0]:
-        raise DimensionError(
-            f"raw dimension {regions.shape[1]} does not match projection rows {weight.shape[0]}"
-        )
-    return tt.add(tt.matmul(regions, weight), bias)
+    """Map raw region features (..., k, d_raw) to the joint space (..., k, d),
+    a whole stack folded into rows for one product against the weight."""
+    regions = np.asarray(regions, dtype=np.float64)
+    if regions.ndim < 2 or regions.shape[-1] != weight.shape[0]:
+        raise DimensionError(f"region features must be (..., k, {weight.shape[0]}), got {regions.shape}")
+    rows = tt.add(tt.matmul(tt.constant(regions.reshape(-1, regions.shape[-1])), weight), bias)
+    return tt.reshape(rows, regions.shape[:-1] + weight.shape[1:])
 
 
 def encode_texts(

@@ -101,8 +101,10 @@ def run_gradcheck(
 ) -> GradCheckReport:
     if batch_size < 2:
         raise ConfigError(f"gradcheck batch size must be >= 2, got {batch_size}")
-    if tolerance <= 0.0:
-        raise ConfigError(f"tolerance must be positive, got {tolerance}")
+    if not 0.0 < tolerance < np.inf:  # NaN fails both comparisons
+        raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
+    if not 0.0 <= margin < np.inf:
+        raise ConfigError(f"margin must be finite and >= 0, got {margin}")
 
     chosen_seed = None
     params = None

@@ -5,21 +5,21 @@ local similarity vectors through cross attention, run the image-to-text
 node set through gated graph reasoning, mean-pool the text-to-image node
 set, fuse the two stream vectors, and apply a linear head.
 
-Every (image, caption) pairing of a tile is scored at once: images are
-encoded one by one and stacked, all captions are encoded as one padded
-batch, and the pair path runs on (images, captions, ...) arrays, so a
-tile costs a fixed number of tape nodes whatever its size.  Captions are
-zero-padded to one row past the longest one (the row that longest
-caption's global reasoning node takes) and carry their lengths.
+Every (image, caption) pairing of a tile is scored at once: a tile's
+images are encoded as one batch in one projection, its captions as one
+padded batch, and the pair path runs on (images, captions, ...) arrays,
+so a tile costs a fixed number of tape nodes whatever its size.
+Captions are zero-padded to one row past the longest one (the row that
+longest caption's global reasoning node takes) and carry their lengths.
 ``score_matrix`` encodes every caption once, then walks a large
-evaluation grid in tiles sized against ``TILE_ELEMENTS``, each trimmed to
+evaluation grid in tiles sized against ``TILE_ELEMENTS``: it encodes each
+tile of images once and scores it against caption slices, each trimmed to
 one row past its own longest caption.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +29,7 @@ from .attention import local_similarities
 from .encoders import GruWeights, encode_texts, global_feature, project_image
 from .errors import ConfigError, DataError, DimensionError
 from .reasoning import ReasonLayerParams, build_node_set, reason
-from .scoring import PairScore, fuse, pool_t2i, score
+from .scoring import fuse, pool_t2i, score
 from .tensor import ParamStore, Tensor
 
 STREAMS = ("both", "i2t_only", "t2i_only")
@@ -75,9 +75,9 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class EncodedImage:
-    local: Tensor  # (k, d)
-    glob: Tensor   # (d,)
+class EncodedImages:
+    local: Tensor  # (I, k, d)
+    glob: Tensor   # (I, d)
 
 
 @dataclass(frozen=True)
@@ -201,14 +201,16 @@ def _sim_weights(params: ParamStore, cfg: ModelConfig) -> tuple[Tensor, Tensor |
     )
 
 
-def encode_image(params: ParamStore, cfg: ModelConfig, regions) -> EncodedImage:
-    regions = np.asarray(regions, dtype=np.float64)
-    if regions.ndim != 2 or regions.shape[1] != cfg.d_raw:
+def encode_image(params: ParamStore, cfg: ModelConfig, region_list) -> EncodedImages:
+    """Encode a batch of (k, d_raw) region matrices together, in one projection."""
+    regions = [np.asarray(r, dtype=np.float64) for r in region_list]
+    shapes = sorted({r.shape for r in regions})
+    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][1] != cfg.d_raw:
         raise DimensionError(
-            f"region features must be (k, {cfg.d_raw}), got {regions.shape}"
+            f"images of one batch must share one (k, {cfg.d_raw}) region shape, got {shapes}"
         )
-    local = project_image(regions, params["img_proj.w"], params["img_proj.b"])
-    return EncodedImage(local=local, glob=global_feature(local))
+    local = project_image(np.stack(regions), params["img_proj.w"], params["img_proj.b"])
+    return EncodedImages(local=local, glob=global_feature(local))
 
 
 def encode_caption(params: ParamStore, cfg: ModelConfig, token_lists) -> EncodedCaptions:
@@ -226,31 +228,21 @@ def encode_caption(params: ParamStore, cfg: ModelConfig, token_lists) -> Encoded
 def score_tile(
     params: ParamStore,
     cfg: ModelConfig,
-    images: Sequence[EncodedImage],
+    images: EncodedImages,
     captions: EncodedCaptions,
 ) -> tuple[Tensor, Tensor]:
     """Scores (I, C) and fused vectors (I, C, m) of every image x caption pairing."""
-    if not images:
-        raise DimensionError("a tile needs at least one image and one caption")
-    regions = {img.local.shape for img in images}
-    if len(regions) != 1:
-        raise DimensionError(f"images in one tile must share one region shape, got {sorted(regions)}")
     lengths = captions.lengths
     # the rows past each caption's last word are zero; the first of them
     # holds its global reasoning node
     word_mask = np.arange(captions.local.shape[1]) < lengths[:, None]
     w_glob, w_i2t, w_t2i = _sim_weights(params, cfg)
     local = local_similarities(
-        tt.stack([img.local for img in images]),
-        captions.local,
-        cfg.temperature,
-        w_glob,
+        images.local, captions.local, images.glob, captions.glob, word_mask,
+        cfg.temperature, w_glob,
         # with no reasoning layer the i2t stream is its global node alone
         w_i2t=w_i2t if cfg.n_layers else None,
         w_t2i=w_t2i,
-        v_glob=tt.stack([img.glob for img in images]),
-        t_glob=captions.glob,
-        word_mask=word_mask,
     )
     s_i2t = None
     if cfg.uses_i2t:
@@ -270,25 +262,18 @@ def score_tile(
     return score(fused, params["head.w"], params["head.b"]), fused
 
 
-def pair_score(params: ParamStore, cfg: ModelConfig, regions, tokens) -> PairScore:
-    """Score of one pair: a 1 x 1 tile."""
-    scores, fused = score_tile(
-        params, cfg, [encode_image(params, cfg, regions)], encode_caption(params, cfg, [tokens])
-    )
-    return PairScore(score=tt.reshape(scores, ()), fused=tt.reshape(fused, fused.shape[-1:]))
-
-
 def score_grid(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -> Tensor:
     """(b, b) score grid; row = image index, column = caption index.
 
-    Each item is encoded once; the grid is a single tile.
+    The grid is a single tile: all images are encoded in one batch, all
+    captions in another.
     """
     if len(region_list) != len(token_lists):
         raise DimensionError(
             f"grid needs matched lists, got {len(region_list)} images"
             f" and {len(token_lists)} captions"
         )
-    images = [encode_image(params, cfg, r) for r in region_list]
+    images = encode_image(params, cfg, region_list)
     return score_tile(params, cfg, images, encode_caption(params, cfg, token_lists))[0]
 
 
@@ -318,16 +303,18 @@ def score_matrix(params: ParamStore, cfg: ModelConfig, region_list, token_lists)
     Raises DataError naming the first pair whose score is not finite.
     """
     with tt.no_grad():
-        images = [encode_image(params, cfg, r) for r in region_list]
-        out = np.empty((len(images), len(token_lists)))
-        if images and len(token_lists):
+        out = np.empty((len(region_list), len(token_lists)))
+        if len(region_list) and len(token_lists):
             captions = encode_caption(params, cfg, token_lists)
             n_captions, rows = captions.local.shape[:2]
-            tile_images, tile_captions = _tile_shape(cfg, images[0].local.shape[0], rows, n_captions)
-            for j in range(0, n_captions, tile_captions):
-                tile = _caption_slice(captions, j, j + tile_captions)
-                for i in range(0, len(images), tile_images):
-                    scores, _ = score_tile(params, cfg, images[i:i + tile_images], tile)
+            # encode_image rejects a region matrix that is not 2-D
+            k = np.shape(region_list[0])[0] if np.ndim(region_list[0]) == 2 else 1
+            tile_images, tile_captions = _tile_shape(cfg, k, rows, n_captions)
+            for i in range(0, len(region_list), tile_images):
+                images = encode_image(params, cfg, region_list[i:i + tile_images])
+                for j in range(0, n_captions, tile_captions):
+                    tile = _caption_slice(captions, j, j + tile_captions)
+                    scores, _ = score_tile(params, cfg, images, tile)
                     out[i:i + tile_images, j:j + tile_captions] = scores.data
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:

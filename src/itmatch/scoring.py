@@ -11,12 +11,6 @@ from .errors import ConfigError, ContractError, DimensionError
 from .tensor import Tensor
 
 @dataclass(frozen=True)
-class PairScore:
-    score: Tensor   # ()
-    fused: Tensor   # (m,) fused similarity vector behind the score
-
-
-@dataclass(frozen=True)
 class LossBatch:
     """(b, b) score grid whose diagonal holds the matched pairs."""
 
@@ -28,8 +22,8 @@ class LossBatch:
             raise ContractError(f"score grid must be square, got {self.scores.shape}")
         if self.scores.shape[0] < 2:
             raise ContractError("score grid needs at least two pairs for negatives")
-        if self.margin < 0.0:
-            raise ConfigError(f"margin must be non-negative, got {self.margin}")
+        if not 0.0 <= self.margin < np.inf:  # NaN fails both comparisons
+            raise ConfigError(f"margin must be finite and non-negative, got {self.margin}")
 
 
 def pool_t2i(nodes: Tensor) -> Tensor:

@@ -417,24 +417,6 @@ def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     return _result(out, (a,), backward_fn)
 
 
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis."""
-    parts = tuple(parts)
-    if not parts:
-        raise DimensionError("stack needs at least one tensor")
-    shape0 = parts[0].data.shape
-    for p in parts:
-        if p.data.shape != shape0:
-            raise DimensionError(f"stack shape mismatch: {shape0} vs {p.data.shape}")
-    out = np.stack([p.data for p in parts])
-    if not _tracking(*parts):
-        return _result(out)
-
-    def backward_fn(g):
-        return tuple(g[i] for i in range(len(parts)))
-    return _result(out, parts, backward_fn)
-
-
 def vstack(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate along the second-to-last axis.
 
@@ -843,8 +825,8 @@ def finite_diff_grad(
     configuration tiny.  This is the oracle `backward` is verified
     against; it must stay independent of the graph machinery.
     """
-    if epsilon <= 0.0:
-        raise ConfigError(f"finite_diff_grad epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < np.inf:  # NaN fails both comparisons
+        raise ConfigError(f"finite_diff_grad epsilon must be finite and positive, got {epsilon}")
     out: dict[str, Tensor] = {}
     with no_grad():
         for name in params.names():

@@ -34,7 +34,8 @@ CHECKPOINT_VERSION = 1
 
 # elements per Adam block: the block's slices of the parameter, its
 # gradient, both moments, their outputs and the scratch buffer (128 KB
-# each) stay in cache through the whole update of the block
+# each) stay in cache through the whole update of the block.  A block is
+# whole leading-axis rows, so a row longer than this is a block alone
 ADAM_BLOCK = 1 << 14
 
 # dataset-profile defaults: (epochs, decay epoch)
@@ -61,14 +62,14 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.lr < 0.0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0.0 <= self.lr < math.inf:  # NaN fails both comparisons
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0 <= self.lr_decay_epoch <= self.epochs:
             raise ConfigError(
                 f"lr_decay_epoch must lie in [0, epochs], got {self.lr_decay_epoch}"
             )
-        if self.margin < 0.0:
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
+        if not 0.0 <= self.margin < math.inf:
+            raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
 
@@ -103,15 +104,17 @@ def adam_step(
     with alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
     eps_hat = eps * sqrt(1 - beta2^t), theta <- theta - alpha_t * m /
     (sqrt(v) + eps_hat), which equals the bias-corrected textbook update.
-    Each parameter is walked in blocks of ADAM_BLOCK elements, one pass per
-    block through a reused scratch buffer, straight into fresh outputs.
+    Each parameter is walked in blocks of whole leading-axis rows, about
+    ADAM_BLOCK elements each, one pass per block through a reused scratch
+    buffer, straight into fresh outputs.  Row blocks are views whatever
+    the strides, so a gradient that arrives as a transposed view is never
+    copied.
     A gradient that is not finite raises DataError, naming the step and
     the parameter, before anything is returned.
     """
     t = state.step + 1
     alpha = lr * math.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)
     eps_hat = eps * math.sqrt(1.0 - beta2 ** t)
-    scratch = np.empty(ADAM_BLOCK)
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
     updates: dict[str, Tensor] = {}
@@ -124,20 +127,20 @@ def adam_step(
                 f"gradient shape {g.shape} does not match parameter {name!r} {param.data.shape}"
             )
         m, v, theta = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
-        arrays = (g, state.m[name], state.v[name], param.data, m, v, theta)
-        if g.size <= ADAM_BLOCK:
-            blocks = [arrays]  # one block, taken as it is: no flat views to build
-        else:
-            flat = [a.reshape(-1) for a in arrays]
-            blocks = ([a[lo:lo + ADAM_BLOCK] for a in flat] for lo in range(0, g.size, ADAM_BLOCK))
-        for g_b, m_b, v_b, theta_b, m_out, v_out, theta_out in blocks:
+        # a scalar parameter is one row of one element
+        arrays = [np.atleast_1d(a) for a in (g, state.m[name], state.v[name], param.data, m, v, theta)]
+        shape = arrays[0].shape
+        rows = max(1, ADAM_BLOCK // max(1, math.prod(shape[1:])))
+        scratch = np.empty((min(rows, shape[0]),) + shape[1:])
+        for lo in range(0, shape[0], rows):
+            g_b, m_b, v_b, theta_b, m_out, v_out, theta_out = (a[lo:lo + rows] for a in arrays)
+            s = scratch[:len(g_b)]
+            np.multiply(g_b, g_b, out=s)
             # the block's sum of g*g: NaN and inf survive it, and a finite g
             # whose square overflows (|g| > 1e154) is refused too, since v
             # would not be finite
-            if not math.isfinite(np.vdot(g_b, g_b)):
+            if not math.isfinite(s.sum()):
                 raise DataError(f"step {t}: the gradient of parameter {name!r} is not finite")
-            s = scratch[:g_b.size].reshape(g_b.shape)
-            np.multiply(g_b, g_b, out=s)
             s *= 1.0 - beta2
             np.multiply(v_b, beta2, out=v_out)
             v_out += s                                  # v = beta2 v + (1 - beta2) g^2

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from itmatch import tensor as tt
-from itmatch.attention import cross_attention, sim_vec_rows
+from itmatch.attention import cosines, i2t_weights, sim_vec_rows, t2i_weights
 from itmatch.cli import main
 from itmatch.dataio import gen_synthetic, read_dataset, write_dataset
 from itmatch.evaluation import evaluate, recalls_from_matrix, rsum
@@ -21,7 +21,7 @@ from itmatch.gradcheck import run_gradcheck
 from itmatch.model import (
     ModelConfig,
     init_params,
-    pair_score,
+    score_grid,
     score_matrix,
 )
 from itmatch.reasoning import (
@@ -72,7 +72,7 @@ def test_criterion_02_scalar_reference_agreement():
     worst = 0.0
     for i in range(100):
         cfg, params, raw, tokens = _instance(i)
-        produced = pair_score(params, cfg, raw, tokens).score.item()
+        produced = score_grid(params, cfg, [raw], [tokens]).data[0, 0]  # a 1 x 1 grid
         expected = ref_pair_score(weights_as_lists(params), cfg, raw.tolist(), tokens)
         worst = max(worst, abs(produced - expected))
     _line(
@@ -91,7 +91,8 @@ def test_criterion_03_attention_invariants():
 
     def weights(v, t, temperature, direction):
         # one image-caption pair is a 1 x 1 tile
-        return cross_attention(v, t, temperature, direction).weights.data[0, 0]
+        weights_of = i2t_weights if direction == "i2t" else t2i_weights
+        return weights_of(cosines(v, t), temperature).data[0, 0]
 
     i2t = weights(v, t, 9.0, "i2t")
     t2i = weights(v, t, 9.0, "t2i")

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from itmatch import attention
 from itmatch import tensor as tt
 from itmatch.attention import (
-    attended_features,
-    cross_attention,
+    cosines,
+    i2t_weights,
     local_similarities,
     sim_vec_rows,
+    t2i_weights,
 )
-from itmatch.errors import ConfigError, ContractError, DimensionError
+from itmatch.encoders import global_feature
+from itmatch.errors import ConfigError, DimensionError
 from scalar_reference import ref_attention, ref_sim_vec
 
 
@@ -30,9 +33,26 @@ def _pair(v, t):
     return tt.constant(np.asarray(v)[None]), tt.constant(np.asarray(t)[None])
 
 
+def _tile_weights(v, t, temperature, direction, word_mask=None):
+    """(I, C, k, n) attention weights of a tile, in one direction."""
+    cos = cosines(v, t)
+    if direction == "i2t":
+        return i2t_weights(cos, temperature)
+    return t2i_weights(cos, temperature, word_mask)
+
+
 def _weights(v, t, temperature, direction):
     """(k, l) attention weights of one image-caption pair."""
-    return cross_attention(*_pair(v, t), temperature, direction).weights.data[0, 0]
+    return _tile_weights(*_pair(v, t), temperature, direction).data[0, 0]
+
+
+def _similarities(v, t, w, word_mask=None, t_glob=None, **weights):
+    """local_similarities of stacks v and t, with globals derived from them."""
+    if word_mask is None:
+        word_mask = np.ones(t.shape[:2], dtype=bool)
+    if t_glob is None:
+        t_glob = global_feature(t)
+    return local_similarities(v, t, global_feature(v), t_glob, word_mask, 9.0, w, **weights)
 
 
 # --- similarity vectors ---------------------------------------------------------
@@ -198,14 +218,14 @@ def test_weights_match_scalar_reference(direction):
 
 def test_cross_attention_validates_arguments():
     v, t = _pair(np.ones((2, 4)), np.ones((3, 4)))
-    with pytest.raises(ContractError):
-        cross_attention(v, t, 9.0, "sideways")
-    with pytest.raises(ConfigError):
-        cross_attention(v, t, 0.0, "i2t")
+    for direction in ("i2t", "t2i"):
+        for temperature in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                _tile_weights(v, t, temperature, direction)
     with pytest.raises(DimensionError):
-        cross_attention(v, tt.constant(np.ones((1, 3, 5))), 9.0, "i2t")
+        cosines(v, tt.constant(np.ones((1, 3, 5))))
     with pytest.raises(DimensionError):
-        cross_attention(tt.constant(np.ones((2, 4))), tt.constant(np.ones((3, 4))), 9.0, "i2t")
+        cosines(tt.constant(np.ones((2, 4))), tt.constant(np.ones((3, 4))))
 
 
 def test_zero_rows_hit_the_guard_not_nan():
@@ -224,7 +244,7 @@ def test_padded_words_are_masked_out_of_the_t2i_softmax():
     t = rng.normal(size=(2, 6))
     padded = np.concatenate([t, np.zeros((3, 6))])
     mask = np.array([[True, True, False, False, False]])
-    att = cross_attention(*_pair(v, padded), 9.0, "t2i", word_mask=mask).weights.data[0, 0]
+    att = _tile_weights(*_pair(v, padded), 9.0, "t2i", word_mask=mask).data[0, 0]
     np.testing.assert_array_equal(att[:, 2:], 0.0)
     np.testing.assert_allclose(att[:, :2], _weights(v, t, 9.0, "t2i"), atol=1e-15)
 
@@ -234,7 +254,7 @@ def test_tile_weights_equal_per_pair_weights():
     v = rng.normal(size=(3, 4, 6))
     t = rng.normal(size=(2, 5, 6))
     for direction in ("i2t", "t2i"):
-        tile = cross_attention(tt.constant(v), tt.constant(t), 9.0, direction).weights.data
+        tile = _tile_weights(tt.constant(v), tt.constant(t), 9.0, direction).data
         assert tile.shape == (3, 2, 4, 5)
         for i in range(3):
             for j in range(2):
@@ -244,33 +264,26 @@ def test_tile_weights_equal_per_pair_weights():
 # --- attended features ----------------------------------------------------------
 
 
-def test_attended_features_shapes_and_pooling():
-    rng = np.random.default_rng(9)
-    v, t = _pair(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)))
-    att_i2t = cross_attention(v, t, 9.0, "i2t")
-    pooled = attended_features(att_i2t, v, t)
-    assert pooled.shape == (1, 1, 3, 6)
-    np.testing.assert_allclose(pooled.data[0, 0], att_i2t.weights.data[0, 0].T @ v.data[0], atol=1e-12)
-    att_t2i = cross_attention(v, t, 9.0, "t2i")
-    pooled = attended_features(att_t2i, v, t)
-    assert pooled.shape == (1, 1, 4, 6)
-    np.testing.assert_allclose(pooled.data[0, 0], att_t2i.weights.data[0, 0] @ t.data[0], atol=1e-12)
-
-
-def test_attended_features_validates_shapes():
-    rng = np.random.default_rng(10)
-    v, t = _pair(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)))
-    att = cross_attention(v, t, 9.0, "i2t")
-    with pytest.raises(DimensionError):
-        attended_features(att, tt.constant(rng.normal(size=(1, 5, 6))), t)
-
-
 def test_uniform_weights_average_the_regions():
-    v, t = _pair([[2.0, 0.0], [0.0, 2.0]], [[1.0, 1.0]])  # equal cosines -> uniform column
-    att = cross_attention(v, t, 9.0, "i2t")
-    np.testing.assert_allclose(att.weights.data[0, 0], [[0.5], [0.5]], atol=1e-12)
-    pooled = attended_features(att, v, t)
-    np.testing.assert_allclose(pooled.data[0, 0], [[1.0, 1.0]], atol=1e-12)
+    v = np.array([[2.0, 0.0], [0.0, 2.0]])
+    att = _weights(v, [[1.0, 1.0]], 9.0, "i2t")  # equal cosines -> uniform column
+    np.testing.assert_allclose(att, [[0.5], [0.5]], atol=1e-12)
+    np.testing.assert_allclose(att.T @ v, [[1.0, 1.0]], atol=1e-12)
+
+
+def test_both_streams_share_one_cosine_matrix(monkeypatch):
+    calls = []
+
+    def counted(v, t):
+        calls.append(1)
+        return cosines(v, t)
+
+    monkeypatch.setattr(attention, "cosines", counted)
+    rng = np.random.default_rng(11)
+    v, t = _pair(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)))
+    w = tt.constant(rng.normal(size=(5, 6)))
+    _similarities(v, t, w, w_i2t=w, w_t2i=w)
+    assert len(calls) == 1
 
 
 # --- bundle ---------------------------------------------------------------------
@@ -280,11 +293,11 @@ def test_local_similarities_streams_optional():
     rng = np.random.default_rng(11)
     v, t = _pair(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)))
     w = tt.constant(rng.normal(size=(5, 6)))
-    full = local_similarities(v, t, 9.0, w, w_i2t=w, w_t2i=w)
+    full = _similarities(v, t, w, w_i2t=w, w_t2i=w)
     assert full.s_glob.shape == (1, 1, 5)
     assert full.s_i2t.shape == (1, 1, 3, 5)
     assert full.s_t2i.shape == (1, 1, 4, 5)
-    partial = local_similarities(v, t, 9.0, w, w_i2t=None, w_t2i=w)
+    partial = _similarities(v, t, w, w_i2t=None, w_t2i=w)
     assert partial.s_i2t is None
     assert partial.s_t2i is not None
 
@@ -293,17 +306,17 @@ def test_local_similarities_accepts_precomputed_globals():
     rng = np.random.default_rng(12)
     v, t = _pair(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)))
     w = tt.constant(rng.normal(size=(5, 6)))
-    from itmatch.encoders import global_feature
-
-    lazy = local_similarities(v, t, 9.0, w, w_i2t=w, w_t2i=w)
-    eager = local_similarities(
-        v, t, 9.0, w, w_i2t=w, w_t2i=w,
-        v_glob=tt.stack([global_feature(tt.constant(v.data[0]))]),
-        t_glob=tt.stack([global_feature(tt.constant(t.data[0]))]),
+    mask = np.ones((1, 3), dtype=bool)
+    stacked = _similarities(v, t, w, w_i2t=w, w_t2i=w)
+    per_pair = local_similarities(
+        v, t,
+        tt.reshape(global_feature(tt.constant(v.data[0])), (1, 6)),
+        tt.reshape(global_feature(tt.constant(t.data[0])), (1, 6)),
+        mask, 9.0, w, w_i2t=w, w_t2i=w,
     )
-    np.testing.assert_array_equal(lazy.s_glob.data, eager.s_glob.data)
-    with pytest.raises(ContractError):
-        local_similarities(v, t, 9.0, w, word_mask=np.ones((1, 3), dtype=bool))
+    np.testing.assert_array_equal(stacked.s_glob.data, per_pair.s_glob.data)
+    with pytest.raises(DimensionError):
+        _similarities(v, t, w, word_mask=np.ones((1, 2), dtype=bool))
 
 
 def test_padded_word_rows_are_zero_and_real_rows_unchanged():
@@ -311,12 +324,10 @@ def test_padded_word_rows_are_zero_and_real_rows_unchanged():
     v = rng.normal(size=(4, 6))
     t = rng.normal(size=(2, 6))
     w = tt.constant(rng.normal(size=(5, 6)))
-    from itmatch.encoders import global_feature
-
-    t_glob = tt.stack([global_feature(tt.constant(t))])
-    plain = local_similarities(*_pair(v, t), 9.0, w, w_i2t=w, w_t2i=w, t_glob=t_glob)
-    padded = local_similarities(
-        *_pair(v, np.concatenate([t, np.zeros((2, 6))])), 9.0, w, w_i2t=w, w_t2i=w,
+    t_glob = tt.reshape(global_feature(tt.constant(t)), (1, 6))
+    plain = _similarities(*_pair(v, t), w, w_i2t=w, w_t2i=w, t_glob=t_glob)
+    padded = _similarities(
+        *_pair(v, np.concatenate([t, np.zeros((2, 6))])), w, w_i2t=w, w_t2i=w,
         t_glob=t_glob, word_mask=np.array([[True, True, False, False]]),
     )
     np.testing.assert_array_equal(padded.s_i2t.data[0, 0, 2:], 0.0)

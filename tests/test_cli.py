@@ -200,6 +200,17 @@ def test_train_rejects_a_lambda_that_is_not_finite(tmp_path, capsys, value):
     assert not os.path.exists(tmp_path / "ckpt")
 
 
+@pytest.mark.parametrize("flag,value", [(f, v) for f in ("--lr", "--margin") for v in ("nan", "inf")])
+def test_train_rejects_a_rate_or_margin_that_is_not_finite(tmp_path, capsys, flag, value):
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    rc = main(["train", "--data", data, "--out", str(tmp_path / "ckpt"), "--epochs", "1",
+               "--batch-size", "4", flag, value, *MODEL_TINY])
+    assert rc == 2
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "ckpt")
+
+
 def test_train_rejects_mismatched_val_set(tmp_path, capsys):
     data = _gen(tmp_path)
     wide = str(tmp_path / "wide")
@@ -286,6 +297,14 @@ def test_gradcheck_budget_counts_parameters_without_drawing_them(capsys, monkeyp
                             sim_dim=64, n_layers=1, temperature=9.0)
     total = sum(int(np.prod(shape)) for shape in model.param_shapes(cfg).values())
     assert f"{total} parameters exceed the gradcheck budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value", [(f, v) for f in ("--tol", "--epsilon", "--margin") for v in ("nan", "inf")]
+)
+def test_gradcheck_rejects_a_setting_that_is_not_finite(capsys, flag, value):
+    assert main(GRADCHECK_TINY + [flag, value]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_gradcheck_lambda_flag_sets_temperature(tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from itmatch import model
 from itmatch import tensor as tt
-from itmatch.model import ModelConfig, init_params, pair_score, score_grid, score_matrix
+from itmatch.errors import DimensionError
+from itmatch.model import ModelConfig, init_params, score_grid, score_matrix
 from itmatch.scoring import LossBatch, bidirectional_ranking_loss
 from scalar_reference import ref_pair_score, ref_ranking_loss, weights_as_lists
 
@@ -48,7 +49,7 @@ def test_hundred_random_instances_agree():
     worst = 0.0
     for i in range(100):
         cfg, params, raw, tokens = _instance(i)
-        produced = pair_score(params, cfg, raw, tokens).score.item()
+        produced = score_grid(params, cfg, [raw], [tokens]).data[0, 0]  # a 1 x 1 grid
         expected = ref_pair_score(weights_as_lists(params), cfg, raw.tolist(), tokens)
         worst = max(worst, abs(produced - expected))
     assert worst < 1e-8, f"worst absolute disagreement {worst}"
@@ -117,8 +118,25 @@ def test_score_grid_with_mixed_lengths_matches_reference(name):
             assert abs(grid[i, j] - expected) < 1e-8, (i, j)
 
 
+def _counted(monkeypatch, name):
+    """Replace model.<name> by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(model, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, name, counted)
+    return calls
+
+
 # the largest per-pair array here is 5 rows x 6 = 30 entries: 120 entries
-# make tiles of 1 image x 4 captions, 360 entries tiles of 2 images x 6
+# make tiles of 1 image x 4 captions (5 image tiles x 2 caption tiles),
+# 360 entries tiles of 2 images x 6 (3 x 1), and the default one tile
+TILE_COUNTS = {120: (5, 2), 360: (3, 1), None: (1, 1)}
+
+
 @pytest.mark.parametrize("budget", [120, 360, None])
 @pytest.mark.parametrize("name", sorted(MIXED_CONFIGS))
 def test_score_matrix_tiles_match_reference(name, budget, monkeypatch):
@@ -126,7 +144,11 @@ def test_score_matrix_tiles_match_reference(name, budget, monkeypatch):
         monkeypatch.setattr(model, "TILE_ELEMENTS", budget)
     cfg, params, raws, token_lists = _mixed_instance(name, seed=1)
     weights = weights_as_lists(params)
+    encodes, tiles = _counted(monkeypatch, "encode_image"), _counted(monkeypatch, "score_tile")
     scores = score_matrix(params, cfg, raws, token_lists)
+    image_tiles, caption_tiles = TILE_COUNTS[budget]
+    # each image tile is encoded once and scored against every caption tile
+    assert (len(encodes), len(tiles)) == (image_tiles, image_tiles * caption_tiles)
     assert scores.shape == (5, 6)
     for i in range(5):
         for j in range(6):
@@ -174,13 +196,45 @@ def _reachable(roots):
 @pytest.mark.parametrize("name", ["both", "row_softmax"])
 def test_tile_tape_nodes_do_not_grow_with_the_batch(name):
     cfg, params, raws, token_lists = _mixed_instance(name)
-    counts = []
+    tile_counts, tape_counts = [], []
     for b in (2, 8):
-        images = [model.encode_image(params, cfg, raws[i % 5]) for i in range(b)]
-        captions = model.encode_caption(params, cfg, [token_lists[j % 6] for j in range(b)])
-        encoded = _reachable(
-            [e.local for e in images] + [e.glob for e in images] + [captions.local, captions.glob]
-        )
+        region_list = [raws[i % 5] for i in range(b)]
+        token_batch = [token_lists[j % 6] for j in range(b)]
+        images = model.encode_image(params, cfg, region_list)
+        captions = model.encode_caption(params, cfg, token_batch)
+        encoded = _reachable([images.local, images.glob, captions.local, captions.glob])
         scores, _ = model.score_tile(params, cfg, images, captions)
-        counts.append(len(set(_reachable([scores])) - set(encoded)))
-    assert counts[0] == counts[1]
+        tile_counts.append(len(set(_reachable([scores])) - set(encoded)))
+        # the whole training tape: both encoders, the tile and the loss
+        grid = score_grid(params, cfg, region_list, token_batch)
+        tape_counts.append(len(_reachable([bidirectional_ranking_loss(LossBatch(grid, 0.2))])))
+    assert tile_counts[0] == tile_counts[1]
+    assert tape_counts[0] == tape_counts[1]
+
+
+def test_score_grid_encodes_each_modality_once(monkeypatch):
+    cfg, params, raws, token_lists = _mixed_instance("both")
+    images = _counted(monkeypatch, "encode_image")
+    captions = _counted(monkeypatch, "encode_caption")
+    score_grid(params, cfg, raws, token_lists[:5])
+    assert (len(images), len(captions)) == (1, 1)
+
+
+def test_batch_image_encoding_equals_each_image_alone():
+    cfg, params, raws, _ = _mixed_instance("both")
+    batch = model.encode_image(params, cfg, raws)
+    assert batch.local.shape == (5, 3, cfg.hidden_dim) and batch.glob.shape == (5, cfg.hidden_dim)
+    for i, raw in enumerate(raws):
+        alone = model.encode_image(params, cfg, [raw])
+        np.testing.assert_allclose(batch.local.data[i], alone.local.data[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.glob.data[i], alone.glob.data[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shapes", [[(3, 7), (4, 7)], [(3, 6)], [(3, 7), (3, 8)], [(7,)], []],
+    ids=["mixed-k", "short-d_raw", "mixed-d_raw", "not-a-matrix", "no-image"],
+)
+def test_image_batches_of_bad_shapes_are_rejected(shapes):
+    cfg, params, _, _ = _mixed_instance("both")  # d_raw = 7
+    with pytest.raises(DimensionError):
+        model.encode_image(params, cfg, [np.zeros(shape) for shape in shapes])

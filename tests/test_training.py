@@ -1,5 +1,7 @@
 """Adam behaviour, the training loop, and checkpoint files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,13 +195,50 @@ def test_adam_is_bitwise_deterministic():
         assert runs[0][name].data.tobytes() == runs[1][name].data.tobytes()
 
 
+def test_adam_walks_a_transposed_gradient_in_row_blocks():
+    # backward hands the gradient of a weight used as tt.transpose(w) over
+    # as a transposed view; rows of 1000 make blocks of 16 rows, so this
+    # parameter is three blocks, the last one short
+    shape = (40, 1000)
+    rng = np.random.default_rng(9)
+    store = ParamStore.from_dict({"w": tt.parameter(rng.standard_normal(shape))})
+    state = adam_init(store)
+    theta, m, v = store["w"].data, np.zeros(shape), np.zeros(shape)
+    for t in range(1, 4):
+        g = rng.standard_normal(shape[::-1]).T
+        assert not g.flags.c_contiguous
+        store, state = adam_step(store, {"w": tt.adopt(g)}, state, lr=0.01)
+        before = theta
+        theta, m, v = _textbook_adam(theta, g, m, v, t, 0.01)
+        assert np.max(np.abs(store["w"].data - theta)) <= 1e-12 * np.max(np.abs(theta - before))
+        for got, ref in ((state.m["w"], m), (state.v["w"], v)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_adam_allocates_its_three_outputs_and_no_copy():
+    # 16 MB a parameter; a copy of the transposed gradient would take the
+    # peak from the three fresh outputs (3x) to 4x
+    shape = (1024, 2048)
+    rng = np.random.default_rng(10)
+    store = ParamStore.from_dict({"w": tt.parameter(rng.standard_normal(shape))})
+    state = adam_init(store)
+    grads = {"w": tt.adopt(rng.standard_normal(shape[::-1]).T)}
+    tracemalloc.start()
+    try:
+        adam_step(store, grads, state, lr=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * store["w"].data.nbytes
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_adam_stops_on_a_non_finite_gradient_before_returning(bad):
     store, draw = _adam_problem(8)
     state = adam_init(store)
     store, state = adam_step(store, draw(), state, lr=0.01)
     grads = draw()
-    # "big" sorts first; plant the value in its third block, and one more
+    # "big" sorts first; plant the value in its second block, and one more
     # in a parameter that sorts after it
     big = grads["big"].data.copy()
     big.reshape(-1)[2 * ADAM_BLOCK + 5] = bad
@@ -226,6 +265,10 @@ def test_adam_stops_on_a_non_finite_gradient_before_returning(bad):
         {"lr_decay_epoch": 99},
         {"margin": -0.2},
         {"eval_every": 0},
+        {"lr": np.nan},
+        {"lr": np.inf},
+        {"margin": np.nan},
+        {"margin": np.inf},
     ],
 )
 def test_train_config_validation(kwargs):
