@@ -30,9 +30,6 @@ from . import tensor as tt
 from .errors import ConfigError, DimensionError
 from .tensor import Tensor
 
-# below this, two vectors count as coincident and the similarity vector is 0
-DISTANCE_GUARD = 1e-12
-
 
 @dataclass(frozen=True)
 class LocalSimilarities:
@@ -50,7 +47,8 @@ class LocalSimilarities:
 
 
 def sim_vec_rows(x: Tensor, y: Tensor, weight: Tensor, row_mask=None) -> Tensor:
-    """Similarity vectors weight @ (x-y)^2 / ||x-y|| over the last axis.
+    """Similarity vectors weight @ (x-y)^2 / ||x-y|| over the last axis, 0
+    where x and y are closer than ``tensor.INV_GUARD`` (coincident).
 
     x and y broadcast against each other (y has no more axes than x); a
     boolean `row_mask` over the result's leading axes zeroes rows.
@@ -63,14 +61,14 @@ def sim_vec_rows(x: Tensor, y: Tensor, weight: Tensor, row_mask=None) -> Tensor:
         )
     diff = tt.sub(x, y)
     projected = tt.matmul(tt.square(diff), tt.transpose(weight))
-    inv_dist = tt.safe_inv(tt.l2norm(diff, axis=-1), DISTANCE_GUARD)
+    inv_dist = tt.safe_inv(tt.l2norm(diff, axis=-1))
     if row_mask is not None:
         inv_dist = tt.mul(inv_dist, tt.constant(row_mask))
     return tt.scale_rows(projected, inv_dist)
 
 
 def _unit_rows(x: Tensor) -> Tensor:
-    return tt.scale_rows(x, tt.safe_inv(tt.l2norm(x, axis=-1), DISTANCE_GUARD))
+    return tt.scale_rows(x, tt.safe_inv(tt.l2norm(x, axis=-1)))
 
 
 def _check_stacks(v: Tensor, t: Tensor) -> None:
@@ -98,19 +96,18 @@ def _logits(normed: Tensor, temperature: float) -> Tensor:
 def i2t_weights(cos: Tensor, temperature: float) -> Tensor:
     """Region weights per word (I, C, k, n), each column summing to 1: each
     region row of the cosines l2-normalised over words, softmaxed over regions."""
-    normed = tt.scale_rows(cos, tt.safe_inv(tt.l2norm(cos, axis=-1), DISTANCE_GUARD))
+    normed = tt.scale_rows(cos, tt.safe_inv(tt.l2norm(cos, axis=-1)))
     return tt.transpose(tt.softmax_rows(tt.transpose(_logits(normed, temperature))))
 
 
-def t2i_weights(cos: Tensor, temperature: float, word_mask=None) -> Tensor:
+def t2i_weights(cos: Tensor, temperature: float, word_mask) -> Tensor:
     """Word weights per region (I, C, k, n), each row summing to 1: each word
     column of the cosines l2-normalised over regions, softmaxed over the
-    words the (C, n) `word_mask` marks real (all words when it is None)."""
+    words the (C, n) `word_mask` marks real."""
     n_images, n_captions, _, n = cos.shape
-    inv = tt.safe_inv(tt.l2norm(cos, axis=-2), DISTANCE_GUARD)
+    inv = tt.safe_inv(tt.l2norm(cos, axis=-2))
     normed = tt.mul(cos, tt.reshape(inv, (n_images, n_captions, 1, n)))
-    mask = None if word_mask is None else word_mask[:, None, :]
-    return tt.softmax_rows(_logits(normed, temperature), mask)
+    return tt.softmax_rows(_logits(normed, temperature), word_mask[:, None, :])
 
 
 def local_similarities(

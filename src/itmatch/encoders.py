@@ -12,36 +12,12 @@ mean vector before pooling.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tt
 from .errors import DimensionError, InputError
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class GruWeights:
-    """One direction of the GRU: reset / update / candidate blocks."""
-
-    w_reset: Tensor
-    w_update: Tensor
-    w_cand: Tensor
-    u_reset: Tensor
-    u_update: Tensor
-    u_cand: Tensor
-    b_reset: Tensor
-    b_update: Tensor
-    b_cand: Tensor
-
-    def gates(self) -> tuple[Tensor, ...]:
-        """The nine tensors in the order ``tensor.gru_sequence`` takes them."""
-        return (
-            self.w_reset, self.w_update, self.w_cand,
-            self.u_reset, self.u_update, self.u_cand,
-            self.b_reset, self.b_update, self.b_cand,
-        )
 
 
 def project_image(regions, weight: Tensor, bias: Tensor) -> Tensor:
@@ -57,16 +33,18 @@ def project_image(regions, weight: Tensor, bias: Tensor) -> Tensor:
 def encode_texts(
     token_lists: Sequence[Sequence[int]],
     table: Tensor,
-    fwd: GruWeights,
-    bwd: GruWeights,
-    max_len: int | None = None,
+    fwd: Sequence[Tensor],
+    bwd: Sequence[Tensor],
+    max_len: int,
 ) -> tuple[Tensor, np.ndarray]:
     """Encode a batch of captions: (C, L + 1, d) word features and the C lengths.
 
-    Row j of caption c is the mean of the forward and backward GRU states
-    at word j; rows from lengths[c] on are zero, so every caption, the
-    longest (length L) included, has at least one zero row after its last
-    word.  Both directions run every caption at once.
+    `fwd` and `bwd` are each direction's nine GRU tensors in the order
+    ``tensor.gru_sequence`` takes them.  Row j of caption c is the mean of
+    the forward and backward GRU states at word j; rows from lengths[c] on
+    are zero, so every caption, the longest (length L) included, has at
+    least one zero row after its last word.  Both directions run every
+    caption at once.  A caption longer than `max_len` is refused.
     """
     if len(token_lists) == 0:
         raise InputError("no captions to encode")
@@ -77,7 +55,7 @@ def encode_texts(
     for c, tokens in enumerate(token_lists):
         if len(tokens) == 0:
             raise InputError(f"caption {c} has no tokens")
-        if max_len is not None and len(tokens) > max_len:
+        if len(tokens) > max_len:
             raise InputError(f"caption {c}: length {len(tokens)} exceeds maximum {max_len}")
         ids[c, :len(tokens)] = tokens
     bad = np.argwhere((ids < 0) | (ids >= vocab))
@@ -87,8 +65,8 @@ def encode_texts(
     # padded positions embed token 0; the GRU never reads them
     embedded = tt.reshape(tt.take_rows(table, ids.ravel()), ids.shape + (table.shape[1],))
     states = tt.add(
-        tt.gru_sequence(embedded, lengths, fwd.gates()),
-        tt.gru_sequence(embedded, lengths, bwd.gates(), reverse=True),
+        tt.gru_sequence(embedded, lengths, fwd),
+        tt.gru_sequence(embedded, lengths, bwd, reverse=True),
     )
     return tt.mul(states, 0.5), lengths
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import FeatureBundle
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DataError, DimensionError
 from .model import ModelConfig, score_matrix
 from .tensor import ParamStore
 
@@ -30,17 +30,14 @@ def rsum(results) -> float:
     return float(np.sum([v for r in results for v in r.r_at.values()]))
 
 
-def _ranks_of_truth(scores: np.ndarray, truth_mask: np.ndarray) -> int:
-    # stable argsort on the negated row: descending, ties -> lower index
-    order = np.argsort(-scores, kind="stable")
-    positions = np.nonzero(truth_mask[order])[0]
-    return int(positions[0])
-
-
 def recalls_from_matrix(
     scores: np.ndarray, caption_owner, ks=RANKS
 ) -> tuple[RetrievalResult, RetrievalResult]:
-    """Both-direction recalls from a dense (n_images, n_captions) score matrix."""
+    """Both-direction recalls from a dense (n_images, n_captions) score matrix.
+
+    Each direction is one stable argsort of the negated scores, so every
+    query ranks its candidates best first with ties toward the lower index.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     owner = np.asarray(list(caption_owner), dtype=np.int64)
     if scores.ndim != 2:
@@ -54,17 +51,15 @@ def recalls_from_matrix(
         raise ConfigError("evaluation needs at least one image and one caption")
     if np.any(owner < 0) or np.any(owner >= n_images):
         raise ConfigError("caption owner index outside the image range")
+    lonely = np.flatnonzero(np.bincount(owner, minlength=n_images) == 0)
+    if lonely.size:
+        raise ConfigError(f"image {lonely[0]} has no captions")
 
-    sentence_ranks = np.empty(n_images, dtype=np.int64)
-    for i in range(n_images):
-        if not np.any(owner == i):
-            raise ConfigError(f"image {i} has no captions")
-        sentence_ranks[i] = _ranks_of_truth(scores[i], owner == i)
-    image_ranks = np.empty(n_captions, dtype=np.int64)
-    for c in range(n_captions):
-        truth = np.zeros(n_images, dtype=bool)
-        truth[owner[c]] = True
-        image_ranks[c] = _ranks_of_truth(scores[:, c], truth)
+    # rank of each image's best-placed caption, and of each caption's image
+    by_image = owner[np.argsort(-scores, axis=1, kind="stable")]
+    sentence_ranks = np.argmax(by_image == np.arange(n_images)[:, None], axis=1)
+    by_caption = np.argsort(-scores.T, axis=1, kind="stable")
+    image_ranks = np.argmax(by_caption == owner[:, None], axis=1)
 
     sentence = RetrievalResult(
         "sentence",
@@ -106,19 +101,22 @@ def evaluate(
         raise ConfigError(f"{folds} folds do not divide {n_images} images evenly")
 
     regions, captions, owner = flatten_captions(bundles)
-    scores = score_matrix(params, cfg, regions, captions)
-    owner_arr = np.asarray(owner)
-
+    owner = np.asarray(owner)
+    # a fold's captions are contiguous, since flatten_captions groups them by image
+    first_caption = np.searchsorted(owner, np.arange(n_images + 1))
     fold_size = n_images // folds
     sentence_acc = {k: 0.0 for k in ks}
     image_acc = {k: 0.0 for k in ks}
     for f in range(folds):
         img_lo, img_hi = f * fold_size, (f + 1) * fold_size
-        cap_mask = (owner_arr >= img_lo) & (owner_arr < img_hi)
-        cap_idx = np.nonzero(cap_mask)[0]
-        sub = scores[img_lo:img_hi][:, cap_idx]
-        sub_owner = owner_arr[cap_idx] - img_lo
-        sentence, image = recalls_from_matrix(sub, sub_owner, ks)
+        cap_lo, cap_hi = first_caption[img_lo], first_caption[img_hi]
+        try:
+            scores = score_matrix(params, cfg, regions[img_lo:img_hi], captions[cap_lo:cap_hi])
+        except DataError as err:
+            raise DataError(
+                f"fold {f} (its image i is image {img_lo} + i, its caption j is caption {cap_lo} + j): {err}"
+            ) from None
+        sentence, image = recalls_from_matrix(scores, owner[cap_lo:cap_hi] - img_lo, ks)
         for k in ks:
             sentence_acc[k] += sentence.r_at[k]
             image_acc[k] += image.r_at[k]

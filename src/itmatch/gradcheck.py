@@ -47,8 +47,8 @@ class GradCheckReport:
         return all(c.passed for c in self.checks)
 
 
-def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = ERROR_FLOOR) -> float:
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), ERROR_FLOOR)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
@@ -64,7 +64,7 @@ def _hinge_distance(values: np.ndarray, margin: float) -> float:
     return worst
 
 
-def _generic_point(params: ParamStore, seed: int, scale: float = JITTER) -> ParamStore:
+def _generic_point(params: ParamStore, seed: int) -> ParamStore:
     """Jitter every parameter so no structured zero survives.
 
     The initializer plants exact zeros (biases, the residual output
@@ -77,7 +77,7 @@ def _generic_point(params: ParamStore, seed: int, scale: float = JITTER) -> Para
     out = ParamStore()
     for name in params.names():
         base = params[name].data
-        out.add(name, parameter(base + rng.uniform(-scale, scale, size=base.shape)))
+        out.add(name, parameter(base + rng.uniform(-JITTER, JITTER, size=base.shape)))
     return out
 
 

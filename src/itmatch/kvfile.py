@@ -21,16 +21,22 @@ from .errors import DataError
 MANIFEST_FILE = "manifest"
 
 
+def _reads_back(text: str) -> bool:
+    # parse_kv_text splits lines with str.splitlines and strips keys and values
+    return "".join(text.splitlines()) == text == text.strip()
+
+
 def format_kv(pairs) -> str:
+    """``key: value`` lines, refusing a pair that parse_kv_text would not return unchanged."""
     items = pairs.items() if isinstance(pairs, dict) else pairs
     lines = []
     for key, value in items:
         key = str(key)
         value = str(value)
-        if ":" in key or "\n" in key or not key.strip():
+        if ":" in key or key.startswith("#") or not key or not _reads_back(key):
             raise DataError(f"invalid key {key!r}")
-        if "\n" in value:
-            raise DataError(f"value for {key!r} contains a newline")
+        if not _reads_back(value):
+            raise DataError(f"value for {key!r} has a newline or other line break, or whitespace at either end")
         lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"
 
@@ -70,9 +76,12 @@ def write_container(
     """Write each blob as ``<stem>.bin``, then the manifest; return the checksums.
 
     The (key, value) ``fields`` go between the format header and the
-    checksum lines.  The manifest text is built, and so validated, before
-    any file is opened: a field that cannot be written leaves an existing
-    container as it was.
+    checksum lines.  The manifest is built, and so validated, before any
+    file is opened.  Every file is written under a temporary name first;
+    then the old manifest is deleted and the files renamed into place,
+    the manifest last.  A write that fails part way leaves the old
+    container or no manifest, never a manifest over other blobs.  The
+    directory itself is kept, since other files may share it.
     """
     checksums = {stem: hashlib.sha256(blob).hexdigest() for stem, blob in blobs.items()}
     text = format_kv(
@@ -80,11 +89,21 @@ def write_container(
         + [(f"checksum_{stem}", digest) for stem, digest in checksums.items()]
     )
     os.makedirs(path, exist_ok=True)
-    for stem, blob in blobs.items():
-        with open(os.path.join(path, f"{stem}.bin"), "wb") as fh:
-            fh.write(blob)
-    with open(os.path.join(path, MANIFEST_FILE), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    files = {os.path.join(path, f"{stem}.bin"): blob for stem, blob in blobs.items()}
+    manifest = os.path.join(path, MANIFEST_FILE)
+    files[manifest] = text.encode("utf-8")  # renamed into place last
+    try:
+        for target, data in files.items():
+            with open(target + ".tmp", "wb") as fh:
+                fh.write(data)
+        if os.path.exists(manifest):
+            os.remove(manifest)
+        for target in files:
+            os.replace(target + ".tmp", target)
+    finally:
+        for target in files:
+            if os.path.exists(target + ".tmp"):
+                os.remove(target + ".tmp")
     return checksums
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as tt
 from .attention import local_similarities
-from .encoders import GruWeights, encode_texts, global_feature, project_image
+from .encoders import encode_texts, global_feature, project_image
 from .errors import ConfigError, DataError, DimensionError
 from .reasoning import ReasonLayerParams, build_node_set, reason
 from .scoring import fuse, pool_t2i, score
@@ -161,17 +161,12 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
     return store
 
 
-def _gru_weights(params: ParamStore, direction: str) -> GruWeights:
-    return GruWeights(
-        w_reset=params[f"gru.{direction}.w_reset"],
-        w_update=params[f"gru.{direction}.w_update"],
-        w_cand=params[f"gru.{direction}.w_cand"],
-        u_reset=params[f"gru.{direction}.u_reset"],
-        u_update=params[f"gru.{direction}.u_update"],
-        u_cand=params[f"gru.{direction}.u_cand"],
-        b_reset=params[f"gru.{direction}.b_reset"],
-        b_update=params[f"gru.{direction}.b_update"],
-        b_cand=params[f"gru.{direction}.b_cand"],
+def _gru_weights(params: ParamStore, direction: str) -> tuple[Tensor, ...]:
+    """One direction's nine GRU tensors in ``tensor.gru_sequence`` order."""
+    return tuple(
+        params[f"gru.{direction}.{kind}_{gate}"]
+        for kind in ("w", "u", "b")
+        for gate in ("reset", "update", "cand")
     )
 
 
@@ -252,8 +247,7 @@ def score_tile(
             nodes = build_node_set(local.s_i2t, local.s_glob, lengths)
             layers = [layer_params(params, i) for i in range(cfg.n_layers)]
             s_i2t = reason(
-                nodes, layers, hierarchical=cfg.hierarchical, row_softmax=cfg.row_softmax,
-                global_rows=lengths,
+                nodes, layers, lengths, hierarchical=cfg.hierarchical, row_softmax=cfg.row_softmax,
             )
     s_t2i = None
     if cfg.uses_t2i:

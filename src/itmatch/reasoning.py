@@ -75,9 +75,9 @@ def gate_relations(rel: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 def reason_step(
     nodes: Tensor,
     layer: ReasonLayerParams,
+    node_mask,
     hierarchical: bool = True,
     row_softmax: bool = False,
-    node_mask=None,
 ) -> Tensor:
     """One residual update of every node from its relation-weighted context.
 
@@ -91,11 +91,8 @@ def reason_step(
         rel = gate_relations(rel, layer.kernel, layer.bias)
     mixing = rel
     if row_softmax:
-        if node_mask is None:
-            mixing = tt.softmax_rows(mixing)
-        else:
-            mixing = tt.softmax_rows(mixing, node_mask[..., None, :])
-            mixing = tt.mul(mixing, tt.constant(node_mask[..., :, None]))
+        mixing = tt.softmax_rows(mixing, node_mask[..., None, :])
+        mixing = tt.mul(mixing, tt.constant(node_mask[..., :, None]))
     context = tt.matmul(tt.matmul(mixing, nodes), layer.w_mix)
     update = tt.matmul(context, tt.transpose(layer.w_out))
     return tt.add(update, nodes)
@@ -104,28 +101,22 @@ def reason_step(
 def reason(
     nodes: Tensor,
     layers: Sequence[ReasonLayerParams],
+    global_rows,
     hierarchical: bool = True,
     row_softmax: bool = False,
-    global_rows=None,
 ) -> Tensor:
     """Run every layer and read out the global node of each node set.
 
     `global_rows` (integers broadcasting over the leading axes) gives the
-    global node's row, with padding after it; by default it is the last
-    row and nothing is padded.
+    global node's row; the rows after it are padding.
     """
     if len(layers) < 1:
         raise ConfigError("reasoning needs at least one layer")
-    n = nodes.shape[-2]
-    node_mask = None
-    if global_rows is None:
-        global_rows = n - 1
-    else:
-        global_rows = np.asarray(global_rows, dtype=np.intp)
-        node_mask = np.arange(n) <= global_rows[..., None]
+    global_rows = np.asarray(global_rows, dtype=np.intp)
+    node_mask = np.arange(nodes.shape[-2]) <= global_rows[..., None]
     current = nodes
     for layer in layers:
         current = reason_step(
-            current, layer, hierarchical=hierarchical, row_softmax=row_softmax, node_mask=node_mask
+            current, layer, node_mask, hierarchical=hierarchical, row_softmax=row_softmax
         )
     return tt.pick_rows(current, global_rows)

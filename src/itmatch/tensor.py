@@ -31,6 +31,10 @@ from .errors import ConfigError, ContractError, DimensionError
 
 Array = np.ndarray
 
+# safe_inv maps magnitudes at or below this to 0: two vectors this close
+# count as coincident, and a vector this short has no direction
+INV_GUARD = 1e-12
+
 _grad_enabled = True
 
 
@@ -275,21 +279,21 @@ def sum(a: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - mirrors n
     return _result(out, (a,), backward_fn)
 
 
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
+def mean(a: Tensor, axis: int) -> Tensor:
     _check_axis(a, axis)
     out = np.mean(a.data, axis=axis)
     if not _tracking(a):
         return _result(out)
     shape = a.data.shape
-    count = a.data.size if axis is None else shape[axis]
+    count = shape[axis]
 
     def backward_fn(g):
         return (_expand_reduced(np.asarray(g) / count, shape, axis),)
     return _result(out, (a,), backward_fn)
 
 
-def amax(a: Tensor, axis: int | None = None) -> Tensor:
-    """Maximum reduction; ties route the gradient to the lowest index."""
+def amax(a: Tensor, axis: int) -> Tensor:
+    """Maximum over one axis; ties route the gradient to the lowest index."""
     _check_axis(a, axis)
     out = np.max(a.data, axis=axis)
     if not _tracking(a):
@@ -298,16 +302,13 @@ def amax(a: Tensor, axis: int | None = None) -> Tensor:
 
     def backward_fn(g):
         grad = np.zeros(shape)
-        if axis is None:
-            grad.ravel()[np.argmax(a.data)] = float(np.asarray(g))
-        else:
-            idx = np.argmax(a.data, axis=axis)
-            np.put_along_axis(
-                grad,
-                np.expand_dims(idx, axis),
-                np.expand_dims(np.asarray(g), axis),
-                axis,
-            )
+        idx = np.argmax(a.data, axis=axis)
+        np.put_along_axis(
+            grad,
+            np.expand_dims(idx, axis),
+            np.expand_dims(np.asarray(g), axis),
+            axis,
+        )
         return (grad,)
     return _result(out, (a,), backward_fn)
 
@@ -493,15 +494,13 @@ def scale_rows(a: Tensor, s: Tensor) -> Tensor:
     return _result(out, (a, s), backward_fn)
 
 
-def safe_inv(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Elementwise reciprocal with entries of magnitude < eps mapped to 0.
+def safe_inv(a: Tensor) -> Tensor:
+    """Elementwise reciprocal with entries of magnitude <= INV_GUARD mapped to 0.
 
     The guard makes downstream normalisations well defined on degenerate
     inputs (zero vectors); guarded entries also get zero gradient.
     """
-    if eps <= 0.0:
-        raise ConfigError(f"safe_inv eps must be positive, got {eps}")
-    mask = np.abs(a.data) > eps
+    mask = np.abs(a.data) > INV_GUARD
     safe = np.where(mask, a.data, 1.0)
     out = np.where(mask, 1.0 / safe, 0.0)
     if not _tracking(a):

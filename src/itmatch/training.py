@@ -38,6 +38,14 @@ CHECKPOINT_VERSION = 1
 # whole leading-axis rows, so a row longer than this is a block alone
 ADAM_BLOCK = 1 << 14
 
+# Kingma & Ba's recommended moment decays and epsilon (arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# the lr multiplier from lr_decay_epoch on: SCAN's 10x step (arXiv:1803.08024)
+LR_DECAY_FACTOR = 0.1
+
 # dataset-profile defaults: (epochs, decay epoch)
 PROFILES = {"mscoco": (20, 10), "flickr30k": (40, 30)}
 
@@ -48,12 +56,8 @@ class TrainConfig:
     epochs: int = 20
     lr: float = 2e-4
     lr_decay_epoch: int = 10
-    lr_decay_factor: float = 0.1
     batch_size: int = 128
     margin: float = 0.2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     eval_every: int = 1
 
@@ -94,9 +98,7 @@ def adam_step(
     grads: dict[str, Tensor],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    eps: float = ADAM_EPS,
 ) -> tuple[ParamStore, AdamState]:
     """One Adam update; returns a fresh store and state, inputs untouched.
 
@@ -113,8 +115,8 @@ def adam_step(
     the parameter, before anything is returned.
     """
     t = state.step + 1
-    alpha = lr * math.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)
-    eps_hat = eps * math.sqrt(1.0 - beta2 ** t)
+    alpha = lr * math.sqrt(1.0 - ADAM_BETA2 ** t) / (1.0 - ADAM_BETA1 ** t)
+    eps_hat = eps * math.sqrt(1.0 - ADAM_BETA2 ** t)
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
     updates: dict[str, Tensor] = {}
@@ -141,11 +143,11 @@ def adam_step(
             # would not be finite
             if not math.isfinite(s.sum()):
                 raise DataError(f"step {t}: the gradient of parameter {name!r} is not finite")
-            s *= 1.0 - beta2
-            np.multiply(v_b, beta2, out=v_out)
+            s *= 1.0 - ADAM_BETA2
+            np.multiply(v_b, ADAM_BETA2, out=v_out)
             v_out += s                                  # v = beta2 v + (1 - beta2) g^2
-            np.multiply(g_b, 1.0 - beta1, out=s)
-            np.multiply(m_b, beta1, out=m_out)
+            np.multiply(g_b, 1.0 - ADAM_BETA1, out=s)
+            np.multiply(m_b, ADAM_BETA1, out=m_out)
             m_out += s                                  # m = beta1 m + (1 - beta1) g
             np.sqrt(v_out, out=s)
             s += eps_hat
@@ -198,7 +200,7 @@ def train(
     best_epoch = -1
     step = 0
     for epoch in range(config.epochs):
-        lr = config.lr * (config.lr_decay_factor if epoch >= config.lr_decay_epoch else 1.0)
+        lr = config.lr * (LR_DECAY_FACTOR if epoch >= config.lr_decay_epoch else 1.0)
         order = shuffle_rng.permutation(n_pairs)
         for start in range(0, n_pairs, config.batch_size):
             batch = order[start:start + config.batch_size]
@@ -212,10 +214,7 @@ def train(
                 raise DataError(f"step {step + 1}: the loss is not finite ({loss.item()!r})")
             grads = backward(loss, params)
             # a non-finite gradient raises here, before params is replaced
-            params, state = adam_step(
-                params, grads, state, lr,
-                beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps,
-            )
+            params, state = adam_step(params, grads, state, lr)
             step += 1
             loss_curve.append((step, loss.item()))
         if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:

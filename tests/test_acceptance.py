@@ -90,9 +90,11 @@ def test_criterion_03_attention_invariants():
     v, t = tt.constant(v_arr[None]), tt.constant(t_arr[None])
 
     def weights(v, t, temperature, direction):
-        # one image-caption pair is a 1 x 1 tile
-        weights_of = i2t_weights if direction == "i2t" else t2i_weights
-        return weights_of(cosines(v, t), temperature).data[0, 0]
+        # one image-caption pair is a 1 x 1 tile, every word of it real
+        if direction == "i2t":
+            return i2t_weights(cosines(v, t), temperature).data[0, 0]
+        words = np.ones(t.shape[:2], dtype=bool)
+        return t2i_weights(cosines(v, t), temperature, words).data[0, 0]
 
     i2t = weights(v, t, 9.0, "i2t")
     t2i = weights(v, t, 9.0, "t2i")
@@ -186,7 +188,8 @@ def test_criterion_05_reasoning_structure():
         kernel=tt.constant(rng.normal(size=(3, 3))),
         bias=tt.constant(np.asarray(0.3)),
     )
-    readout = reason(nodes, [layer_zero_out], hierarchical=True)
+    # an unpadded node set: its global node is its last row, every row is real
+    readout = reason(nodes, [layer_zero_out], 3, hierarchical=True)
     identity = np.array_equal(readout.data, nodes.data[-1])
 
     layer = ReasonLayerParams(
@@ -196,8 +199,9 @@ def test_criterion_05_reasoning_structure():
         kernel=tt.constant(rng.normal(size=(3, 3))),
         bias=tt.constant(np.asarray(-0.2)),
     )
-    on = reason_step(nodes, layer, hierarchical=True).data
-    off = reason_step(nodes, layer, hierarchical=False).data
+    real = np.ones(4, dtype=bool)
+    on = reason_step(nodes, layer, real, hierarchical=True).data
+    off = reason_step(nodes, layer, real, hierarchical=False).data
     r = rel.data
     gate = 1.0 / (1.0 + np.exp(-_np_conv3x3(r, layer.kernel.data, float(layer.bias.data))))
     s = nodes.data

@@ -38,6 +38,8 @@ def _tile_weights(v, t, temperature, direction, word_mask=None):
     cos = cosines(v, t)
     if direction == "i2t":
         return i2t_weights(cos, temperature)
+    if word_mask is None:  # every word is real
+        word_mask = np.ones(t.shape[:2], dtype=bool)
     return t2i_weights(cos, temperature, word_mask)
 
 

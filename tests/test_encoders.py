@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from itmatch import tensor as tt
-from itmatch.encoders import GruWeights, encode_texts, global_feature, project_image
+from itmatch.encoders import encode_texts, global_feature, project_image
 from itmatch.errors import DimensionError, InputError
 from itmatch.model import ModelConfig, encode_caption, init_params
 from itmatch.tensor import ParamStore, backward, finite_diff_grad
 from scalar_reference import ref_encode_text, ref_gru_step
+
+# the nine tensors of one GRU direction, in the order gru_sequence takes them
+GATES = tuple(f"{kind}_{gate}" for kind in ("w", "u", "b") for gate in ("reset", "update", "cand"))
 
 
 def _gru_weights(rng, d, e, scale=0.5):
@@ -17,21 +20,11 @@ def _gru_weights(rng, d, e, scale=0.5):
         fields[f"w_{gate}"] = tt.parameter(scale * rng.normal(size=(d, e)))
         fields[f"u_{gate}"] = tt.parameter(scale * rng.normal(size=(d, d)))
         fields[f"b_{gate}"] = tt.parameter(scale * rng.normal(size=d))
-    return GruWeights(**fields)
+    return tuple(fields[name] for name in GATES)
 
 
-def _as_ref(w: GruWeights):
-    return {
-        "w_reset": w.w_reset.data.tolist(),
-        "w_update": w.w_update.data.tolist(),
-        "w_cand": w.w_cand.data.tolist(),
-        "u_reset": w.u_reset.data.tolist(),
-        "u_update": w.u_update.data.tolist(),
-        "u_cand": w.u_cand.data.tolist(),
-        "b_reset": w.b_reset.data.tolist(),
-        "b_update": w.b_update.data.tolist(),
-        "b_cand": w.b_cand.data.tolist(),
-    }
+def _as_ref(w):
+    return {name: t.data.tolist() for name, t in zip(GATES, w)}
 
 
 def test_projection_identity_weight():
@@ -72,7 +65,7 @@ def test_projection_rejects_bad_shapes():
 def _run_forward(tokens, table, w):
     """Forward-direction states of one caption through the batch op."""
     x = tt.constant(table.data[tokens][None])
-    return tt.gru_sequence(x, [len(tokens)], w.gates()).data[0]
+    return tt.gru_sequence(x, [len(tokens)], w).data[0]
 
 
 def test_gru_step_matches_scalar_reference():
@@ -89,22 +82,24 @@ def test_gru_step_matches_scalar_reference():
 
 def test_gru_saturated_update_gate_hands_over_to_candidate():
     rng = np.random.default_rng(2)
-    w = _gru_weights(rng, d=3, e=2)
+    gates = dict(zip(GATES, _gru_weights(rng, d=3, e=2)))
     # push the update gate to 1: the new state must equal the candidate,
     # with no trace of the previous hidden state outside the reset path
-    w = GruWeights(
-        w_reset=w.w_reset, w_update=tt.parameter(np.zeros((3, 2))), w_cand=w.w_cand,
-        u_reset=w.u_reset, u_update=tt.parameter(np.zeros((3, 3))), u_cand=w.u_cand,
-        b_reset=w.b_reset, b_update=tt.parameter(np.full(3, 60.0)), b_cand=w.b_cand,
+    gates.update(
+        w_update=tt.parameter(np.zeros((3, 2))),
+        u_update=tt.parameter(np.zeros((3, 3))),
+        b_update=tt.parameter(np.full(3, 60.0)),
     )
+    w = tuple(gates[name] for name in GATES)
+    g = {name: t.data for name, t in gates.items()}
     table = tt.constant(rng.normal(size=(2, 2)))
     states = _run_forward([0, 1], table, w)
     x, h = table.data[1], states[0]
     ref = ref_gru_step(x.tolist(), h.tolist(), _as_ref(w))
     np.testing.assert_allclose(states[1], ref, atol=1e-12)
     # recompute the candidate directly
-    reset = 1.0 / (1.0 + np.exp(-(w.w_reset.data @ x + w.u_reset.data @ h + w.b_reset.data)))
-    cand = np.tanh(w.w_cand.data @ x + w.u_cand.data @ (reset * h) + w.b_cand.data)
+    reset = 1.0 / (1.0 + np.exp(-(g["w_reset"] @ x + g["u_reset"] @ h + g["b_reset"])))
+    cand = np.tanh(g["w_cand"] @ x + g["u_cand"] @ (reset * h) + g["b_cand"])
     np.testing.assert_allclose(states[1], cand, atol=1e-12)
 
 
@@ -132,7 +127,7 @@ def test_encode_text_single_token():
     table = tt.parameter(rng.normal(size=(6, 3)))
     fwd = _gru_weights(rng, d=4, e=3)
     bwd = _gru_weights(rng, d=4, e=3)
-    out = encode_texts([[2]], table, fwd, bwd)[0].data
+    out = encode_texts([[2]], table, fwd, bwd, MAX_LEN)[0].data
     assert out.shape == (1, 2, 4)
     x = table.data[2]
     zero = np.zeros(4)
@@ -149,8 +144,8 @@ def test_encode_text_direction_symmetry():
     table = tt.parameter(rng.normal(size=(10, 3)))
     fwd = _gru_weights(rng, d=4, e=3)
     bwd = _gru_weights(rng, d=4, e=3)
-    out = encode_texts(MIXED_CAPTIONS, table, fwd, bwd)[0].data
-    swapped = encode_texts([c[::-1] for c in MIXED_CAPTIONS], table, bwd, fwd)[0].data
+    out = encode_texts(MIXED_CAPTIONS, table, fwd, bwd, MAX_LEN)[0].data
+    swapped = encode_texts([c[::-1] for c in MIXED_CAPTIONS], table, bwd, fwd, MAX_LEN)[0].data
     for c, tokens in enumerate(MIXED_CAPTIONS):
         n = len(tokens)
         np.testing.assert_allclose(out[c, :n], swapped[c, :n][::-1], rtol=0, atol=1e-14)
@@ -163,9 +158,9 @@ def test_a_caption_encodes_alike_alone_and_beside_longer_ones():
     table = tt.parameter(rng.normal(size=(10, 3)))
     fwd = _gru_weights(rng, d=4, e=3)
     bwd = _gru_weights(rng, d=4, e=3)
-    batch = encode_texts(MIXED_CAPTIONS, table, fwd, bwd)[0].data
+    batch = encode_texts(MIXED_CAPTIONS, table, fwd, bwd, MAX_LEN)[0].data
     for c, tokens in enumerate(MIXED_CAPTIONS):
-        alone = encode_texts([tokens], table, fwd, bwd)[0].data[0]
+        alone = encode_texts([tokens], table, fwd, bwd, MAX_LEN)[0].data[0]
         np.testing.assert_allclose(batch[c, :len(tokens) + 1], alone, rtol=0, atol=1e-14)
         assert not batch[c, len(tokens):].any()
 
@@ -176,20 +171,20 @@ def test_encode_text_input_errors():
     fwd = _gru_weights(rng, d=3, e=2)
     bwd = _gru_weights(rng, d=3, e=2)
     with pytest.raises(InputError):
-        encode_texts([], table, fwd, bwd)
+        encode_texts([], table, fwd, bwd, MAX_LEN)
     with pytest.raises(InputError):
-        encode_texts([[1], []], table, fwd, bwd)
+        encode_texts([[1], []], table, fwd, bwd, MAX_LEN)
     with pytest.raises(InputError):
-        encode_texts([[5]], table, fwd, bwd)  # out of vocabulary
+        encode_texts([[5]], table, fwd, bwd, MAX_LEN)  # out of vocabulary
     with pytest.raises(InputError):
-        encode_texts([[-1]], table, fwd, bwd)
+        encode_texts([[-1]], table, fwd, bwd, MAX_LEN)
     with pytest.raises(InputError):
         encode_texts([[0], [0, 1, 2]], table, fwd, bwd, max_len=2)
 
 
 def test_gru_sequence_rejects_bad_shapes():
     rng = np.random.default_rng(9)
-    gates = _gru_weights(rng, d=3, e=2).gates()
+    gates = _gru_weights(rng, d=3, e=2)
     x = tt.constant(np.zeros((2, 4, 2)))
     with pytest.raises(DimensionError):
         tt.gru_sequence(tt.constant(np.zeros((4, 2))), [4], gates)
@@ -243,15 +238,9 @@ def test_encoder_stack_gradients():
 
     def run(p):
         def weights(direction):
-            return GruWeights(
-                **{
-                    f"{kind}_{gate}": p[f"{direction}.{kind}_{gate}"]
-                    for kind in ("w", "u", "b")
-                    for gate in ("reset", "update", "cand")
-                }
-            )
+            return tuple(p[f"{direction}.{name}"] for name in GATES)
 
-        local, lengths = encode_texts(captions, p["table"], weights("fwd"), weights("bwd"))
+        local, lengths = encode_texts(captions, p["table"], weights("fwd"), weights("bwd"), MAX_LEN)
         glob = global_feature(local, lengths)
         return tt.add(tt.sum(tt.square(glob)), tt.sum(tt.mul(local, probe)))
 

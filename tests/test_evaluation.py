@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from itmatch.dataio import gen_synthetic
+from itmatch import evaluation
 from itmatch import tensor as tt
+from itmatch.dataio import gen_synthetic
 from itmatch.errors import ConfigError, DataError, DimensionError
 from itmatch.evaluation import (
     evaluate,
@@ -170,3 +171,78 @@ def test_rsum_adds_all_six_numbers():
     sentence, image = recalls_from_matrix(TOY_3X3, [0, 1, 2])
     total = sum(sentence.r_at.values()) + sum(image.r_at.values())
     assert rsum([sentence, image]) == pytest.approx(total)
+
+
+def _plain_ranks(scores, owner):
+    """Rank of each image's best caption and of each caption's image, counted
+    one candidate at a time: higher scores first, ties to the lower index."""
+    n_images, n_captions = len(scores), len(owner)
+
+    def rank(values, truth):
+        return sum(1 for c, v in enumerate(values) if v > values[truth] or (v == values[truth] and c < truth))
+
+    sentence = [
+        min(rank(scores[i], c) for c in range(n_captions) if owner[c] == i) for i in range(n_images)
+    ]
+    image = [rank([scores[i][c] for i in range(n_images)], owner[c]) for c in range(n_captions)]
+    return sentence, image
+
+
+def test_recalls_match_a_plain_rank_count_on_tie_heavy_matrices():
+    rng = np.random.default_rng(31)
+    ks = (1, 2, 3, 5)
+    for _ in range(300):
+        n_images = int(rng.integers(1, 7))
+        # every image owns at least one caption
+        extra = rng.integers(0, n_images, size=int(rng.integers(0, 8)))
+        owner = rng.permutation(np.concatenate([np.arange(n_images), extra]))
+        # three score levels: most comparisons are ties
+        scores = rng.integers(0, 3, size=(n_images, owner.size)).astype(float)
+        sentence, image = recalls_from_matrix(scores, owner, ks)
+        sentence_ranks, image_ranks = _plain_ranks(scores.tolist(), owner.tolist())
+        for k in ks:
+            assert sentence.r_at[k] == 100.0 * (sum(r < k for r in sentence_ranks) / n_images)
+            assert image.r_at[k] == 100.0 * (sum(r < k for r in image_ranks) / owner.size)
+    with pytest.raises(ConfigError, match="image 2 has no captions"):
+        recalls_from_matrix(np.zeros((4, 3)), [0, 1, 3])
+
+
+@pytest.mark.parametrize("folds", [2, 4])
+def test_each_fold_scores_only_its_own_block(monkeypatch, folds):
+    params, cfg, bundles = _setup(n_pairs=4, captions_per_image=2)
+    regions, captions, owner = flatten_captions(bundles)
+    scores = score_matrix(params, cfg, regions, captions)
+    owner = np.asarray(owner)
+    sentence_sum = {k: 0.0 for k in (1, 5, 10)}
+    image_sum = {k: 0.0 for k in (1, 5, 10)}
+    size = 4 // folds
+    for lo in range(0, 4, size):
+        idx = np.nonzero((owner >= lo) & (owner < lo + size))[0]
+        sentence, image = recalls_from_matrix(scores[lo:lo + size][:, idx], owner[idx] - lo)
+        for k in sentence_sum:
+            sentence_sum[k] += sentence.r_at[k]
+            image_sum[k] += image.r_at[k]
+
+    scored = []
+
+    def counting_score_matrix(params, cfg, region_list, token_lists):
+        scored.append(len(region_list) * len(token_lists))
+        return score_matrix(params, cfg, region_list, token_lists)
+
+    monkeypatch.setattr(evaluation, "score_matrix", counting_score_matrix)
+    sentence, image = evaluate(params, cfg, bundles, folds=folds)
+    assert scored == [scores.size // folds ** 2] * folds
+    assert sentence.r_at == {k: v / folds for k, v in sentence_sum.items()}
+    assert image.r_at == {k: v / folds for k, v in image_sum.items()}
+
+
+def test_a_non_finite_score_in_a_later_fold_names_a_locatable_pair():
+    params, cfg, bundles = _setup(n_pairs=4, captions_per_image=2)
+    bundles[3].regions = np.full_like(bundles[3].regions, np.nan)
+    # image 3 is image 1 of fold 1, which starts at image 2 and caption 4
+    with pytest.raises(
+        DataError,
+        match=r"fold 1 \(its image i is image 2 \+ i, its caption j is caption 4 \+ j\): "
+        r"score of image 1 and caption 0 is not finite",
+    ):
+        evaluate(params, cfg, bundles, folds=2)

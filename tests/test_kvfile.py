@@ -8,10 +8,11 @@ import os
 import numpy as np
 import pytest
 
+from itmatch import kvfile
 from itmatch import tensor as tt
 from itmatch.dataio import FeatureBundle, read_dataset, write_dataset
 from itmatch.errors import DataError
-from itmatch.kvfile import Container, format_kv, read_kv, write_container
+from itmatch.kvfile import Container, format_kv, parse_kv_text, read_kv, write_container
 from itmatch.model import ModelConfig, param_shapes
 from itmatch.training import load_checkpoint, save_checkpoint
 
@@ -189,6 +190,79 @@ def test_a_failed_overwrite_leaves_the_old_dataset_readable(tmp_path):
     assert {name: (dataset / name).read_bytes() for name in os.listdir(dataset)} == before
     back, _ = read_dataset(dataset)
     _assert_bundles_equal(back, PINNED_BUNDLES)
+
+
+class _Injected(Exception):
+    pass
+
+
+# the same shapes as PINNED_BUNDLES, with every blob's bytes changed
+NEW_BUNDLES = [
+    FeatureBundle("c", regions=np.full((2, 3), 0.25), captions=[[5, 5], [3]]),
+    FeatureBundle("d", regions=np.full((2, 3), -2.0), captions=[[1, 2, 0]]),
+]
+
+
+@pytest.mark.parametrize("call", ["open", "replace"])
+def test_an_overwrite_failing_at_any_write_or_rename_leaves_the_old_dataset_or_none(
+    tmp_path, monkeypatch, call
+):
+    """Either the old dataset reads back or there is no manifest; never a
+    manifest over blobs it does not describe.  Files the container does
+    not own are left alone, and no temporary file is left behind."""
+    real = {"open": open, "replace": os.replace}[call]
+    failures = 0
+    while True:
+        dataset, _ = _write_pinned(tmp_path)
+        (dataset / "loss.csv").write_text("step,loss\n", encoding="utf-8")
+        calls = 0
+
+        def failing(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == failures + 1:
+                raise _Injected(f"{call} {args[0]}")
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            if call == "open":
+                patch.setattr(kvfile, "open", failing, raising=False)
+            else:
+                patch.setattr(os, "replace", failing)
+            try:
+                write_dataset(NEW_BUNDLES, dataset, vocab_size=6, name="pin", split="val")
+            except _Injected:
+                pass
+            else:
+                break
+        try:
+            back, _ = read_dataset(dataset)
+        except DataError as err:
+            assert "no manifest" in str(err), f"failure {failures}: {err}"
+        else:
+            _assert_bundles_equal(back, PINNED_BUNDLES)
+        assert set(os.listdir(dataset)) <= {*DATASET_BLOBS, "manifest", "loss.csv"}
+        assert (dataset / "loss.csv").read_text(encoding="utf-8") == "step,loss\n"
+        failures += 1
+    assert failures == len(DATASET_BLOBS) + 1  # one per blob and one for the manifest
+    back, _ = read_dataset(dataset)
+    _assert_bundles_equal(back, NEW_BUNDLES)
+    assert sorted(os.listdir(dataset)) == sorted([*DATASET_BLOBS, "manifest", "loss.csv"])
+
+
+@pytest.mark.parametrize("image_id", ["a\rb", "a\u2028b", "a\x85b", " padded ", "tail\t"])
+def test_an_image_id_that_would_not_read_back_unchanged_is_refused(tmp_path, image_id):
+    bundles = [FeatureBundle(image_id, regions=np.ones((2, 3)), captions=[[1]])]
+    with pytest.raises(DataError, match="image_id.0"):
+        write_dataset(bundles, tmp_path / "ds", vocab_size=6)
+    assert not (tmp_path / "ds").exists()
+
+
+def test_format_kv_refuses_keys_that_would_not_read_back_unchanged():
+    for key in ("", "a:b", "#a", " a", "a\x0bb", "a\u2029"):
+        with pytest.raises(DataError, match="invalid key"):
+            format_kv({key: "v"})
+    assert parse_kv_text(format_kv({"a b": "x: y #z"})) == {"a b": "x: y #z"}
 
 
 # ------------------------------------------------------ format version 1

@@ -46,6 +46,16 @@ def _nodes(rng, n, m):
     return tt.constant(rng.normal(size=(n, m)))
 
 
+def _global_row(nodes):
+    """reason's global_rows for one unpadded node set: its last row."""
+    return nodes.shape[-2] - 1
+
+
+def _all_real(nodes):
+    """reason_step's node_mask for one unpadded node set: every row is real."""
+    return np.ones(nodes.shape[-2], dtype=bool)
+
+
 def test_build_node_set_places_global_last():
     # caption 0 has two words, caption 1 one word and a zero padding row
     local = tt.constant(np.array([
@@ -115,7 +125,7 @@ def test_zero_output_map_keeps_nodes_and_readout():
     rng = np.random.default_rng(4)
     nodes = _nodes(rng, 5, 4)
     layers = [_layer(rng, 4, zero_out=True) for _ in range(3)]
-    out = reason(nodes, layers, hierarchical=True)
+    out = reason(nodes, layers, _global_row(nodes), hierarchical=True)
     # residual-only updates: the global node must come back untouched
     np.testing.assert_array_equal(out.data, nodes.data[-1])
 
@@ -124,8 +134,8 @@ def test_hierarchical_off_is_the_ungated_update():
     rng = np.random.default_rng(5)
     nodes = _nodes(rng, 5, 3)
     layer = _layer(rng, 3)
-    gated = reason_step(nodes, layer, hierarchical=True)
-    plain = reason_step(nodes, layer, hierarchical=False)
+    gated = reason_step(nodes, layer, _all_real(nodes), hierarchical=True)
+    plain = reason_step(nodes, layer, _all_real(nodes), hierarchical=False)
     # recompute both mixing matrices: they differ exactly by the gate factor
     rel = relation_matrix(nodes, layer.w_query, layer.w_key).data
     gate = 1.0 / (1.0 + np.exp(-(
@@ -157,7 +167,7 @@ def test_reason_step_matches_scalar_reference(hierarchical, row_softmax):
     rng = np.random.default_rng(6)
     nodes = _nodes(rng, 5, 3)
     layer = _layer(rng, 3)
-    out = reason_step(nodes, layer, hierarchical=hierarchical, row_softmax=row_softmax)
+    out = reason_step(nodes, layer, _all_real(nodes), hierarchical=hierarchical, row_softmax=row_softmax)
     expected = ref_reason_step(
         nodes.data.tolist(), _layer_as_ref(layer), hierarchical, row_softmax
     )
@@ -168,7 +178,7 @@ def test_multi_layer_reason_iterates_the_step():
     rng = np.random.default_rng(7)
     nodes = _nodes(rng, 4, 3)
     layers = [_layer(rng, 3) for _ in range(3)]
-    out = reason(nodes, layers, hierarchical=True)
+    out = reason(nodes, layers, _global_row(nodes), hierarchical=True)
     state = nodes.data.tolist()
     for layer in layers:
         state = ref_reason_step(state, _layer_as_ref(layer), True, False)
@@ -178,7 +188,7 @@ def test_multi_layer_reason_iterates_the_step():
 def test_reason_requires_layers():
     rng = np.random.default_rng(8)
     with pytest.raises(ConfigError):
-        reason(_nodes(rng, 4, 3), [])
+        reason(_nodes(rng, 4, 3), [], 3)
 
 
 def test_gated_update_is_permutation_sensitive():
@@ -192,15 +202,17 @@ def test_gated_update_is_permutation_sensitive():
     perm = [2, 0, 3, 1]
     inverse = np.argsort(perm)
 
-    base = reason_step(tt.constant(np.vstack([local, glob])), layer, hierarchical=True).data
+    real = np.ones(5, dtype=bool)
+
+    base = reason_step(tt.constant(np.vstack([local, glob])), layer, real, hierarchical=True).data
     permuted = reason_step(
-        tt.constant(np.vstack([local[perm], glob])), layer, hierarchical=True
+        tt.constant(np.vstack([local[perm], glob])), layer, real, hierarchical=True
     ).data
     assert not np.allclose(permuted[:4][inverse], base[:4], atol=1e-10)
 
-    base_plain = reason_step(tt.constant(np.vstack([local, glob])), layer, hierarchical=False).data
+    base_plain = reason_step(tt.constant(np.vstack([local, glob])), layer, real, hierarchical=False).data
     permuted_plain = reason_step(
-        tt.constant(np.vstack([local[perm], glob])), layer, hierarchical=False
+        tt.constant(np.vstack([local[perm], glob])), layer, real, hierarchical=False
     ).data
     np.testing.assert_allclose(permuted_plain[:4][inverse], base_plain[:4], atol=1e-10)
     np.testing.assert_allclose(permuted_plain[4], base_plain[4], atol=1e-10)
@@ -230,7 +242,7 @@ def test_reasoning_stack_gradients():
             )
             for i in range(3)
         ]
-        return tt.sum(tt.square(reason(nodes, layers, hierarchical=True)))
+        return tt.sum(tt.square(reason(nodes, layers, _global_row(nodes), hierarchical=True)))
 
     auto = tt.backward(run(store), store)
     fd = tt.finite_diff_grad(lambda p: run(p).item(), store)
@@ -257,9 +269,8 @@ def test_padded_node_sets_reason_like_unpadded_ones(hierarchical, row_softmax):
             local[i, j, :n_local] = rng.normal(size=(n_local, m))
             sets[i, j] = np.vstack([local[i, j, :n_local], glob[i, j]])
     nodes = build_node_set(tt.constant(local), tt.constant(glob), lengths)
-    out = reason(
-        nodes, layers, hierarchical=hierarchical, row_softmax=row_softmax, global_rows=lengths
-    ).data
+    out = reason(nodes, layers, lengths, hierarchical=hierarchical, row_softmax=row_softmax).data
     for (i, j), alone in sets.items():
-        want = reason(tt.constant(alone), layers, hierarchical=hierarchical, row_softmax=row_softmax)
+        alone = tt.constant(alone)
+        want = reason(alone, layers, _global_row(alone), hierarchical=hierarchical, row_softmax=row_softmax)
         np.testing.assert_allclose(out[i, j], want.data, atol=1e-12)

@@ -115,13 +115,13 @@ def test_scale_rows_values():
 
 def test_safe_inv_guards_small_values():
     x = tt.constant(np.array([2.0, 0.0, 1e-13, -4.0]))
-    out = tt.safe_inv(x, 1e-12)
+    out = tt.safe_inv(x)
     assert out.data.tolist() == [0.5, 0.0, 0.0, -0.25]
 
 
 def test_safe_inv_guarded_entries_get_zero_grad():
     store = _store(x=[2.0, 0.0])
-    g = backward(tt.sum(tt.safe_inv(store["x"], 1e-12)), store)["x"].data
+    g = backward(tt.sum(tt.safe_inv(store["x"])), store)["x"].data
     assert g[0] == pytest.approx(-0.25)
     assert g[1] == 0.0
 

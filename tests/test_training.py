@@ -13,6 +13,7 @@ from itmatch.model import ModelConfig, init_params
 from itmatch.tensor import ParamStore, backward
 from itmatch.training import (
     ADAM_BLOCK,
+    LR_DECAY_FACTOR,
     TrainConfig,
     adam_init,
     adam_step,
@@ -314,8 +315,8 @@ def test_train_loss_decreases_on_overfit_smoke():
 def test_train_zero_lr_from_start_never_moves():
     data = _tiny_data()
     tc = TrainConfig(
-        model=_tiny_model(), epochs=2, lr=0.01, lr_decay_epoch=0,
-        lr_decay_factor=0.0, batch_size=4, seed=7, eval_every=2,
+        model=_tiny_model(), epochs=2, lr=0.0, lr_decay_epoch=0,
+        batch_size=4, seed=7, eval_every=2,
     )
     res = train(data, tc)
     init = init_params(tc.model, seed=7)
@@ -323,12 +324,26 @@ def test_train_zero_lr_from_start_never_moves():
         assert np.array_equal(res.params[name].data, init[name].data)
 
 
-def test_train_decay_at_final_epoch_never_fires():
+def test_train_decay_from_the_first_epoch_scales_every_step():
+    # 1.0 * LR_DECAY_FACTOR is exactly 0.1, so the runs match bitwise
+    assert 1.0 * LR_DECAY_FACTOR == 0.1
     data = _tiny_data()
-    base = dict(model=_tiny_model(), epochs=3, lr=0.01, batch_size=4, seed=0, eval_every=3)
-    with_boundary = train(data, TrainConfig(lr_decay_epoch=3, lr_decay_factor=0.0, **base))
-    without = train(data, TrainConfig(lr_decay_epoch=3, lr_decay_factor=1.0, **base))
-    assert with_boundary.loss_curve == without.loss_curve
+    base = dict(model=_tiny_model(), epochs=2, batch_size=4, seed=7, eval_every=2)
+    decayed = train(data, TrainConfig(lr=1.0, lr_decay_epoch=0, **base))
+    plain = train(data, TrainConfig(lr=0.1, lr_decay_epoch=2, **base))
+    assert decayed.loss_curve == plain.loss_curve
+    for name in plain.params.names():
+        assert np.array_equal(decayed.params[name].data, plain.params[name].data), name
+
+
+def test_train_decay_at_final_epoch_never_fires():
+    # a decay epoch equal to the epoch count never takes effect, so the
+    # first 3 epochs of a 4-epoch run that decays at epoch 4 are the run
+    data = _tiny_data()
+    base = dict(model=_tiny_model(), lr=0.01, batch_size=4, seed=0)
+    with_boundary = train(data, TrainConfig(epochs=3, lr_decay_epoch=3, eval_every=3, **base))
+    longer = train(data, TrainConfig(epochs=4, lr_decay_epoch=4, eval_every=4, **base))
+    assert with_boundary.loss_curve == longer.loss_curve[:len(with_boundary.loss_curve)]
 
 
 def test_train_stops_at_the_first_non_finite_loss():
