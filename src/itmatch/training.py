@@ -2,9 +2,13 @@
 
 Each step scores every image against every caption of its batch, applies
 the bidirectional hinge loss against the hardest in-batch negatives, and
-takes one Adam step.  The run keeps the parameter snapshot with the best
-validation rsum.  Everything is driven by explicit seeds; two identical
-runs produce bitwise-identical loss curves.
+takes one Adam step.  Adam's moments live in an ``AdamState`` that each
+step advances in place, while every step writes its parameters into fresh
+arrays, so the run can keep the parameter snapshot with the best
+validation rsum without a copy.  Each step runs in its own call, so only
+one step's tape and gradients are alive at a time.  Everything is driven
+by explicit seeds; two identical runs produce bitwise-identical loss
+curves.
 
 A checkpoint is a ``kvfile`` container (format ``itmatch-checkpoint``,
 version 1): the manifest holds the dtype, every ``ModelConfig`` field as
@@ -33,7 +37,7 @@ CHECKPOINT_FORMAT = "itmatch-checkpoint"
 CHECKPOINT_VERSION = 1
 
 # elements per Adam block: the block's slices of the parameter, its
-# gradient, both moments, their outputs and the scratch buffer (128 KB
+# gradient, both moments, the new parameter and the scratch buffer (128 KB
 # each) stay in cache through the whole update of the block.  A block is
 # whole leading-axis rows, so a row longer than this is a block alone
 ADAM_BLOCK = 1 << 14
@@ -80,6 +84,8 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Adam's moments, owned by the state and advanced in place by each step."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
@@ -93,6 +99,11 @@ def adam_init(params: ParamStore) -> AdamState:
     )
 
 
+def _block_rows(shape: tuple[int, ...]) -> int:
+    """Leading-axis rows per Adam block of a parameter of this shape."""
+    return max(1, ADAM_BLOCK // max(1, math.prod(shape[1:])))
+
+
 def adam_step(
     params: ParamStore,
     grads: dict[str, Tensor],
@@ -100,26 +111,27 @@ def adam_step(
     lr: float,
     eps: float = ADAM_EPS,
 ) -> tuple[ParamStore, AdamState]:
-    """One Adam update; returns a fresh store and state, inputs untouched.
+    """One Adam update: a fresh store, and ``state`` advanced in place.
 
     The update takes Kingma & Ba's efficient order (arXiv:1412.6980, sec. 2):
     with alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
     eps_hat = eps * sqrt(1 - beta2^t), theta <- theta - alpha_t * m /
     (sqrt(v) + eps_hat), which equals the bias-corrected textbook update.
     Each parameter is walked in blocks of whole leading-axis rows, about
-    ADAM_BLOCK elements each, one pass per block through a reused scratch
-    buffer, straight into fresh outputs.  Row blocks are views whatever
-    the strides, so a gradient that arrives as a transposed view is never
-    copied.
-    A gradient that is not finite raises DataError, naming the step and
-    the parameter, before anything is returned.
+    ADAM_BLOCK elements each.  A first, read-only pass checks every
+    gradient; the second updates each block through a reused scratch
+    buffer, advancing m and v in place in ``state.m`` and ``state.v`` and
+    writing the new parameter into one fresh frozen array, so ``params``
+    and any store kept from an earlier step stay as they were.  Row blocks
+    are views whatever the strides, so a gradient that arrives as a
+    transposed view is never copied whole.
+    Returns the new store and ``state`` itself, its step advanced.
+    A missing or misshapen gradient raises ContractError, and one that is
+    not finite raises DataError naming the step and the parameter; both
+    come from the first pass, so the parameters, gradients and state are
+    then exactly as they were.
     """
     t = state.step + 1
-    alpha = lr * math.sqrt(1.0 - ADAM_BETA2 ** t) / (1.0 - ADAM_BETA1 ** t)
-    eps_hat = eps * math.sqrt(1.0 - ADAM_BETA2 ** t)
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    updates: dict[str, Tensor] = {}
     for name, param in params.items():
         if name not in grads:
             raise ContractError(f"gradient missing for parameter {name!r}")
@@ -128,36 +140,43 @@ def adam_step(
             raise ContractError(
                 f"gradient shape {g.shape} does not match parameter {name!r} {param.data.shape}"
             )
-        m, v, theta = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
-        # a scalar parameter is one row of one element
-        arrays = [np.atleast_1d(a) for a in (g, state.m[name], state.v[name], param.data, m, v, theta)]
-        shape = arrays[0].shape
-        rows = max(1, ADAM_BLOCK // max(1, math.prod(shape[1:])))
-        scratch = np.empty((min(rows, shape[0]),) + shape[1:])
-        for lo in range(0, shape[0], rows):
-            g_b, m_b, v_b, theta_b, m_out, v_out, theta_out = (a[lo:lo + rows] for a in arrays)
-            s = scratch[:len(g_b)]
-            np.multiply(g_b, g_b, out=s)
+        g = np.atleast_1d(g)  # a scalar parameter is one row of one element
+        rows = _block_rows(g.shape)
+        for lo in range(0, g.shape[0], rows):
+            g_b = g[lo:lo + rows]
             # the block's sum of g*g: NaN and inf survive it, and a finite g
             # whose square overflows (|g| > 1e154) is refused too, since v
             # would not be finite
-            if not math.isfinite(s.sum()):
+            if not math.isfinite(np.vdot(g_b, g_b)):
                 raise DataError(f"step {t}: the gradient of parameter {name!r} is not finite")
+
+    alpha = lr * math.sqrt(1.0 - ADAM_BETA2 ** t) / (1.0 - ADAM_BETA1 ** t)
+    eps_hat = eps * math.sqrt(1.0 - ADAM_BETA2 ** t)
+    updates: dict[str, Tensor] = {}
+    for name, param in params.items():
+        theta = np.empty(param.data.shape)
+        arrays = [np.atleast_1d(a) for a in (grads[name].data, state.m[name], state.v[name], param.data, theta)]
+        shape = arrays[0].shape
+        rows = _block_rows(shape)
+        scratch = np.empty((min(rows, shape[0]),) + shape[1:])
+        for lo in range(0, shape[0], rows):
+            g_b, m_b, v_b, theta_b, theta_out = (a[lo:lo + rows] for a in arrays)
+            s = scratch[:len(g_b)]
+            np.multiply(g_b, g_b, out=s)
             s *= 1.0 - ADAM_BETA2
-            np.multiply(v_b, ADAM_BETA2, out=v_out)
-            v_out += s                                  # v = beta2 v + (1 - beta2) g^2
+            v_b *= ADAM_BETA2
+            v_b += s                                    # v = beta2 v + (1 - beta2) g^2
             np.multiply(g_b, 1.0 - ADAM_BETA1, out=s)
-            np.multiply(m_b, ADAM_BETA1, out=m_out)
-            m_out += s                                  # m = beta1 m + (1 - beta1) g
-            np.sqrt(v_out, out=s)
+            m_b *= ADAM_BETA1
+            m_b += s                                    # m = beta1 m + (1 - beta1) g
+            np.sqrt(v_b, out=s)
             s += eps_hat
-            np.divide(m_out, s, out=s)
+            np.divide(m_b, s, out=s)
             s *= alpha
             np.subtract(theta_b, s, out=theta_out)
-        m.flags.writeable = v.flags.writeable = False
-        new_m[name], new_v[name] = m, v
         updates[name] = tt.adopt(theta, requires_grad=True)
-    return params.copy_with(updates), AdamState(m=new_m, v=new_v, step=t)
+    state.step = t
+    return params.copy_with(updates), state
 
 
 @dataclass
@@ -168,6 +187,30 @@ class TrainResult:
     best_epoch: int
     loss_curve: list[tuple[int, float]] = field(default_factory=list)
     val_history: list[tuple[int, float]] = field(default_factory=list)
+
+
+def _train_step(
+    params: ParamStore,
+    state: AdamState,
+    config: TrainConfig,
+    regions: list[np.ndarray],
+    tokens: list[list[int]],
+    lr: float,
+) -> tuple[ParamStore, float]:
+    """One step on one batch: the new store, with ``state`` advanced, and the loss.
+
+    The step's score grid, tape and gradients live only in this call, so
+    they are freed before the next step's forward pass and before
+    validation.
+    """
+    grid = score_grid(params, config.model, regions, tokens)
+    loss = bidirectional_ranking_loss(LossBatch(scores=grid, margin=config.margin))
+    value = loss.item()
+    if not math.isfinite(value):
+        raise DataError(f"step {state.step + 1}: the loss is not finite ({value!r})")
+    # a non-finite gradient raises here, before the store or state changes
+    params, _ = adam_step(params, backward(loss, params), state, lr)
+    return params, value
 
 
 def train(
@@ -198,7 +241,6 @@ def train(
     best_params = params
     best_rsum = -1.0
     best_epoch = -1
-    step = 0
     for epoch in range(config.epochs):
         lr = config.lr * (LR_DECAY_FACTOR if epoch >= config.lr_decay_epoch else 1.0)
         order = shuffle_rng.permutation(n_pairs)
@@ -208,15 +250,8 @@ def train(
                 continue  # a single leftover pair has no in-batch negative
             batch_regions = [regions[owner[i]] for i in batch]
             batch_tokens = [captions[i] for i in batch]
-            grid = score_grid(params, config.model, batch_regions, batch_tokens)
-            loss = bidirectional_ranking_loss(LossBatch(scores=grid, margin=config.margin))
-            if not math.isfinite(loss.item()):
-                raise DataError(f"step {step + 1}: the loss is not finite ({loss.item()!r})")
-            grads = backward(loss, params)
-            # a non-finite gradient raises here, before params is replaced
-            params, state = adam_step(params, grads, state, lr)
-            step += 1
-            loss_curve.append((step, loss.item()))
+            params, loss = _train_step(params, state, config, batch_regions, batch_tokens, lr)
+            loss_curve.append((state.step, loss))
         if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
             sentence, image = evaluate(params, config.model, val)
             score = rsum([sentence, image])

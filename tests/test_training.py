@@ -85,21 +85,39 @@ def test_adam_zero_lr_keeps_params():
     assert new_state.step == 1
 
 
-def test_adam_leaves_inputs_untouched():
+def test_adam_leaves_params_and_grads_untouched_and_advances_its_state():
     store = _scalar_store(3.0)
     state = adam_init(store)
+    m, v = state.m["theta"], state.v["theta"]
     loss = tt.square(store["theta"])
     grads = backward(loss, store)
-    adam_step(store, grads, state, lr=0.1)
+    new_store, new_state = adam_step(store, grads, state, lr=0.1)
     assert float(store["theta"].data) == 3.0
-    assert float(state.m["theta"]) == 0.0
-    assert state.step == 0
+    assert float(grads["theta"].data) == 6.0
+    assert not new_store["theta"].data.flags.writeable
+    # the state passed in is the one returned, its own moments advanced
+    assert new_state is state and state.step == 1
+    assert state.m["theta"] is m and state.v["theta"] is v
+    assert float(m) == (1.0 - 0.9) * 6.0
+    assert float(v) == (1.0 - 0.999) * 36.0
 
 
 def test_adam_missing_grad_rejected():
     store = _scalar_store()
     with pytest.raises(ContractError):
         adam_step(store, {}, adam_init(store), lr=0.1)
+    # a gradient missing only for the parameter that sorts last still
+    # leaves every moment as it was
+    store, draw = _adam_problem(4)
+    state = adam_init(store)
+    store, state = adam_step(store, draw(), state, lr=0.01)
+    grads = draw()
+    del grads["still"]
+    kept = {name: (state.m[name].tobytes(), state.v[name].tobytes()) for name in ADAM_SHAPES}
+    with pytest.raises(ContractError, match="'still'"):
+        adam_step(store, grads, state, lr=0.01)
+    assert state.step == 1
+    assert {name: (state.m[name].tobytes(), state.v[name].tobytes()) for name in ADAM_SHAPES} == kept
 
 
 def test_adam_grad_shape_mismatch_rejected():
@@ -162,25 +180,29 @@ def test_adam_matches_the_textbook_update_over_five_steps(lr):
         np.testing.assert_array_equal(store[name].data, start[name])
 
 
-def test_adam_over_many_blocks_leaves_its_inputs_untouched():
+def test_adam_over_many_blocks_leaves_params_and_grads_untouched_and_advances_its_state():
     store, draw = _adam_problem(6)
     state = adam_init(store)
     store, state = adam_step(store, draw(), state, lr=0.01)
     grads = draw()
+    moments = {name: (state.m[name], state.v[name]) for name in ADAM_SHAPES}
     kept = {
         name: (store[name].data.copy(), grads[name].data.copy(), state.m[name].copy(), state.v[name].copy())
         for name in ADAM_SHAPES
     }
     new_store, new_state = adam_step(store, grads, state, lr=0.01)
-    assert state.step == 1 and new_state.step == 2
-    for name, arrays in kept.items():
+    assert new_state is state and state.step == 2
+    for name, (theta, g, m, v) in kept.items():
+        np.testing.assert_array_equal(store[name].data, theta)
+        np.testing.assert_array_equal(grads[name].data, g)
+        # the same arrays, advanced as the textbook update advances them
+        assert state.m[name] is moments[name][0] and state.v[name] is moments[name][1]
+        np.testing.assert_array_equal(state.m[name], 0.9 * m + (1.0 - 0.9) * g)
+        np.testing.assert_array_equal(state.v[name], 0.999 * v + (1.0 - 0.999) * (g * g))
+        out = new_store[name].data
+        assert not out.flags.writeable
         inputs = (store[name].data, grads[name].data, state.m[name], state.v[name])
-        for now, then in zip(inputs, arrays):
-            np.testing.assert_array_equal(now, then)
-        outputs = (new_store[name].data, new_state.m[name], new_state.v[name])
-        for out in outputs:
-            assert not out.flags.writeable
-            assert not any(np.shares_memory(out, a) for a in inputs)
+        assert not any(np.shares_memory(out, a) for a in inputs)
         assert new_store[name].requires_grad
 
 
@@ -216,9 +238,10 @@ def test_adam_walks_a_transposed_gradient_in_row_blocks():
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_adam_allocates_its_three_outputs_and_no_copy():
-    # 16 MB a parameter; a copy of the transposed gradient would take the
-    # peak from the three fresh outputs (3x) to 4x
+def test_adam_allocates_one_parameter_and_no_copy():
+    # 16 MB a parameter; fresh moments would take the peak from the one
+    # fresh parameter (1x) to 3x, and a copy of the transposed gradient
+    # to 2x
     shape = (1024, 2048)
     rng = np.random.default_rng(10)
     store = ParamStore.from_dict({"w": tt.parameter(rng.standard_normal(shape))})
@@ -230,28 +253,36 @@ def test_adam_allocates_its_three_outputs_and_no_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * store["w"].data.nbytes
+    assert peak < 1.5 * store["w"].data.nbytes
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+# 1e200 is finite, but its square, and so v, would not be
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 def test_adam_stops_on_a_non_finite_gradient_before_returning(bad):
-    store, draw = _adam_problem(8)
-    state = adam_init(store)
-    store, state = adam_step(store, draw(), state, lr=0.01)
-    grads = draw()
-    # "big" sorts first; plant the value in its second block, and one more
-    # in a parameter that sorts after it
-    big = grads["big"].data.copy()
-    big.reshape(-1)[2 * ADAM_BLOCK + 5] = bad
-    one = grads["one"].data.copy()
-    one[0] = bad
-    grads.update(big=tt.constant(big), one=tt.constant(one))
-    kept = {name: store[name].data.copy() for name in ADAM_SHAPES}
-    with pytest.raises(DataError, match=r"step 2: .*'big' is not finite"):
-        adam_step(store, grads, state, lr=0.01)
-    assert state.step == 1
-    for name, values in kept.items():
-        np.testing.assert_array_equal(store[name].data, values)
+    # "big" sorts first: plant the value in its second block, and in "one",
+    # which sorts after it; planted in "one" alone, it comes after every
+    # block of "big" has passed the check
+    for planted in (("big", "one"), ("one",)):
+        store, draw = _adam_problem(8)
+        state = adam_init(store)
+        store, state = adam_step(store, draw(), state, lr=0.01)
+        grads = draw()
+        big = grads["big"].data.copy()
+        one = grads["one"].data.copy()
+        if "big" in planted:
+            big.reshape(-1)[2 * ADAM_BLOCK + 5] = bad
+        one[0] = bad
+        grads.update(big=tt.constant(big), one=tt.constant(one))
+        kept = {
+            name: tuple(a.tobytes() for a in (store[name].data, grads[name].data, state.m[name], state.v[name]))
+            for name in ADAM_SHAPES
+        }
+        with pytest.raises(DataError, match=rf"step 2: .*'{planted[0]}' is not finite"):
+            adam_step(store, grads, state, lr=0.01)
+        assert state.step == 1
+        for name, arrays in kept.items():
+            now = (store[name].data, grads[name].data, state.m[name], state.v[name])
+            assert tuple(a.tobytes() for a in now) == arrays, (planted, name)
 
 
 # ------------------------------------------------------------ training
@@ -367,6 +398,26 @@ def test_train_skips_single_leftover_pair():
     # negative so only one step per epoch lands in the curve
     assert len(res.loss_curve) == 2
     assert [s for s, _ in res.loss_curve] == [1, 2]
+
+
+def test_train_keeps_one_steps_tape_alive_at_a_time():
+    # a step's score grid, loss and gradients must be gone before the next
+    # step's forward pass and before validation, so that three steps peak
+    # no higher than one; with them kept alive the peak holds two tapes
+    data = _tiny_data(n_pairs=8)
+    peaks = []
+    for epochs in (1, 3):
+        tc = TrainConfig(
+            model=_tiny_model(), epochs=epochs, lr=0.01, lr_decay_epoch=epochs,
+            batch_size=8, eval_every=epochs,
+        )
+        tracemalloc.start()
+        try:
+            train(data, tc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 def test_train_best_snapshot_matches_val_history():
