@@ -3,7 +3,10 @@
 A tile pairs every image of an (I, k, d) region stack with every caption
 of a (C, n, d) word stack.  Captions shorter than n are zero-padded, and a
 (C, n) boolean word mask marks their real words.  Results carry the
-(images, captions) axes in front: attention weights are (I, C, k, n).
+(images, captions) axes in front.  Attention weights are laid out as their
+consumer multiplies them: image-to-text weights word-major (I, C, n, k),
+ready to attend over the (I, 1, k, d) regions, and text-to-image weights
+region-major (I, C, k, n), ready to attend over the (C, n, d) words.
 
 Both streams start from one matrix of clamped region-word cosines per
 tile.  It is l2-normalised along one modality and softmaxed (with a
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .tensor import Tensor
 
 
@@ -87,17 +90,12 @@ def cosines(v: Tensor, t: Tensor) -> Tensor:
     return tt.relu(tt.matmul(regions, tt.transpose(_unit_rows(t))))
 
 
-def _logits(normed: Tensor, temperature: float) -> Tensor:
-    if not 0.0 < temperature < np.inf:  # NaN fails both comparisons
-        raise ConfigError(f"temperature must be finite and positive, got {temperature}")
-    return tt.mul(normed, float(temperature))
-
-
 def i2t_weights(cos: Tensor, temperature: float) -> Tensor:
-    """Region weights per word (I, C, k, n), each column summing to 1: each
-    region row of the cosines l2-normalised over words, softmaxed over regions."""
+    """Region weights per word, word-major (I, C, n, k), each row summing to
+    1: each region row of the (I, C, k, n) cosines l2-normalised over words,
+    then softmaxed over regions."""
     normed = tt.scale_rows(cos, tt.safe_inv(tt.l2norm(cos, axis=-1)))
-    return tt.transpose(tt.softmax_rows(tt.transpose(_logits(normed, temperature))))
+    return tt.softmax_rows(tt.transpose(tt.mul(normed, temperature)))
 
 
 def t2i_weights(cos: Tensor, temperature: float, word_mask) -> Tensor:
@@ -107,7 +105,7 @@ def t2i_weights(cos: Tensor, temperature: float, word_mask) -> Tensor:
     n_images, n_captions, _, n = cos.shape
     inv = tt.safe_inv(tt.l2norm(cos, axis=-2))
     normed = tt.mul(cos, tt.reshape(inv, (n_images, n_captions, 1, n)))
-    return tt.softmax_rows(_logits(normed, temperature), word_mask[:, None, :])
+    return tt.softmax_rows(tt.mul(normed, temperature), word_mask[:, None, :])
 
 
 def local_similarities(
@@ -138,7 +136,7 @@ def local_similarities(
     cos = cosines(v, t) if w_i2t is not None or w_t2i is not None else None
     s_i2t = None
     if w_i2t is not None:
-        attended = tt.matmul(tt.transpose(i2t_weights(cos, temperature)), regions)
+        attended = tt.matmul(i2t_weights(cos, temperature), regions)
         s_i2t = sim_vec_rows(attended, t, w_i2t, row_mask=word_mask)
     s_t2i = None
     if w_t2i is not None:

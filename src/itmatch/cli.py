@@ -76,8 +76,6 @@ def _add_train_flags(p: argparse.ArgumentParser, batch: int, epochs: int | None)
                    help="first epoch using the decayed rate (profile default)")
     p.add_argument("--batch-size", type=int, default=batch)
     p.add_argument("--margin", type=float, default=0.2)
-    p.add_argument("--eval-every", type=int, default=1,
-                   help="validate every N epochs (the final epoch always validates)")
     p.add_argument("--profile", choices=sorted(PROFILES), default="mscoco",
                    help="epoch/decay defaults when not given explicitly")
 
@@ -112,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="checkpoint", help="checkpoint directory")
     p.add_argument("--loss-csv", default=None, help="loss curve path (<out>/loss.csv)")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eval-every", type=int, default=1,
+                   help="validate every N epochs (the final epoch always validates)")
     _add_model_flags(p, d=1024, m=256, embed=300, layers=3)
     _add_train_flags(p, batch=128, epochs=None)
     p.set_defaults(func=cmd_train)
@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-params", type=int, default=20000,
                    help="refuse configurations beyond this parameter count")
-    p.add_argument("--corrupt-param", default=None, help=argparse.SUPPRESS)
     _add_model_flags(p, d=8, m=6, embed=12, layers=2)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -235,7 +234,9 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _resolve_schedule(args) -> tuple[int, int]:
+def _train_config(args, model: ModelConfig) -> TrainConfig:
+    """The run the shared training flags describe.  A subcommand without
+    --eval-every validates once, after the last epoch."""
     epochs, decay = PROFILES[args.profile]
     if args.epochs is not None:
         epochs = args.epochs
@@ -243,7 +244,16 @@ def _resolve_schedule(args) -> tuple[int, int]:
             decay = epochs  # explicit epochs without a decay point: never decay
     if args.lr_decay_epoch is not None:
         decay = args.lr_decay_epoch
-    return epochs, decay
+    return TrainConfig(
+        model=model,
+        epochs=epochs,
+        lr=args.lr,
+        lr_decay_epoch=decay,
+        batch_size=args.batch_size,
+        margin=args.margin,
+        seed=args.seed,
+        eval_every=getattr(args, "eval_every", epochs),
+    )
 
 
 def _model_config(args, vocab_size: int, d_raw: int, **overrides) -> ModelConfig:
@@ -281,16 +291,8 @@ def _read_train_and_val(args):
 
 def cmd_train(args) -> int:
     bundles, val_bundles, manifest, max_len = _read_train_and_val(args)
-    epochs, decay = _resolve_schedule(args)
-    config = TrainConfig(
-        model=_model_config(args, manifest.vocab_size, manifest.d_raw, max_caption_len=max_len),
-        epochs=epochs,
-        lr=args.lr,
-        lr_decay_epoch=decay,
-        batch_size=args.batch_size,
-        margin=args.margin,
-        seed=args.seed,
-        eval_every=args.eval_every,
+    config = _train_config(
+        args, _model_config(args, manifest.vocab_size, manifest.d_raw, max_caption_len=max_len)
     )
     result = train(bundles, config, val_bundles=val_bundles)
     save_checkpoint(args.out, result.best_params, config.model)
@@ -349,7 +351,6 @@ def cmd_gradcheck(args) -> int:
         epsilon=args.epsilon,
         tolerance=args.tol,
         seed=args.seed,
-        corrupt_param=args.corrupt_param,
     )
     print(
         f"gradient check: {total} parameters, seed {report.seed}, "
@@ -367,8 +368,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     bundles, val_bundles, manifest, max_len = _read_train_and_val(args)
-    eval_bundles = bundles if val_bundles is None else val_bundles
-    epochs, decay = _resolve_schedule(args)
+    for flag, values in (("--m-list", args.m_list), ("--hier-list", args.hier_list),
+                         ("--stream-list", args.stream_list)):
+        if not values:
+            raise ConfigError(f"{flag} needs at least one entry")
     for value in args.hier_list:
         if value not in ("on", "off"):
             raise ConfigError(f"--hier-list entries must be on/off, got {value!r}")
@@ -387,18 +390,9 @@ def cmd_ablate(args) -> int:
                     args, manifest.vocab_size, manifest.d_raw, n_layers=depth, stream=stream,
                     hierarchical=(hier == "on"), max_caption_len=max_len,
                 )
-                config = TrainConfig(
-                    model=cfg,
-                    epochs=epochs,
-                    lr=args.lr,
-                    lr_decay_epoch=decay,
-                    batch_size=args.batch_size,
-                    margin=args.margin,
-                    seed=args.seed,
-                    eval_every=max(args.eval_every, epochs),
-                )
-                result = train(bundles, config, val_bundles=None)
-                sentence, image = evaluate(result.params, cfg, eval_bundles)
+                # the one validation, after the last epoch, scores the final parameters
+                result = train(bundles, _train_config(args, cfg), val_bundles=val_bundles)
+                _, sentence, image = result.val_history[-1]
                 row = {"layers": depth, "hierarchical": hier, "stream": stream}
                 row.update({f"s_r{k}": sentence.r_at[k] for k in RANKS})
                 row.update({f"i_r{k}": image.r_at[k] for k in RANKS})

@@ -59,7 +59,9 @@ class DatasetManifest:
 COUNTS = ("n_images", "n_captions", "n_tokens", "k", "d_raw", "vocab_size", "max_caption_len")
 
 
-def _validate_bundles(bundles, vocab_size: int, k: int | None, d_raw: int | None):
+def _validate_bundles(bundles, vocab_size: int):
+    """The (k, d_raw) region shape every bundle shares, (0, 0) for no bundle."""
+    k = d_raw = None
     if vocab_size < 1:
         raise DataError(f"vocab_size must be >= 1, got {vocab_size}")
     for b in bundles:
@@ -91,12 +93,10 @@ def write_dataset(
     vocab_size: int,
     name: str = "synthetic",
     split: str = "train",
-    k: int | None = None,
-    d_raw: int | None = None,
 ) -> DatasetManifest:
     if split not in SPLITS:
         raise DataError(f"split must be one of {SPLITS}, got {split!r}")
-    k, d_raw = _validate_bundles(bundles, vocab_size, k, d_raw)
+    k, d_raw = _validate_bundles(bundles, vocab_size)
 
     regions = np.concatenate(
         [np.asarray(b.regions, dtype=np.float64).reshape(1, k, d_raw) for b in bundles]

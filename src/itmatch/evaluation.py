@@ -89,7 +89,6 @@ def evaluate(
     cfg: ModelConfig,
     bundles: list[FeatureBundle],
     folds: int = 1,
-    ks=RANKS,
 ) -> tuple[RetrievalResult, RetrievalResult]:
     """Fold-averaged recalls; folds=1 scores the whole set at once."""
     if folds < 1:
@@ -105,8 +104,8 @@ def evaluate(
     # a fold's captions are contiguous, since flatten_captions groups them by image
     first_caption = np.searchsorted(owner, np.arange(n_images + 1))
     fold_size = n_images // folds
-    sentence_acc = {k: 0.0 for k in ks}
-    image_acc = {k: 0.0 for k in ks}
+    sentence_acc = {k: 0.0 for k in RANKS}
+    image_acc = {k: 0.0 for k in RANKS}
     for f in range(folds):
         img_lo, img_hi = f * fold_size, (f + 1) * fold_size
         cap_lo, cap_hi = first_caption[img_lo], first_caption[img_hi]
@@ -116,10 +115,10 @@ def evaluate(
             raise DataError(
                 f"fold {f} (its image i is image {img_lo} + i, its caption j is caption {cap_lo} + j): {err}"
             ) from None
-        sentence, image = recalls_from_matrix(scores, owner[cap_lo:cap_hi] - img_lo, ks)
-        for k in ks:
+        sentence, image = recalls_from_matrix(scores, owner[cap_lo:cap_hi] - img_lo)
+        for k in RANKS:
             sentence_acc[k] += sentence.r_at[k]
             image_acc[k] += image.r_at[k]
-    sentence = RetrievalResult("sentence", {k: sentence_acc[k] / folds for k in ks})
-    image = RetrievalResult("image", {k: image_acc[k] / folds for k in ks})
+    sentence = RetrievalResult("sentence", {k: sentence_acc[k] / folds for k in RANKS})
+    image = RetrievalResult("image", {k: image_acc[k] / folds for k in RANKS})
     return sentence, image

@@ -225,8 +225,8 @@ def score_tile(
     cfg: ModelConfig,
     images: EncodedImages,
     captions: EncodedCaptions,
-) -> tuple[Tensor, Tensor]:
-    """Scores (I, C) and fused vectors (I, C, m) of every image x caption pairing."""
+) -> Tensor:
+    """Scores (I, C) of every image x caption pairing."""
     lengths = captions.lengths
     # the rows past each caption's last word are zero; the first of them
     # holds its global reasoning node
@@ -252,8 +252,7 @@ def score_tile(
     s_t2i = None
     if cfg.uses_t2i:
         s_t2i = pool_t2i(tt.vstack([local.s_t2i, local.s_glob]))
-    fused = fuse(s_i2t, s_t2i)
-    return score(fused, params["head.w"], params["head.b"]), fused
+    return score(fuse(s_i2t, s_t2i), params["head.w"], params["head.b"])
 
 
 def score_grid(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -> Tensor:
@@ -268,7 +267,7 @@ def score_grid(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -
             f" and {len(token_lists)} captions"
         )
     images = encode_image(params, cfg, region_list)
-    return score_tile(params, cfg, images, encode_caption(params, cfg, token_lists))[0]
+    return score_tile(params, cfg, images, encode_caption(params, cfg, token_lists))
 
 
 def _tile_shape(cfg: ModelConfig, k: int, rows: int, n_captions: int) -> tuple[int, int]:
@@ -308,8 +307,7 @@ def score_matrix(params: ParamStore, cfg: ModelConfig, region_list, token_lists)
                 images = encode_image(params, cfg, region_list[i:i + tile_images])
                 for j in range(0, n_captions, tile_captions):
                     tile = _caption_slice(captions, j, j + tile_captions)
-                    scores, _ = score_tile(params, cfg, images, tile)
-                    out[i:i + tile_images, j:j + tile_captions] = scores.data
+                    out[i:i + tile_images, j:j + tile_captions] = score_tile(params, cfg, images, tile).data
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
         i, j = (int(x) for x in bad[0])

@@ -23,7 +23,7 @@ creation, so tensors behave as immutable values.
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -71,17 +71,10 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.shape != ():
             raise ContractError(f"item() needs a scalar tensor, got shape {self.data.shape}")
         return float(self.data)
-
-    def tolist(self):
-        return self.data.tolist()
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -706,23 +699,11 @@ class ParamStore:
             raise ContractError(f"unknown parameter {name!r}")
         return self._entries[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
-
     def names(self) -> list[str]:
         return sorted(self._entries)
 
     def items(self) -> list[tuple[str, Tensor]]:
         return [(name, self._entries[name]) for name in self.names()]
-
-    def total_size(self) -> int:
-        return int(np.sum([t.data.size for t in self._entries.values()])) if self._entries else 0
 
     def copy_with(self, updates: dict[str, Tensor] | None = None) -> "ParamStore":
         updates = updates or {}

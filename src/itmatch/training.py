@@ -14,10 +14,14 @@ A checkpoint is a ``kvfile`` container (format ``itmatch-checkpoint``,
 version 1): the manifest holds the dtype, every ``ModelConfig`` field as
 ``model.<name>`` and every parameter's shape as ``param.<name>``, and
 ``params.bin`` holds the parameters as little-endian float64 in name order.
+The schema is derived, not restated: fields go in ``ModelConfig`` order,
+each read back by its annotated type, and ``model.param_shapes`` of the
+loaded configuration gives the parameters, their shapes and the blob size.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
@@ -27,7 +31,7 @@ import numpy as np
 from . import tensor as tt
 from .dataio import FeatureBundle
 from .errors import ConfigError, ContractError, DataError
-from .evaluation import evaluate, flatten_captions, rsum
+from .evaluation import RetrievalResult, evaluate, flatten_captions, rsum
 from .kvfile import Container, write_container
 from .model import ModelConfig, init_params, param_shapes, score_grid
 from .scoring import LossBatch, bidirectional_ranking_loss
@@ -186,7 +190,8 @@ class TrainResult:
     best_rsum: float
     best_epoch: int
     loss_curve: list[tuple[int, float]] = field(default_factory=list)
-    val_history: list[tuple[int, float]] = field(default_factory=list)
+    # (epoch, sentence recalls, image recalls) of every validation
+    val_history: list[tuple[int, RetrievalResult, RetrievalResult]] = field(default_factory=list)
 
 
 def _train_step(
@@ -220,13 +225,13 @@ def train(
 ) -> TrainResult:
     """Train from a seeded initialisation; snapshot the best validation rsum.
 
-    Without a validation set the training set doubles as one, which is
-    what small synthetic overfitting runs want.  A step whose loss or
+    Without a validation set (None) the training set doubles as one, which
+    is what small synthetic overfitting runs want.  A step whose loss or
     gradient is not finite raises DataError naming the step.
     """
     if not bundles:
         raise ConfigError("training needs a non-empty dataset")
-    val = val_bundles if val_bundles else bundles
+    val = bundles if val_bundles is None else val_bundles
     regions, captions, owner = flatten_captions(bundles)
     n_pairs = len(captions)
     if n_pairs < 2:
@@ -237,7 +242,7 @@ def train(
     shuffle_rng = np.random.default_rng(config.seed)
 
     loss_curve: list[tuple[int, float]] = []
-    val_history: list[tuple[int, float]] = []
+    val_history: list[tuple[int, RetrievalResult, RetrievalResult]] = []
     best_params = params
     best_rsum = -1.0
     best_epoch = -1
@@ -255,7 +260,7 @@ def train(
         if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
             sentence, image = evaluate(params, config.model, val)
             score = rsum([sentence, image])
-            val_history.append((epoch, score))
+            val_history.append((epoch, sentence, image))
             if score > best_rsum:
                 best_rsum = score
                 best_epoch = epoch
@@ -277,32 +282,21 @@ def write_loss_csv(path: str | os.PathLike, curve: list[tuple[int, float]]) -> N
             fh.write(f"{step},{loss!r}\n")
 
 
-_MODEL_FIELDS = (
-    "vocab_size", "d_raw", "embed_dim", "hidden_dim", "sim_dim", "n_layers",
-    "temperature", "stream", "hierarchical", "row_softmax", "share_sim_w",
-    "max_caption_len",
-)
+def _shape_text(shape: tuple[int, ...]) -> str:
+    """A parameter shape as its checkpoint manifest writes it: ``3x4``, or ``scalar``."""
+    return "x".join(str(s) for s in shape) if shape else "scalar"
 
 
 def save_checkpoint(path: str | os.PathLike, params: ParamStore, cfg: ModelConfig) -> None:
     """Container with one float64 blob ``params.bin`` holding every parameter by name."""
     fields = [("dtype", "<f8")]
-    fields += [(f"model.{name}", getattr(cfg, name)) for name in _MODEL_FIELDS]
-    for name, t in params.items():
-        shape = "x".join(str(s) for s in t.data.shape) if t.data.shape else "scalar"
-        fields.append((f"param.{name}", shape))
+    fields += [(f"model.{f.name}", getattr(cfg, f.name)) for f in dataclasses.fields(ModelConfig)]
+    fields += [(f"param.{name}", _shape_text(t.data.shape)) for name, t in params.items()]
     blob = b"".join(t.data.astype("<f8").tobytes(order="C") for _, t in params.items())
     write_container(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, fields, {"params": blob})
 
 
-def _model_field(container: Container, name: str):
-    key = f"model.{name}"
-    if name == "temperature":
-        return container.get_float(key)
-    if name == "stream":
-        return container.get_text(key)
-    if name not in ("hierarchical", "row_softmax", "share_sim_w"):
-        return container.get_int(key)
+def _get_bool(container: Container, key: str) -> bool:
     value = container.get_text(key)
     if value in ("True", "true", "1"):
         return True
@@ -311,48 +305,48 @@ def _model_field(container: Container, name: str):
     raise DataError(f"{container.manifest}: field {key!r} is not a boolean: {value!r}")
 
 
+# how a ModelConfig field of each annotated type is read back from a manifest
+_FIELD_READERS = {
+    "int": Container.get_int,
+    "float": Container.get_float,
+    "str": Container.get_text,
+    "bool": _get_bool,
+}
+
+
 def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig]:
     container = Container(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     if container.get_text("dtype") != "<f8":
         raise DataError(f"{container.manifest}: unsupported dtype {container.fields['dtype']!r}")
-    kwargs = {name: _model_field(container, name) for name in _MODEL_FIELDS}
+    kwargs = {
+        f.name: _FIELD_READERS[f.type](container, f"model.{f.name}")
+        for f in dataclasses.fields(ModelConfig)
+    }
     try:
         cfg = ModelConfig(**kwargs)
     except ConfigError as err:
         raise DataError(f"{container.manifest}: model configuration invalid: {err}") from None
 
-    shapes: dict[str, tuple[int, ...]] = {}
-    for key, value in container.fields.items():
-        if not key.startswith("param."):
-            continue
-        name = key[len("param."):]
-        if value == "scalar":
-            shapes[name] = ()
-        else:
-            try:
-                shapes[name] = tuple(int(s) for s in value.split("x"))
-            except ValueError:
-                raise DataError(f"{container.manifest}: field {key!r} has a bad shape: {value!r}") from None
-    expected = param_shapes(cfg)
-    for name in sorted(expected.keys() | shapes.keys()):
-        if name not in shapes:
+    shapes = param_shapes(cfg)
+    stored = {key[len("param."):] for key in container.fields if key.startswith("param.")}
+    for name in sorted(shapes.keys() | stored):
+        if name not in stored:
             raise DataError(f"{container.manifest}: lacks parameter {name!r}, which its model configuration needs")
-        if name not in expected:
+        if name not in shapes:
             raise DataError(f"{container.manifest}: parameter {name!r} is not part of its model configuration")
-        if shapes[name] != expected[name]:
+        value, expected = container.fields[f"param.{name}"], _shape_text(shapes[name])
+        if value != expected:
             raise DataError(
-                f"{container.manifest}: parameter {name!r} has shape {shapes[name]}, "
-                f"its model configuration gives {expected[name]}"
+                f"{container.manifest}: parameter {name!r} has shape {value!r}, "
+                f"its model configuration gives {expected!r}"
             )
 
-    total = sum(int(np.prod(s)) if s else 1 for s in shapes.values())
+    total = sum(math.prod(shape) for shape in shapes.values())
     flat = np.frombuffer(container.blob("params", total * 8), dtype="<f8")
     store = ParamStore()
     offset = 0
     for name in sorted(shapes):  # blob order matches store iteration order
-        shape = shapes[name]
-        count = int(np.prod(shape)) if shape else 1
-        values = flat[offset:offset + count].reshape(shape)
-        store.add(name, tt.parameter(values))
+        count = math.prod(shapes[name])
+        store.add(name, tt.parameter(flat[offset:offset + count].reshape(shapes[name])))
         offset += count
     return store, cfg

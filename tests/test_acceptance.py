@@ -92,7 +92,7 @@ def test_criterion_03_attention_invariants():
     def weights(v, t, temperature, direction):
         # one image-caption pair is a 1 x 1 tile, every word of it real
         if direction == "i2t":
-            return i2t_weights(cosines(v, t), temperature).data[0, 0]
+            return i2t_weights(cosines(v, t), temperature).data[0, 0].T  # word-major
         words = np.ones(t.shape[:2], dtype=bool)
         return t2i_weights(cosines(v, t), temperature, words).data[0, 0]
 

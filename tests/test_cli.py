@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from itmatch import cli, gradcheck, model, training
+from itmatch import cli, evaluation, gradcheck, model, training
+from itmatch import tensor as tt
 from itmatch.cli import main
 from itmatch.dataio import read_dataset
 
@@ -269,12 +270,19 @@ def test_gradcheck_passes_and_reports_every_param(tmp_path, capsys):
     assert "FAIL" not in stdout
 
 
-def test_gradcheck_detects_corrupted_gradient(tmp_path, capsys):
-    rc = main(GRADCHECK_TINY + ["--corrupt-param", "head.w"])
+def test_gradcheck_detects_corrupted_gradient(capsys, monkeypatch):
+    def corrupted(loss, params):
+        grads = tt.backward(loss, params)
+        bad = grads["head.w"].data.copy()
+        bad[0] += 1e-2
+        return {**grads, "head.w": tt.constant(bad)}
+
+    monkeypatch.setattr(gradcheck, "backward", corrupted)
+    rc = main(GRADCHECK_TINY)
     assert rc == 4
     captured = capsys.readouterr()
     assert "gradient verification FAILED" in captured.err
-    assert "FAIL" in captured.out
+    assert [line.split()[0] for line in captured.out.splitlines() if line.endswith("FAIL")] == ["head.w"]
 
 
 def test_gradcheck_enforces_param_budget(tmp_path, capsys):
@@ -331,6 +339,51 @@ def test_ablate_grid_rows_and_csv(tmp_path, capsys):
         lines = fh.read().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("layers,hierarchical,stream")
+
+
+@pytest.mark.parametrize("with_csv", [False, True], ids=["table", "csv"])
+@pytest.mark.parametrize("flag,value", [("--m-list", ""), ("--hier-list", ","), ("--stream-list", ",")])
+def test_ablate_rejects_an_empty_grid_list(tmp_path, capsys, flag, value, with_csv):
+    data = _gen(tmp_path)
+    csv = tmp_path / "grid.csv"
+    extra = ["--out-csv", str(csv)] if with_csv else []
+    rc = main(["ablate", "--data", data, flag, value, "--epochs", "1", "--batch-size", "4",
+               *extra, *MODEL_TINY])
+    assert rc == 2
+    assert f"error: {flag} needs at least one entry" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("with_val", [False, True], ids=["train-set", "val-set"])
+def test_ablate_scores_each_configuration_once(tmp_path, capsys, monkeypatch, with_val):
+    data = _gen(tmp_path)
+    eval_data = _gen(tmp_path, "val", extra=["--seed", "5", "--split", "val"]) if with_val else data
+    calls = []
+    score_matrix = evaluation.score_matrix
+    monkeypatch.setattr(evaluation, "score_matrix", lambda *args: calls.append(args) or score_matrix(*args))
+    csv = tmp_path / "grid.csv"
+    rc = main(["ablate", "--data", data, *(["--val", eval_data] if with_val else []),
+               "--m-list", "0,1", "--stream-list", "both,t2i_only", "--epochs", "2",
+               "--batch-size", "4", "--out-csv", str(csv), *MODEL_TINY])
+    assert rc == 0
+    assert len(calls) == 4
+    monkeypatch.undo()
+    # each row holds the recalls of the final parameters on the evaluation set
+    bundles, manifest = read_dataset(data)
+    eval_bundles, eval_manifest = read_dataset(eval_data)
+    max_len = max(manifest.max_caption_len, eval_manifest.max_caption_len)
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "layers,hierarchical,stream,s_r1,s_r5,s_r10,i_r1,i_r5,i_r10,rsum"
+    for line in lines[1:]:
+        depth, hier, stream, *values = line.split(",")
+        cfg = model.ModelConfig(
+            vocab_size=32, d_raw=6, embed_dim=8, hidden_dim=8, sim_dim=4, n_layers=int(depth),
+            stream=stream, hierarchical=hier == "on", max_caption_len=max_len,
+        )
+        config = training.TrainConfig(model=cfg, epochs=2, lr_decay_epoch=2, batch_size=4, eval_every=2)
+        sentence, image = evaluation.evaluate(training.train(bundles, config).params, cfg, eval_bundles)
+        expected = [sentence.r_at[k] for k in (1, 5, 10)] + [image.r_at[k] for k in (1, 5, 10)]
+        assert [float(v) for v in values] == expected + [evaluation.rsum([sentence, image])]
 
 
 def test_ablate_rejects_bad_gate_entry(tmp_path, capsys):

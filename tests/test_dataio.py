@@ -61,12 +61,12 @@ def test_round_trip_synthetic(tmp_path):
 
 def test_empty_dataset_round_trips(tmp_path):
     out = tmp_path / "empty"
-    write_dataset([], out, vocab_size=10, name="none", split="test", k=2, d_raw=3)
+    write_dataset([], out, vocab_size=10, name="none", split="test")
     back, manifest = read_dataset(out)
     assert back == []
     assert manifest.n_images == 0
-    assert manifest.k == 2
-    assert manifest.d_raw == 3
+    assert manifest.k == 0
+    assert manifest.d_raw == 0
 
 
 def test_write_is_deterministic(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from itmatch import model
 from itmatch import tensor as tt
-from itmatch.errors import DimensionError
+from itmatch.errors import ConfigError, DimensionError
 from itmatch.model import ModelConfig, init_params, score_grid, score_matrix
 from itmatch.scoring import LossBatch, bidirectional_ranking_loss
 from scalar_reference import ref_pair_score, ref_ranking_loss, weights_as_lists
@@ -203,7 +203,7 @@ def test_tile_tape_nodes_do_not_grow_with_the_batch(name):
         images = model.encode_image(params, cfg, region_list)
         captions = model.encode_caption(params, cfg, token_batch)
         encoded = _reachable([images.local, images.glob, captions.local, captions.glob])
-        scores, _ = model.score_tile(params, cfg, images, captions)
+        scores = model.score_tile(params, cfg, images, captions)
         tile_counts.append(len(set(_reachable([scores])) - set(encoded)))
         # the whole training tape: both encoders, the tile and the loss
         grid = score_grid(params, cfg, region_list, token_batch)
@@ -238,3 +238,10 @@ def test_image_batches_of_bad_shapes_are_rejected(shapes):
     cfg, params, _, _ = _mixed_instance("both")  # d_raw = 7
     with pytest.raises(DimensionError):
         model.encode_image(params, cfg, [np.zeros(shape) for shape in shapes])
+
+
+@pytest.mark.parametrize("temperature", [0.0, np.nan, np.inf])
+def test_model_config_rejects_a_temperature_that_is_not_finite_and_positive(temperature):
+    # ModelConfig is the one place the attention temperature is checked
+    with pytest.raises(ConfigError, match="temperature must be finite and positive"):
+        ModelConfig(vocab_size=30, temperature=temperature)

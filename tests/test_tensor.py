@@ -479,4 +479,3 @@ def test_param_store_iterates_sorted():
     )
     assert store.names() == ["a", "b", "c"]
     assert [name for name, _ in store.items()] == ["a", "b", "c"]
-    assert store.total_size() == 3

@@ -1,5 +1,6 @@
 """Adam behaviour, the training loop, and checkpoint files."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -316,6 +317,8 @@ def test_train_rejects_empty_and_single_pair_data():
         train([], cfg)
     with pytest.raises(ConfigError):
         train(_tiny_data(n_pairs=1), cfg)
+    with pytest.raises(ConfigError, match="non-empty"):  # an empty validation set
+        train(_tiny_data(), cfg, val_bundles=[])
 
 
 def test_train_is_deterministic():
@@ -428,8 +431,9 @@ def test_train_best_snapshot_matches_val_history():
     )
     res = train(data, tc)
     assert len(res.val_history) == 4
-    assert res.best_rsum == max(score for _, score in res.val_history)
-    assert res.best_epoch == min(e for e, s in res.val_history if s == res.best_rsum)
+    scores = [(e, rsum([sentence, image])) for e, sentence, image in res.val_history]
+    assert res.best_rsum == max(score for _, score in scores)
+    assert res.best_epoch == min(e for e, s in scores if s == res.best_rsum)
     sentence, image = evaluate(res.best_params, tc.model, data)
     assert rsum([sentence, image]) == res.best_rsum
 
@@ -457,6 +461,47 @@ def test_checkpoint_roundtrip_nondefault_config(tmp_path):
     save_checkpoint(tmp_path / "ckpt", params, cfg)
     _, loaded_cfg = load_checkpoint(tmp_path / "ckpt")
     assert loaded_cfg == cfg
+
+
+@pytest.mark.parametrize("stream", ["both", "i2t_only", "t2i_only"])
+@pytest.mark.parametrize("flag", [False, True])
+def test_checkpoint_roundtrips_every_model_field(tmp_path, stream, flag):
+    cfg = ModelConfig(
+        vocab_size=31, d_raw=5, embed_dim=4, hidden_dim=3, sim_dim=2, n_layers=2,
+        temperature=2.75, stream=stream, hierarchical=flag, row_softmax=not flag,
+        share_sim_w=flag, max_caption_len=19,
+    )
+    params = init_params(cfg, seed=2)
+    save_checkpoint(tmp_path / "ckpt", params, cfg)
+    lines = (tmp_path / "ckpt" / "manifest").read_text().splitlines()
+    assert [line for line in lines if line.startswith("model.")] == [
+        f"model.{f.name}: {getattr(cfg, f.name)}" for f in dataclasses.fields(ModelConfig)
+    ]
+    loaded, loaded_cfg = load_checkpoint(tmp_path / "ckpt")
+    assert loaded_cfg == cfg
+    assert loaded.names() == params.names()
+    for name in params.names():
+        assert np.array_equal(loaded[name].data, params[name].data)
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("param.head.w: 8\n", "param.head.w: 2xq\n", "'head.w' has shape '2xq'"),
+        ("param.head.w: 8\n", "", "lacks parameter 'head.w'"),
+        ("param.head.w: 8\n", "param.head.w: 8\nparam.head.v: 8\n", "'head.v' is not part"),
+    ],
+    ids=["garbled", "removed", "extra"],
+)
+def test_checkpoint_parameter_list_must_match_its_config(tmp_path, old, new, message):
+    cfg = _tiny_model()
+    save_checkpoint(tmp_path / "ckpt", init_params(cfg, seed=4), cfg)
+    manifest = tmp_path / "ckpt" / "manifest"
+    text = manifest.read_text()
+    assert old in text
+    manifest.write_text(text.replace(old, new))
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(tmp_path / "ckpt")
 
 
 def test_checkpoint_missing_manifest(tmp_path):
