@@ -15,6 +15,9 @@ temperature) along the other, giving region weights per word
 features are compared to their query vectors through a shared
 bilinear-free similarity map: the elementwise squared difference
 projected to an m-vector and scaled by the inverse euclidean distance.
+The text-to-image stream needs only the mean of its k region vectors and
+the global one; a mean commutes with the projection, so the scaled
+squared differences are summed over regions and projected once per pair.
 
 Padding needs care in two places only.  A padded word is a zero vector,
 so its cosines are zero and it drops out of every l2 norm by itself; but
@@ -41,7 +44,8 @@ class LocalSimilarities:
     s_glob: (I, C, m) global-to-global similarity, shared by both streams.
     s_i2t:  (I, C, n, m) per-word rows, zero on padded words; None when
             the stream is disabled.
-    s_t2i:  (I, C, k, m) per-region rows, None when the stream is disabled.
+    s_t2i:  (I, C, m) text-to-image stream vector, the mean of the k
+            per-region vectors and s_glob; None when the stream is disabled.
     """
 
     s_glob: Tensor
@@ -64,14 +68,14 @@ def sim_vec_rows(x: Tensor, y: Tensor, weight: Tensor, row_mask=None) -> Tensor:
         )
     diff = tt.sub(x, y)
     projected = tt.matmul(tt.square(diff), tt.transpose(weight))
-    inv_dist = tt.safe_inv(tt.l2norm(diff, axis=-1))
+    inv_dist = tt.inv_norm(diff, axis=-1)
     if row_mask is not None:
         inv_dist = tt.mul(inv_dist, tt.constant(row_mask))
     return tt.scale_rows(projected, inv_dist)
 
 
 def _unit_rows(x: Tensor) -> Tensor:
-    return tt.scale_rows(x, tt.safe_inv(tt.l2norm(x, axis=-1)))
+    return tt.scale_rows(x, tt.inv_norm(x, axis=-1))
 
 
 def _check_stacks(v: Tensor, t: Tensor) -> None:
@@ -94,7 +98,7 @@ def i2t_weights(cos: Tensor, temperature: float) -> Tensor:
     """Region weights per word, word-major (I, C, n, k), each row summing to
     1: each region row of the (I, C, k, n) cosines l2-normalised over words,
     then softmaxed over regions."""
-    normed = tt.scale_rows(cos, tt.safe_inv(tt.l2norm(cos, axis=-1)))
+    normed = tt.scale_rows(cos, tt.inv_norm(cos, axis=-1))
     return tt.softmax_rows(tt.transpose(tt.mul(normed, temperature)))
 
 
@@ -103,7 +107,7 @@ def t2i_weights(cos: Tensor, temperature: float, word_mask) -> Tensor:
     column of the cosines l2-normalised over regions, softmaxed over the
     words the (C, n) `word_mask` marks real."""
     n_images, n_captions, _, n = cos.shape
-    inv = tt.safe_inv(tt.l2norm(cos, axis=-2))
+    inv = tt.inv_norm(cos, axis=-2)
     normed = tt.mul(cos, tt.reshape(inv, (n_images, n_captions, 1, n)))
     return tt.softmax_rows(tt.mul(normed, temperature), word_mask[:, None, :])
 
@@ -140,7 +144,11 @@ def local_similarities(
         s_i2t = sim_vec_rows(attended, t, w_i2t, row_mask=word_mask)
     s_t2i = None
     if w_t2i is not None:
-        # (attended - v)^2 equals (v - attended)^2 bitwise
+        # the mean of sim_vec_rows(attended, regions, w_t2i) and s_glob,
+        # with the k region rows summed before the one projection
         attended = tt.matmul(t2i_weights(cos, temperature, word_mask), t)
-        s_t2i = sim_vec_rows(attended, regions, w_t2i)
+        diff = tt.sub(attended, regions)
+        summed = tt.sum(tt.scale_rows(tt.square(diff), tt.inv_norm(diff, axis=-1)), axis=-2)
+        projected = tt.matmul(summed, tt.transpose(w_t2i))
+        s_t2i = tt.mul(tt.add(projected, s_glob), 1.0 / (k + 1))
     return LocalSimilarities(s_glob=s_glob, s_i2t=s_i2t, s_t2i=s_t2i)

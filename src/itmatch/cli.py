@@ -17,7 +17,7 @@ from .dataio import gen_synthetic, read_dataset, write_dataset
 from .errors import ConfigError, DataError, InputError, ItmatchError
 from .evaluation import RANKS, evaluate, rsum
 from .gradcheck import run_gradcheck
-from .kvfile import read_kv
+from .kvfile import read_kv, replacing
 from .model import STREAMS, ModelConfig, param_shapes
 from .training import (
     PROFILES,
@@ -208,7 +208,7 @@ def _print_recall_table(sentence, image) -> None:
 
 def _write_recall_csv(path: str, rows: list[dict]) -> None:
     keys = list(rows[0])
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(",".join(keys) + "\n")
         for row in rows:
             fh.write(",".join(str(row[key]) for key in keys) + "\n")
@@ -372,6 +372,9 @@ def cmd_ablate(args) -> int:
                          ("--stream-list", args.stream_list)):
         if not values:
             raise ConfigError(f"{flag} needs at least one entry")
+        repeats = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeats:
+            raise ConfigError(f"{flag} repeats the entry {repeats[0]!r}")
     for value in args.hier_list:
         if value not in ("on", "off"):
             raise ConfigError(f"--hier-list entries must be on/off, got {value!r}")

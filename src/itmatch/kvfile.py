@@ -9,10 +9,12 @@ binary blobs ``<stem>.bin``.  The manifest opens with the container's
 ``format`` and ``version`` and ends with one ``checksum_<stem>`` (sha256,
 hex) per blob.  ``write_container`` and ``Container`` are the only code
 that writes or reads one; datasets and checkpoints are both containers.
+``replacing`` writes a single text file through a temporary name too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 
@@ -105,6 +107,20 @@ def write_container(
             if os.path.exists(target + ".tmp"):
                 os.remove(target + ".tmp")
     return checksums
+
+
+@contextlib.contextmanager
+def replacing(path: str | os.PathLike):
+    """Open ``<path>.tmp`` for writing text, renamed over `path` once the block
+    completes.  A block that fails leaves the old file, and no ``.tmp``."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class Container:

@@ -1,9 +1,10 @@
 """Model configuration, parameter initialisation, and the tiled forward pass.
 
 One scalar score per image-caption pair: encode both modalities, build
-local similarity vectors through cross attention, run the image-to-text
-node set through gated graph reasoning, mean-pool the text-to-image node
-set, fuse the two stream vectors, and apply a linear head.
+local similarity vectors through cross attention (the text-to-image
+stream's already mean-pooled), run the image-to-text node set through
+gated graph reasoning, fuse the two stream vectors, and apply a linear
+head.
 
 Every (image, caption) pairing of a tile is scored at once: a tile's
 images are encoded as one batch in one projection, its captions as one
@@ -29,7 +30,7 @@ from .attention import local_similarities
 from .encoders import encode_texts, global_feature, project_image
 from .errors import ConfigError, DataError, DimensionError
 from .reasoning import ReasonLayerParams, build_node_set, reason
-from .scoring import fuse, pool_t2i, score
+from .scoring import fuse, score
 from .tensor import ParamStore, Tensor
 
 STREAMS = ("both", "i2t_only", "t2i_only")
@@ -249,10 +250,7 @@ def score_tile(
             s_i2t = reason(
                 nodes, layers, lengths, hierarchical=cfg.hierarchical, row_softmax=cfg.row_softmax,
             )
-    s_t2i = None
-    if cfg.uses_t2i:
-        s_t2i = pool_t2i(tt.vstack([local.s_t2i, local.s_glob]))
-    return score(fuse(s_i2t, s_t2i), params["head.w"], params["head.b"])
+    return score(fuse(s_i2t, local.s_t2i), params["head.w"], params["head.b"])
 
 
 def score_grid(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -> Tensor:

@@ -26,11 +26,6 @@ class LossBatch:
             raise ConfigError(f"margin must be finite and non-negative, got {self.margin}")
 
 
-def pool_t2i(nodes: Tensor) -> Tensor:
-    """Mean over each text-to-image node set (..., k + 1, m), the global node included."""
-    return tt.mean(nodes, axis=-2)
-
-
 def fuse(s_i2t: Tensor | None, s_t2i: Tensor | None) -> Tensor:
     """Sum of the two stream vectors, or the one given when a stream is off."""
     if s_i2t is None and s_t2i is None:

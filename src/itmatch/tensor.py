@@ -31,7 +31,7 @@ from .errors import ConfigError, ContractError, DimensionError
 
 Array = np.ndarray
 
-# safe_inv maps magnitudes at or below this to 0: two vectors this close
+# inv_norm maps norms at or below this to 0: two vectors this close
 # count as coincident, and a vector this short has no direction
 INV_GUARD = 1e-12
 
@@ -272,19 +272,6 @@ def sum(a: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - mirrors n
     return _result(out, (a,), backward_fn)
 
 
-def mean(a: Tensor, axis: int) -> Tensor:
-    _check_axis(a, axis)
-    out = np.mean(a.data, axis=axis)
-    if not _tracking(a):
-        return _result(out)
-    shape = a.data.shape
-    count = shape[axis]
-
-    def backward_fn(g):
-        return (_expand_reduced(np.asarray(g) / count, shape, axis),)
-    return _result(out, (a,), backward_fn)
-
-
 def amax(a: Tensor, axis: int) -> Tensor:
     """Maximum over one axis; ties route the gradient to the lowest index."""
     _check_axis(a, axis)
@@ -306,19 +293,22 @@ def amax(a: Tensor, axis: int) -> Tensor:
     return _result(out, (a,), backward_fn)
 
 
-def l2norm(a: Tensor, axis: int | None = None) -> Tensor:
+def inv_norm(a: Tensor, axis: int) -> Tensor:
+    """1 / ||a|| over one axis, and 0 where the norm is at or below INV_GUARD.
+
+    The guard makes normalisations well defined on degenerate inputs (zero
+    vectors); guarded slices also get zero gradient.
+    """
     _check_axis(a, axis)
-    out = np.sqrt(np.sum(a.data * a.data, axis=axis))
+    norm = np.sqrt(np.sum(a.data * a.data, axis=axis))
+    kept = norm > INV_GUARD
+    out = np.where(kept, 1.0 / np.where(kept, norm, 1.0), 0.0)
     if not _tracking(a):
         return _result(out)
     shape = a.data.shape
-    out_arr = np.asarray(out)
 
     def backward_fn(g):
-        # a zero slice has zero gradient here (its entries are all zero);
-        # the substituted denominator only avoids 0/0
-        denom = np.where(out_arr == 0.0, 1.0, out_arr)
-        return (a.data * _expand_reduced(np.asarray(g) / denom, shape, axis),)
+        return (-a.data * _expand_reduced(np.asarray(g) * out * out * out, shape, axis),)
     return _result(out, (a,), backward_fn)
 
 
@@ -411,40 +401,6 @@ def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     return _result(out, (a,), backward_fn)
 
 
-def vstack(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the second-to-last axis.
-
-    A part with one axis fewer than the others counts as a single row, so
-    vectors stack as rows of a matrix and (..., m) stacks join (..., r, m)
-    ones.  Every other axis must agree.
-    """
-    parts = tuple(parts)
-    if not parts:
-        raise DimensionError("vstack needs at least one tensor")
-    ndim = max(2, max(p.data.ndim for p in parts))
-    blocks = []
-    for p in parts:
-        if p.data.ndim not in (ndim - 1, ndim):
-            raise DimensionError(f"vstack parts must have {ndim - 1} or {ndim} axes, got {p.data.shape}")
-        blocks.append(p.data if p.data.ndim == ndim else p.data[..., None, :])
-        if blocks[-1].shape[:-2] + blocks[-1].shape[-1:] != blocks[0].shape[:-2] + blocks[0].shape[-1:]:
-            raise DimensionError(f"vstack shape mismatch: {blocks[0].shape} vs {p.data.shape}")
-    out = np.concatenate(blocks, axis=-2)
-    if not _tracking(*parts):
-        return _result(out)
-    row_counts = [b.shape[-2] for b in blocks]
-
-    def backward_fn(g):
-        grads = []
-        offset = 0
-        for p, rows in zip(parts, row_counts):
-            chunk = g[..., offset:offset + rows, :]
-            grads.append(chunk if p.data.ndim == ndim else chunk[..., 0, :])
-            offset += rows
-        return tuple(grads)
-    return _result(out, parts, backward_fn)
-
-
 def pick_rows(a: Tensor, index) -> Tensor:
     """Row index[...] of each matrix in a stack: (..., n, m) -> (..., m).
 
@@ -485,23 +441,6 @@ def scale_rows(a: Tensor, s: Tensor) -> Tensor:
     def backward_fn(g):
         return (g * s.data[..., None], np.sum(g * a.data, axis=-1))
     return _result(out, (a, s), backward_fn)
-
-
-def safe_inv(a: Tensor) -> Tensor:
-    """Elementwise reciprocal with entries of magnitude <= INV_GUARD mapped to 0.
-
-    The guard makes downstream normalisations well defined on degenerate
-    inputs (zero vectors); guarded entries also get zero gradient.
-    """
-    mask = np.abs(a.data) > INV_GUARD
-    safe = np.where(mask, a.data, 1.0)
-    out = np.where(mask, 1.0 / safe, 0.0)
-    if not _tracking(a):
-        return _result(out)
-
-    def backward_fn(g):
-        return (-g * out * out,)
-    return _result(out, (a,), backward_fn)
 
 
 def softmax_rows(a: Tensor, mask=None) -> Tensor:

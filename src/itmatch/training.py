@@ -32,7 +32,7 @@ from . import tensor as tt
 from .dataio import FeatureBundle
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import RetrievalResult, evaluate, flatten_captions, rsum
-from .kvfile import Container, write_container
+from .kvfile import Container, replacing, write_container
 from .model import ModelConfig, init_params, param_shapes, score_grid
 from .scoring import LossBatch, bidirectional_ranking_loss
 from .tensor import ParamStore, Tensor, backward
@@ -276,7 +276,7 @@ def train(
 
 
 def write_loss_csv(path: str | os.PathLike, curve: list[tuple[int, float]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write("step,loss\n")
         for step, loss in curve:
             fh.write(f"{step},{loss!r}\n")

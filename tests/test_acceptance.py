@@ -173,7 +173,7 @@ def test_criterion_05_reasoning_structure():
     rng = np.random.default_rng(11)
     m = 4
     # three local nodes, then the global one
-    nodes = tt.vstack([tt.constant(rng.normal(size=(3, m))), tt.constant(rng.normal(size=m))])
+    nodes = tt.constant(np.vstack([rng.normal(size=(3, m)), rng.normal(size=m)]))
     wq = tt.constant(rng.normal(size=(m, m)))
     wk = tt.constant(rng.normal(size=(m, m)))
     rel = relation_matrix(nodes, wq, wk)

@@ -302,7 +302,12 @@ def test_local_similarities_streams_optional():
     full = _similarities(v, t, w, w_i2t=w, w_t2i=w)
     assert full.s_glob.shape == (1, 1, 5)
     assert full.s_i2t.shape == (1, 1, 3, 5)
-    assert full.s_t2i.shape == (1, 1, 4, 5)
+    assert full.s_t2i.shape == (1, 1, 5)
+    # the t2i stream vector is the plain mean of the k per-region rows and the global row
+    attended = tt.matmul(t2i_weights(cosines(v, t), 9.0, np.ones((1, 3), dtype=bool)), t)
+    region_rows = sim_vec_rows(attended, tt.reshape(v, (1, 1, 4, 6)), w).data[0, 0]
+    expected = np.mean(np.vstack([region_rows, full.s_glob.data[0, 0]]), axis=0)
+    np.testing.assert_allclose(full.s_t2i.data[0, 0], expected, rtol=1e-12, atol=0)
     partial = _similarities(v, t, w, w_i2t=None, w_t2i=w)
     assert partial.s_i2t is None
     assert partial.s_t2i is not None

@@ -354,6 +354,42 @@ def test_ablate_rejects_an_empty_grid_list(tmp_path, capsys, flag, value, with_c
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("with_csv", [False, True], ids=["table", "csv"])
+@pytest.mark.parametrize("flag,value,repeated", [
+    ("--m-list", "1,0,1", "1"), ("--hier-list", "on,on", "'on'"),
+    ("--stream-list", "both,t2i_only,both", "'both'"),
+], ids=["m-list", "hier-list", "stream-list"])
+def test_ablate_rejects_a_repeated_grid_entry(tmp_path, capsys, monkeypatch, flag, value, repeated,
+                                              with_csv):
+    data = _gen(tmp_path)
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("ablate trained"))
+    csv = tmp_path / "grid.csv"
+    extra = ["--out-csv", str(csv)] if with_csv else []
+    rc = main(["ablate", "--data", data, flag, value, "--epochs", "1", "--batch-size", "4",
+               *extra, *MODEL_TINY])
+    assert rc == 2
+    assert f"error: {flag} repeats the entry {repeated}" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("planted failure")
+
+
+def test_recall_csv_failure_leaves_the_old_file(tmp_path):
+    path = tmp_path / "recall.csv"
+    cli._write_recall_csv(str(path), [{"direction": "rsum", "r1": 1.5}])
+    old = path.read_bytes()
+    # the header and the first row are written before the second row fails
+    with pytest.raises(RuntimeError, match="planted failure"):
+        cli._write_recall_csv(
+            str(path), [{"direction": "a", "r1": 2.0}, {"direction": "b", "r1": _Unprintable()}]
+        )
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["recall.csv"]
+
+
 @pytest.mark.parametrize("with_val", [False, True], ids=["train-set", "val-set"])
 def test_ablate_scores_each_configuration_once(tmp_path, capsys, monkeypatch, with_val):
     data = _gen(tmp_path)

@@ -221,10 +221,8 @@ def test_gated_update_is_permutation_sensitive():
 def test_reasoning_stack_gradients():
     rng = np.random.default_rng(10)
     m = 3
-    entries = {
-        "local": tt.parameter(rng.normal(size=(3, m))),
-        "glob": tt.parameter(rng.normal(size=m)),
-    }
+    # three local nodes, then the global one
+    entries = {"nodes": tt.parameter(np.vstack([rng.normal(size=(3, m)), rng.normal(size=m)]))}
     for i in range(3):
         for field in ("w_query", "w_key", "w_out", "w_mix"):
             entries[f"{i}.{field}"] = tt.parameter(0.5 * rng.normal(size=(m, m)))
@@ -233,7 +231,7 @@ def test_reasoning_stack_gradients():
     store = tt.ParamStore.from_dict(entries)
 
     def run(p):
-        nodes = tt.vstack([p["local"], p["glob"]])
+        nodes = p["nodes"]
         layers = [
             ReasonLayerParams(
                 w_query=p[f"{i}.w_query"], w_key=p[f"{i}.w_key"],

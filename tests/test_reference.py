@@ -6,6 +6,7 @@ import pytest
 from itmatch import model
 from itmatch import tensor as tt
 from itmatch.errors import ConfigError, DimensionError
+from itmatch.gradcheck import run_gradcheck
 from itmatch.model import ModelConfig, init_params, score_grid, score_matrix
 from itmatch.scoring import LossBatch, bidirectional_ranking_loss
 from scalar_reference import ref_pair_score, ref_ranking_loss, weights_as_lists
@@ -182,6 +183,18 @@ def test_gradients_on_a_mixed_length_batch_match_finite_differences():
         assert err < 1e-4, f"{name}: rel err {err}"
 
 
+@pytest.mark.parametrize("stream", ["both", "t2i_only"])
+def test_shared_similarity_weight_passes_the_gradient_oracle(stream):
+    # sim.w_shared reaches the loss through the pooled t2i sum and s_glob at once
+    cfg = ModelConfig(
+        vocab_size=12, d_raw=4, embed_dim=3, hidden_dim=4, sim_dim=3, n_layers=1,
+        stream=stream, share_sim_w=True,
+    )
+    report = run_gradcheck(cfg, k=3, caption_len=3, batch_size=2)
+    assert report.passed, [(c.name, c.max_rel_err) for c in report.checks if not c.passed]
+    assert "sim.w_shared" in [c.name for c in report.checks]
+
+
 def _reachable(roots):
     seen = {id(r): r for r in roots}
     work = list(roots)
@@ -193,11 +206,24 @@ def _reachable(roots):
     return seen
 
 
-@pytest.mark.parametrize("name", ["both", "row_softmax"])
+# tape nodes of one whole training step (both encoders, the tile and the
+# loss) at the README widths with 3 layers, at any batch size; README.md
+# quotes the "both" count
+STEP_TAPE_NODES = {"both": 173, "row_softmax": 182}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_TAPE_NODES))
 def test_tile_tape_nodes_do_not_grow_with_the_batch(name):
-    cfg, params, raws, token_lists = _mixed_instance(name)
+    cfg = ModelConfig(
+        vocab_size=256, d_raw=32, embed_dim=32, hidden_dim=32, sim_dim=16, n_layers=3,
+        **MIXED_CONFIGS[name],
+    )
+    rng = np.random.default_rng(3000)
+    params = _jitter(init_params(cfg, seed=0), rng)
+    raws = [rng.normal(size=(4, cfg.d_raw)) for _ in range(5)]
+    token_lists = [[int(t) for t in rng.integers(0, cfg.vocab_size, size=n)] for n in MIXED_LENGTHS]
     tile_counts, tape_counts = [], []
-    for b in (2, 8):
+    for b in (2, 16):
         region_list = [raws[i % 5] for i in range(b)]
         token_batch = [token_lists[j % 6] for j in range(b)]
         images = model.encode_image(params, cfg, region_list)
@@ -205,11 +231,10 @@ def test_tile_tape_nodes_do_not_grow_with_the_batch(name):
         encoded = _reachable([images.local, images.glob, captions.local, captions.glob])
         scores = model.score_tile(params, cfg, images, captions)
         tile_counts.append(len(set(_reachable([scores])) - set(encoded)))
-        # the whole training tape: both encoders, the tile and the loss
         grid = score_grid(params, cfg, region_list, token_batch)
         tape_counts.append(len(_reachable([bidirectional_ranking_loss(LossBatch(grid, 0.2))])))
     assert tile_counts[0] == tile_counts[1]
-    assert tape_counts[0] == tape_counts[1]
+    assert tape_counts == [STEP_TAPE_NODES[name]] * 2
 
 
 def test_score_grid_encodes_each_modality_once(monkeypatch):

@@ -9,7 +9,6 @@ from itmatch.scoring import (
     LossBatch,
     bidirectional_ranking_loss,
     fuse,
-    pool_t2i,
     score,
 )
 
@@ -141,13 +140,6 @@ def test_fuse_validation():
         fuse(None, None)
     with pytest.raises(DimensionError):
         fuse(a, tt.constant(np.ones(3)))
-
-
-def test_pool_t2i_means_the_node_rows():
-    nodes = tt.constant(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    assert pool_t2i(nodes).data.tolist() == [3.0, 4.0]
-    stacked = tt.constant(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [[0.0, 0.0], [0.0, 3.0], [3.0, 0.0]]]))
-    assert pool_t2i(stacked).data.tolist() == [[3.0, 4.0], [1.0, 1.0]]
 
 
 def test_score_is_affine_in_the_fused_vector():

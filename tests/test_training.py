@@ -1,6 +1,7 @@
 """Adam behaviour, the training loop, and checkpoint files."""
 
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -575,3 +576,19 @@ def test_write_loss_csv_roundtrips_exact_floats(tmp_path):
         s, _, v = line.partition(",")
         assert int(s) == step
         assert float(v) == loss
+
+
+class _Unprintable:
+    def __repr__(self):
+        raise RuntimeError("planted failure")
+
+
+def test_write_loss_csv_failure_leaves_the_old_file(tmp_path):
+    path = tmp_path / "loss.csv"
+    write_loss_csv(path, [(1, 0.5)])
+    old = path.read_bytes()
+    # the header and the first row are written before the second row fails
+    with pytest.raises(RuntimeError, match="planted failure"):
+        write_loss_csv(path, [(1, 0.25), (2, _Unprintable())])
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["loss.csv"]
