@@ -1,7 +1,8 @@
 """End-to-end gradient verification of the full model.
 
 Builds a tiny synthetic batch, computes the ranking loss through the
-tape, and compares every parameter gradient against the tape-free
+tape with ``training.batch_loss`` (the forward pass every training step
+takes), and compares every parameter gradient against the tape-free
 central-difference oracle.  The loss has hinge kinks, so the harness
 first checks that no hinge argument sits near zero (stepping the seed if
 one does) before trusting the finite differences.
@@ -16,9 +17,10 @@ import numpy as np
 from .dataio import gen_synthetic
 from .errors import ConfigError
 from .evaluation import flatten_captions
-from .model import ModelConfig, init_params, score_grid
-from .scoring import LossBatch, bidirectional_ranking_loss
-from .tensor import ParamStore, backward, finite_diff_grad, no_grad, parameter
+from .model import ModelConfig, init_params
+from .scoring import hardest_negatives
+from .tensor import ParamStore, backward, finite_diff_grad, parameter
+from .training import batch_loss
 
 # below this, a gradient coordinate counts as zero for the relative error
 ERROR_FLOOR = 1e-5
@@ -53,14 +55,10 @@ def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
 
 def _hinge_distance(values: np.ndarray, margin: float) -> float:
     """Smallest |hinge argument| over both loss directions."""
-    b = values.shape[0]
-    off = values.copy()
-    np.fill_diagonal(off, -np.inf)
-    worst = np.inf
-    for k in range(b):
-        for neg in (np.max(off[k, :]), np.max(off[:, k])):
-            worst = min(worst, abs(margin - values[k, k] + neg))
-    return worst
+    row_negs, col_negs = hardest_negatives(values)
+    ks = np.arange(values.shape[0])
+    negatives = np.concatenate([values[ks, row_negs], values[col_negs, ks]])
+    return float(np.min(np.abs(margin - np.tile(values[ks, ks], 2) + negatives)))
 
 
 def _generic_point(params: ParamStore, seed: int) -> ParamStore:
@@ -78,13 +76,6 @@ def _generic_point(params: ParamStore, seed: int) -> ParamStore:
         base = params[name].data
         out.add(name, parameter(base + rng.uniform(-JITTER, JITTER, size=base.shape)))
     return out
-
-
-def _batch_loss(cfg: ModelConfig, regions, tokens, margin: float):
-    def f(params: ParamStore):
-        grid = score_grid(params, cfg, regions, tokens)
-        return bidirectional_ranking_loss(LossBatch(scores=grid, margin=margin)).item()
-    return f
 
 
 def run_gradcheck(
@@ -120,20 +111,18 @@ def run_gradcheck(
         )
         regions, tokens, _ = flatten_captions(bundles)
         params = _generic_point(init_params(cfg, seed=candidate), candidate)
-        with no_grad():
-            values = score_grid(params, cfg, regions, tokens).data
-        min_distance = _hinge_distance(values, margin)
+        grid, loss = batch_loss(params, cfg, margin, regions, tokens)
+        min_distance = _hinge_distance(grid.data, margin)
         if min_distance > KINK_CLEARANCE:
             chosen_seed = candidate
             break
     if chosen_seed is None:
         raise ConfigError("no seed found with hinge arguments clear of zero")
 
-    loss_fn = _batch_loss(cfg, regions, tokens, margin)
-    grid = score_grid(params, cfg, regions, tokens)
-    loss = bidirectional_ranking_loss(LossBatch(scores=grid, margin=margin))
     autodiff = backward(loss, params)
-    numeric = finite_diff_grad(loss_fn, params, epsilon=epsilon)
+    numeric = finite_diff_grad(
+        lambda p: batch_loss(p, cfg, margin, regions, tokens)[1].item(), params, epsilon=epsilon
+    )
 
     checks = []
     for name in params.names():

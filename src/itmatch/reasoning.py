@@ -12,7 +12,8 @@ learned projections, optionally gates it by a sigmoid of a 3x3
 convolution over the matrix itself (the "hierarchical" path, which makes
 the update sensitive to neighbourhoods of relations rather than single
 entries), and applies a residual per-node linear update.  The
-image-to-text stream reads out the global node after the last layer.
+image-to-text stream reads out the global node after the last layer, one
+gather from the node sets flattened to rows.
 """
 
 from __future__ import annotations
@@ -107,16 +108,26 @@ def reason(
 ) -> Tensor:
     """Run every layer and read out the global node of each node set.
 
-    `global_rows` (integers broadcasting over the leading axes) gives the
-    global node's row; the rows after it are padding.
+    `global_rows` (integers in 0..n-1 broadcasting over the leading axes)
+    gives the global node's row; the rows after it are padding.  One gather
+    reads them out of the node sets flattened to rows.
     """
     if len(layers) < 1:
         raise ConfigError("reasoning needs at least one layer")
+    lead, (n, m) = nodes.shape[:-2], nodes.shape[-2:]
     global_rows = np.asarray(global_rows, dtype=np.intp)
-    node_mask = np.arange(nodes.shape[-2]) <= global_rows[..., None]
+    try:
+        flat_rows = np.broadcast_to(global_rows, lead).ravel()
+    except ValueError:
+        raise DimensionError(f"global rows {global_rows.shape} do not broadcast over {lead}") from None
+    if np.any(global_rows < 0) or np.any(global_rows >= n):
+        raise DimensionError(f"global rows must lie in 0..{n - 1}, got {global_rows.tolist()}")
+    node_mask = np.arange(n) <= global_rows[..., None]
     current = nodes
     for layer in layers:
         current = reason_step(
             current, layer, node_mask, hierarchical=hierarchical, row_softmax=row_softmax
         )
-    return tt.pick_rows(current, global_rows)
+    rows = tt.reshape(current, (flat_rows.size * n, m))
+    picked = tt.take_rows(rows, np.arange(flat_rows.size) * n + flat_rows)
+    return tt.reshape(picked, lead + (m,))

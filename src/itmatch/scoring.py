@@ -1,4 +1,5 @@
-"""Stream fusion, scalar scoring, and the bidirectional ranking loss."""
+"""Stream fusion, scalar scoring, and the bidirectional ranking loss, whose
+hardest negatives are chosen once, in numpy, from the score grid's values."""
 
 from __future__ import annotations
 
@@ -44,19 +45,31 @@ def score(fused: Tensor, w_head: Tensor, b_head: Tensor) -> Tensor:
     return tt.add(tt.matmul(fused, w_head), b_head)
 
 
+def hardest_negatives(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column of each row's and row of each column's largest off-diagonal
+    entry; ties take the lowest index.  The diagonal is set to -inf first, so
+    it is chosen only where every other entry of its row or column is -inf."""
+    off = np.array(scores, dtype=np.float64)
+    np.fill_diagonal(off, -np.inf)
+    return np.argmax(off, axis=1), np.argmax(off, axis=0)
+
+
 def bidirectional_ranking_loss(batch: LossBatch) -> Tensor:
     """Sum of hinge terms against the hardest in-batch negatives.
 
     For each matched pair k the hardest negative caption is the largest
     off-diagonal entry of row k and the hardest negative image the
-    largest off-diagonal entry of column k; ties take the lowest index
-    (the rule of ``amax``).  All caption terms are summed, then all image
+    largest off-diagonal entry of column k (``hardest_negatives``); the tape
+    only gathers those entries.  All caption terms are summed, then all image
     terms, so the result is bitwise reproducible.
     """
     b = batch.scores.shape[0]
-    eye = np.eye(b)
-    matched = tt.sum(tt.mul(batch.scores, tt.constant(eye)), axis=1)
-    off_diag = tt.add(batch.scores, tt.constant(np.where(eye == 1.0, -np.inf, 0.0)))
-    caption_terms = tt.relu(tt.add(tt.sub(tt.amax(off_diag, axis=1), matched), batch.margin))
-    image_terms = tt.relu(tt.add(tt.sub(tt.amax(off_diag, axis=0), matched), batch.margin))
-    return tt.add(tt.sum(caption_terms), tt.sum(image_terms))
+    row_negs, col_negs = hardest_negatives(batch.scores.data)
+    ks = np.arange(b)
+    diag = ks * (b + 1)
+    # entry (i, j) is row i * b + j of the grid as a (b*b, 1) column
+    entries = tt.reshape(batch.scores, (b * b, 1))
+    matched = tt.take_rows(entries, np.concatenate([diag, diag]))
+    negatives = tt.take_rows(entries, np.concatenate([ks * b + row_negs, col_negs * b + ks]))
+    terms = tt.relu(tt.add(tt.sub(negatives, matched), batch.margin))
+    return tt.sum(tt.sum(tt.reshape(terms, (2, b)), axis=1))

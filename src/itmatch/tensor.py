@@ -12,8 +12,10 @@ second operand never has more axes than the first, so the first operand
 fixes the rank of the result.  A plain Python number is a constant.
 Shapes that do not broadcast raise :class:`DimensionError`.  The batched
 ops (``matmul``, ``transpose``, ``scale_rows``, ``softmax_rows``,
-``conv2d_3x3``, ``pick_rows``) work on the last one or two axes and carry
-any leading axes along, so a whole stack of matrices is one tape node.
+``conv2d_3x3``) work on the last one or two axes and carry any leading
+axes along, so a whole stack of matrices is one tape node.  ``take_rows``
+is the one gather; it takes rows of a matrix, so entries of a stack or
+grid are gathered after a ``reshape`` to rows.
 ``gru_sequence`` runs one GRU direction over a padded batch of sequences
 as a single node with a hand-written backward pass.
 All storage is 64-bit floats and result arrays are frozen (read-only) on
@@ -272,27 +274,6 @@ def sum(a: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - mirrors n
     return _result(out, (a,), backward_fn)
 
 
-def amax(a: Tensor, axis: int) -> Tensor:
-    """Maximum over one axis; ties route the gradient to the lowest index."""
-    _check_axis(a, axis)
-    out = np.max(a.data, axis=axis)
-    if not _tracking(a):
-        return _result(out)
-    shape = a.data.shape
-
-    def backward_fn(g):
-        grad = np.zeros(shape)
-        idx = np.argmax(a.data, axis=axis)
-        np.put_along_axis(
-            grad,
-            np.expand_dims(idx, axis),
-            np.expand_dims(np.asarray(g), axis),
-            axis,
-        )
-        return (grad,)
-    return _result(out, (a,), backward_fn)
-
-
 def inv_norm(a: Tensor, axis: int) -> Tensor:
     """1 / ||a|| over one axis, and 0 where the norm is at or below INV_GUARD.
 
@@ -379,11 +360,12 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _result(out, (a,), backward_fn)
 
 
-def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather matrix rows; repeated indices accumulate gradient."""
+def take_rows(a: Tensor, indices) -> Tensor:
+    """Gather matrix rows by a 1-D integer index array or sequence; repeated
+    indices accumulate gradient."""
     if a.data.ndim != 2:
         raise DimensionError(f"take_rows needs a matrix, got shape {a.data.shape}")
-    idx = np.asarray(list(indices), dtype=np.intp)
+    idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise DimensionError("take_rows needs a non-empty 1-D index list")
     n = a.data.shape[0]
@@ -397,33 +379,6 @@ def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     def backward_fn(g):
         grad = np.zeros(shape)
         np.add.at(grad, idx, g)
-        return (grad,)
-    return _result(out, (a,), backward_fn)
-
-
-def pick_rows(a: Tensor, index) -> Tensor:
-    """Row index[...] of each matrix in a stack: (..., n, m) -> (..., m).
-
-    `index` is an integer array that broadcasts against the leading axes.
-    """
-    if a.data.ndim < 2:
-        raise DimensionError(f"pick_rows needs a stack of matrices, got shape {a.data.shape}")
-    try:
-        idx = np.broadcast_to(np.asarray(index, dtype=np.intp), a.data.shape[:-2])
-    except ValueError:
-        raise DimensionError(f"row index does not broadcast over {a.data.shape[:-2]}") from None
-    n = a.data.shape[-2]
-    if np.any(idx < 0) or np.any(idx >= n):
-        raise DimensionError(f"pick_rows index out of range for {n} rows")
-    sel = idx[..., None, None]
-    out = np.take_along_axis(a.data, sel, axis=-2)[..., 0, :]
-    if not _tracking(a):
-        return _result(out)
-    shape = a.data.shape
-
-    def backward_fn(g):
-        grad = np.zeros(shape)
-        np.put_along_axis(grad, sel, g[..., None, :], axis=-2)
         return (grad,)
     return _result(out, (a,), backward_fn)
 
@@ -711,8 +666,6 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, Tensor]:
         if g is None:
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None:
-                continue
             if not parent.requires_grad:
                 continue
             key = id(parent)

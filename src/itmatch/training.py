@@ -1,14 +1,15 @@
 """Training loop, Adam, and checkpoint files.
 
 Each step scores every image against every caption of its batch, applies
-the bidirectional hinge loss against the hardest in-batch negatives, and
-takes one Adam step.  Adam's moments live in an ``AdamState`` that each
-step advances in place, while every step writes its parameters into fresh
-arrays, so the run can keep the parameter snapshot with the best
-validation rsum without a copy.  Each step runs in its own call, so only
-one step's tape and gradients are alive at a time.  Everything is driven
-by explicit seeds; two identical runs produce bitwise-identical loss
-curves.
+the bidirectional hinge loss against the hardest in-batch negatives
+(``batch_loss``, the one taped forward pass of a batch, which gradcheck
+shares), and takes one Adam step.  Adam's moments live in an
+``AdamState`` that each step advances in place, while every step writes
+its parameters into fresh arrays, so the run can keep the parameter
+snapshot with the best validation rsum without a copy.  Each step runs in
+its own call, so only one step's tape and gradients are alive at a time.
+Everything is driven by explicit seeds; two identical runs produce
+bitwise-identical loss curves.
 
 A checkpoint is a ``kvfile`` container (format ``itmatch-checkpoint``,
 version 1): the manifest holds the dtype, every ``ModelConfig`` field as
@@ -194,6 +195,18 @@ class TrainResult:
     val_history: list[tuple[int, RetrievalResult, RetrievalResult]] = field(default_factory=list)
 
 
+def batch_loss(
+    params: ParamStore,
+    cfg: ModelConfig,
+    margin: float,
+    regions: list[np.ndarray],
+    tokens: list[list[int]],
+) -> tuple[Tensor, Tensor]:
+    """The taped forward pass of one batch: its (b, b) score grid and hinge loss."""
+    grid = score_grid(params, cfg, regions, tokens)
+    return grid, bidirectional_ranking_loss(LossBatch(scores=grid, margin=margin))
+
+
 def _train_step(
     params: ParamStore,
     state: AdamState,
@@ -208,11 +221,17 @@ def _train_step(
     they are freed before the next step's forward pass and before
     validation.
     """
-    grid = score_grid(params, config.model, regions, tokens)
-    loss = bidirectional_ranking_loss(LossBatch(scores=grid, margin=config.margin))
+    grid, loss = batch_loss(params, config.model, config.margin, regions, tokens)
     value = loss.item()
     if not math.isfinite(value):
         raise DataError(f"step {state.step + 1}: the loss is not finite ({value!r})")
+    # the loss reads only the matched and hardest entries, so a non-finite
+    # score elsewhere in the grid (or a diagonal +inf) can leave it finite
+    bad = np.argwhere(~np.isfinite(grid.data))
+    if bad.size:
+        i, j = (int(x) for x in bad[0])
+        raise DataError(f"step {state.step + 1}: the score of image {i} and caption {j} "
+                        f"of the batch is not finite ({float(grid.data[i, j])!r})")
     # a non-finite gradient raises here, before the store or state changes
     params, _ = adam_step(params, backward(loss, params), state, lr)
     return params, value
@@ -226,8 +245,8 @@ def train(
     """Train from a seeded initialisation; snapshot the best validation rsum.
 
     Without a validation set (None) the training set doubles as one, which
-    is what small synthetic overfitting runs want.  A step whose loss or
-    gradient is not finite raises DataError naming the step.
+    is what small synthetic overfitting runs want.  A step whose loss, score
+    grid or gradient is not finite raises DataError naming the step.
     """
     if not bundles:
         raise ConfigError("training needs a non-empty dataset")

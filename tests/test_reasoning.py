@@ -191,6 +191,15 @@ def test_reason_requires_layers():
         reason(_nodes(rng, 4, 3), [], 3)
 
 
+@pytest.mark.parametrize("rows", [[4, 0], [1, -1], [0, 1, 2]], ids=["row_n", "negative", "unbroadcastable"])
+def test_reason_rejects_global_rows_outside_the_node_sets(rows):
+    # a flat gather would read a neighbouring node set's row
+    rng = np.random.default_rng(8)
+    nodes = tt.constant(rng.normal(size=(2, 4, 3)))
+    with pytest.raises(DimensionError):
+        reason(nodes, [_layer(rng, 3)], rows)
+
+
 def test_gated_update_is_permutation_sensitive():
     # the conv gate reads neighbourhoods, so reordering the local nodes
     # must change the (permuted-back) result; plain matrix reasoning

@@ -5,10 +5,12 @@ import pytest
 
 from itmatch import tensor as tt
 from itmatch.errors import ConfigError, ContractError, DimensionError
+from itmatch.gradcheck import _hinge_distance
 from itmatch.scoring import (
     LossBatch,
     bidirectional_ranking_loss,
     fuse,
+    hardest_negatives,
     score,
 )
 
@@ -151,20 +153,95 @@ def test_score_is_affine_in_the_fused_vector():
     assert grid.tolist() == [[2.0 - 2.0 + 2.0 + 0.25, 0.25]]
 
 
-def test_loss_matches_a_per_pair_loop_and_its_gradient():
-    rng = np.random.default_rng(4)
-    values = rng.normal(size=(6, 6))
-    store = tt.ParamStore.from_dict({"s": tt.parameter(values)})
-    g = tt.backward(bidirectional_ranking_loss(LossBatch(store["s"], margin=0.2)), store)["s"].data
-    expected = np.zeros((6, 6))
-    for k in range(6):
-        row = [j for j in range(6) if j != k]
+def _per_pair_loop(values, margin=0.2):
+    """Loss and score-grid gradient by a loop over pairs; ties take the lowest index."""
+    b = values.shape[0]
+    grad = np.zeros((b, b))
+    caption_terms, image_terms = [], []
+    for k in range(b):
+        row = [j for j in range(b) if j != k]
         hardest_caption = row[int(np.argmax(values[k, row]))]
         hardest_image = row[int(np.argmax(values[row, k]))]
-        if 0.2 - values[k, k] + values[k, hardest_caption] > 0.0:
-            expected[k, k] -= 1.0
-            expected[k, hardest_caption] += 1.0
-        if 0.2 - values[k, k] + values[hardest_image, k] > 0.0:
-            expected[k, k] -= 1.0
-            expected[hardest_image, k] += 1.0
+        caption_terms.append(max(margin - values[k, k] + values[k, hardest_caption], 0.0))
+        image_terms.append(max(margin - values[k, k] + values[hardest_image, k], 0.0))
+        if caption_terms[-1] > 0.0:
+            grad[k, k] -= 1.0
+            grad[k, hardest_caption] += 1.0
+        if image_terms[-1] > 0.0:
+            grad[k, k] -= 1.0
+            grad[hardest_image, k] += 1.0
+    return sum(caption_terms) + sum(image_terms), grad
+
+
+def _loss_and_gradient(values):
+    store = tt.ParamStore.from_dict({"s": tt.parameter(values)})
+    loss = bidirectional_ranking_loss(LossBatch(store["s"], margin=0.2))
+    return loss.item(), tt.backward(loss, store)["s"].data
+
+
+def test_loss_matches_a_per_pair_loop_and_its_gradient():
+    values = np.random.default_rng(4).normal(size=(6, 6))
+    loss, g = _loss_and_gradient(values)
+    expected_loss, expected = _per_pair_loop(values)
+    assert loss == pytest.approx(expected_loss, abs=1e-12)
     np.testing.assert_array_equal(g, expected)
+
+
+def _planted_ties(transpose):
+    # every row's two largest off-diagonal entries tie at 0.5, and
+    # (transposed) every column's; each of their hinges is active
+    values = np.round(np.random.default_rng(6).uniform(-1.0, 0.4, size=(5, 5)), 1)
+    np.fill_diagonal(values, 0.0)
+    for k in range(5):
+        first, second = [j for j in range(5) if j != k][k % 3:k % 3 + 2]
+        values[k, first] = values[k, second] = 0.5
+    return values.T.copy() if transpose else values
+
+
+EDGE_GRIDS = {
+    "b2": np.array([[0.3, 0.4], [0.1, 0.2]]),
+    "all_inactive": np.eye(4) * 2.0 + 0.01 * np.random.default_rng(7).normal(size=(4, 4)),
+    "ties_in_rows": _planted_ties(transpose=False),
+    "ties_in_columns": _planted_ties(transpose=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_GRIDS))
+def test_loss_matches_a_per_pair_loop_on_edge_grids(name):
+    values = EDGE_GRIDS[name]
+    loss, g = _loss_and_gradient(values)
+    expected_loss, expected = _per_pair_loop(values)
+    assert loss == pytest.approx(expected_loss, abs=1e-12)
+    np.testing.assert_array_equal(g, expected)
+    if name == "all_inactive":
+        assert loss == 0.0 and not g.any()
+
+
+# --- hardest negatives ------------------------------------------------------------
+
+
+def test_hardest_negatives_never_choose_the_diagonal():
+    values = np.array([
+        [9.0, 0.1, 0.3],
+        [0.3, 9.0, 0.3],
+        [0.2, 0.7, 9.0],
+    ])
+    row_negs, col_negs = hardest_negatives(values)
+    # row 1 and column 2 tie at 0.3, and take the lower index
+    assert row_negs.tolist() == [2, 0, 1]
+    assert col_negs.tolist() == [1, 2, 0]
+    assert np.all(np.diag(values) == 9.0)  # the input is not written to
+
+
+@pytest.mark.parametrize("grid", ["random", "tied"])
+def test_hinge_distance_matches_a_loop(grid):
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(6, 6))
+    if grid == "tied":
+        values = np.round(values, 0)
+    worst = np.inf
+    for k in range(6):
+        others = [j for j in range(6) if j != k]
+        for neg in (max(values[k, j] for j in others), max(values[j, k] for j in others)):
+            worst = min(worst, abs(0.2 - values[k, k] + neg))
+    assert _hinge_distance(values, 0.2) == worst

@@ -1,6 +1,5 @@
 """Engine ops against hand-computed values and finite differences."""
 
-import math
 import zlib
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from itmatch import tensor as tt
 from itmatch.errors import ConfigError, ContractError, DimensionError
-from itmatch.tensor import ParamStore, Tensor, backward, finite_diff_grad
+from itmatch.tensor import ParamStore, backward, finite_diff_grad
 
 
 def _store(**arrays):
@@ -72,7 +71,6 @@ def test_reductions_values():
     assert tt.sum(a).item() == 10.0
     assert tt.sum(a, axis=0).data.tolist() == [4.0, 6.0]
     assert tt.sum(a, axis=1).data.tolist() == [3.0, 7.0]
-    assert tt.amax(a, axis=0).data.tolist() == [3.0, 4.0]
 
 
 def test_matmul_shapes_and_values():
@@ -102,6 +100,18 @@ def test_take_rows_repeats():
     store = ParamStore.from_dict({"t": table})
     g = backward(tt.sum(out), store)["t"].data
     assert g.tolist() == [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]  # repeated row accumulates
+
+
+def test_take_rows_takes_an_index_array_as_it_is():
+    table = tt.parameter(np.arange(6.0).reshape(3, 2))
+    index = np.array([2, 0, 2], dtype=np.int64)
+    out = tt.take_rows(table, index)
+    assert out.data.tolist() == [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
+    g = backward(tt.sum(out), ParamStore.from_dict({"t": table}))["t"].data
+    assert g.tolist() == [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]
+    for bad in (np.array([[0, 1]]), np.array([], dtype=np.intp), np.array([3]), np.array([-1])):
+        with pytest.raises(DimensionError):
+            tt.take_rows(table, bad)
 
 
 def test_scale_rows_values():
@@ -164,12 +174,6 @@ def test_softmax_rows_large_logits_do_not_overflow():
     out = tt.softmax_rows(x).data
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 1.0]], atol=1e-300)
-
-
-def test_amax_breaks_ties_toward_first_index():
-    store = _store(x=[[2.0, 2.0, 1.0]])
-    g = backward(tt.sum(tt.amax(store["x"], axis=1)), store)["x"].data
-    assert g.tolist() == [[1.0, 0.0, 0.0]]
 
 
 def test_conv3x3_identity_kernel():
@@ -240,14 +244,6 @@ def test_batched_matmul_broadcasts_leading_axes():
         tt.matmul(tt.constant(np.zeros((2, 3, 4))), tt.constant(np.zeros((3, 4, 2))))
     with pytest.raises(DimensionError):
         tt.matmul(tt.constant(np.zeros(4)), tt.constant(np.zeros((2, 4, 2))))
-
-
-def test_pick_rows_values():
-    a = tt.constant(np.arange(12.0).reshape(2, 3, 2))
-    assert tt.pick_rows(a, [2, 0]).data.tolist() == [[4.0, 5.0], [6.0, 7.0]]
-    assert tt.pick_rows(a, 1).data.tolist() == [[2.0, 3.0], [8.0, 9.0]]
-    with pytest.raises(DimensionError):
-        tt.pick_rows(a, [3, 0])
 
 
 # --- gradients ----------------------------------------------------------------
@@ -371,7 +367,6 @@ OP_CASES = [
     ("mul_bcast", lambda p: tt.sum(tt.square(tt.mul(p["a"], p["v"])))),
     ("sigmoid", lambda p: tt.sum(tt.sigmoid(p["a"]))),
     ("relu_shifted", lambda p: tt.sum(tt.relu(tt.add(p["a"], 0.05)))),
-    ("amax_axis1", lambda p: tt.sum(tt.amax(p["a"], axis=1))),
     ("inv_norm_rows", lambda p: tt.sum(tt.inv_norm(p["a"], axis=1))),
     ("inv_norm_cols", lambda p: tt.sum(tt.inv_norm(p["a"], axis=0))),
     ("matmul", lambda p: tt.sum(tt.square(tt.matmul(p["a"], p["b"])))),
@@ -415,7 +410,6 @@ BATCHED_OP_CASES = [
     ("softmax_masked", lambda p: tt.sum(tt.square(tt.softmax_rows(
         p["t"], np.array([[True, False, True, True], [False, True, True, False], [True] * 4]))))),
     ("conv_stack", lambda p: tt.sum(tt.square(tt.conv2d_3x3(p["t"], p["k"], p["s"])))),
-    ("pick_rows", lambda p: tt.sum(tt.square(tt.pick_rows(p["t"], [2, 0])))),
 ]
 
 

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from itmatch import tensor as tt
+from itmatch import training
 from itmatch.dataio import gen_synthetic
 from itmatch.errors import ConfigError, ContractError, DataError
-from itmatch.evaluation import evaluate, rsum
+from itmatch.evaluation import evaluate, flatten_captions, rsum
 from itmatch.model import ModelConfig, init_params
 from itmatch.tensor import ParamStore, backward
 from itmatch.training import (
@@ -389,6 +390,54 @@ def test_train_stops_at_the_first_non_finite_loss():
     tc = TrainConfig(model=_tiny_model(), epochs=2, lr_decay_epoch=2, batch_size=4)
     with np.errstate(all="ignore"), pytest.raises(DataError, match=r"step 1: the loss is not finite"):
         train(data, tc)
+
+
+# the loss stays finite for the first two, since it reads only the matched
+# entries and the hardest negatives; the loss check catches the others first
+@pytest.mark.parametrize(
+    "entry,value,message",
+    [
+        ((0, 1), -np.inf, r"the score of image 0 and caption 1 of the batch is not finite \(-inf\)"),
+        ((1, 1), np.inf, r"the score of image 1 and caption 1 of the batch is not finite \(inf\)"),
+        ((2, 0), np.inf, r"the loss is not finite \(inf\)"),
+        ((3, 2), np.nan, r"the loss is not finite \(nan\)"),
+    ],
+    ids=["off_diagonal_-inf", "diagonal_inf", "off_diagonal_inf", "nan"],
+)
+def test_train_step_stops_on_a_non_finite_score(monkeypatch, entry, value, message):
+    real = training.score_grid
+    calls = []
+
+    def planted(params, cfg, regions, tokens):
+        # the second step's grid gets the value at the entry
+        calls.append(None)
+        grid = real(params, cfg, regions, tokens)
+        if len(calls) != 2:
+            return grid
+        plant = np.zeros(grid.shape)
+        plant[entry] = value
+        return tt.add(grid, tt.constant(plant))
+
+    monkeypatch.setattr(training, "score_grid", planted)
+    tc = TrainConfig(model=_tiny_model(), epochs=2, lr=0.01, lr_decay_epoch=2, batch_size=4)
+    with pytest.raises(DataError, match=rf"^step 2: {message}$"):
+        train(_tiny_data(), tc)
+
+    calls.clear()
+    regions, tokens, owner = flatten_captions(_tiny_data())
+    batch = ([regions[i] for i in owner], tokens)
+    params = init_params(tc.model, seed=0)
+    state = adam_init(params)
+    params, _ = training._train_step(params, state, tc, *batch, lr=0.01)
+
+    def snapshot():
+        return [(t.data.tobytes(), state.m[name].tobytes(), state.v[name].tobytes()) for name, t in params.items()]
+
+    kept = snapshot()
+    with pytest.raises(DataError, match=rf"^step 2: {message}$"):
+        training._train_step(params, state, tc, *batch, lr=0.01)
+    assert state.step == 1
+    assert snapshot() == kept
 
 
 def test_train_skips_single_leftover_pair():
