@@ -15,7 +15,7 @@ class DimensionError(ItmatchError):
 
 
 class ContractError(ItmatchError):
-    """API misuse: non-scalar loss, a missing stream vector, padded captions without globals."""
+    """API misuse: a non-scalar loss, a score grid that is not square, a missing gradient or parameter."""
 
 
 class InputError(ItmatchError):

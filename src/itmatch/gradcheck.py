@@ -5,7 +5,8 @@ tape with ``training.batch_loss`` (the forward pass every training step
 takes), and compares every parameter gradient against the tape-free
 central-difference oracle.  The loss has hinge kinks, so the harness
 first checks that no hinge argument sits near zero (stepping the seed if
-one does) before trusting the finite differences.
+one does) before trusting the finite differences.  A batch whose score
+grid is not finite raises the loss's DataError; no seed is stepped past it.
 """
 
 from __future__ import annotations

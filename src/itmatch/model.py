@@ -3,8 +3,8 @@
 One scalar score per image-caption pair: encode both modalities, build
 local similarity vectors through cross attention (the text-to-image
 stream's already mean-pooled), run the image-to-text node set through
-gated graph reasoning, fuse the two stream vectors, and apply a linear
-head.
+gated graph reasoning, sum the stream vectors that ran, and apply a
+linear head.
 
 Every (image, caption) pairing of a tile is scored at once: a tile's
 images are encoded as one batch in one projection, its captions as one
@@ -28,9 +28,9 @@ import numpy as np
 from . import tensor as tt
 from .attention import local_similarities
 from .encoders import encode_texts, global_feature, project_image
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DimensionError
 from .reasoning import ReasonLayerParams, build_node_set, reason
-from .scoring import fuse, score
+from .scoring import check_finite, score
 from .tensor import ParamStore, Tensor
 
 STREAMS = ("both", "i2t_only", "t2i_only")
@@ -182,21 +182,6 @@ def layer_params(params: ParamStore, index: int) -> ReasonLayerParams:
     )
 
 
-def _sim_weights(params: ParamStore, cfg: ModelConfig) -> tuple[Tensor, Tensor | None, Tensor | None]:
-    if cfg.share_sim_w:
-        shared = params["sim.w_shared"]
-        return (
-            shared,
-            shared if cfg.uses_i2t else None,
-            shared if cfg.uses_t2i else None,
-        )
-    return (
-        params["sim.w_glob"],
-        params["sim.w_i2t"] if cfg.uses_i2t else None,
-        params["sim.w_t2i"] if cfg.uses_t2i else None,
-    )
-
-
 def encode_image(params: ParamStore, cfg: ModelConfig, region_list) -> EncodedImages:
     """Encode a batch of (k, d_raw) region matrices together, in one projection."""
     regions = [np.asarray(r, dtype=np.float64) for r in region_list]
@@ -232,25 +217,31 @@ def score_tile(
     # the rows past each caption's last word are zero; the first of them
     # holds its global reasoning node
     word_mask = np.arange(captions.local.shape[1]) < lengths[:, None]
-    w_glob, w_i2t, w_t2i = _sim_weights(params, cfg)
+
+    def sim_w(name: str) -> Tensor:
+        return params["sim.w_shared" if cfg.share_sim_w else f"sim.{name}"]
+
     local = local_similarities(
         images.local, captions.local, images.glob, captions.glob, word_mask,
-        cfg.temperature, w_glob,
+        cfg.temperature, sim_w("w_glob"),
         # with no reasoning layer the i2t stream is its global node alone
-        w_i2t=w_i2t if cfg.n_layers else None,
-        w_t2i=w_t2i,
+        w_i2t=sim_w("w_i2t") if cfg.uses_i2t and cfg.n_layers else None,
+        w_t2i=sim_w("w_t2i") if cfg.uses_t2i else None,
     )
-    s_i2t = None
+    streams = []
     if cfg.uses_i2t:
         if cfg.n_layers == 0:
-            s_i2t = local.s_glob
+            streams.append(local.s_glob)
         else:
             nodes = build_node_set(local.s_i2t, local.s_glob, lengths)
             layers = [layer_params(params, i) for i in range(cfg.n_layers)]
-            s_i2t = reason(
+            streams.append(reason(
                 nodes, layers, lengths, hierarchical=cfg.hierarchical, row_softmax=cfg.row_softmax,
-            )
-    return score(fuse(s_i2t, local.s_t2i), params["head.w"], params["head.b"])
+            ))
+    if cfg.uses_t2i:
+        streams.append(local.s_t2i)
+    fused = tt.add(*streams) if len(streams) == 2 else streams[0]
+    return score(fused, params["head.w"], params["head.b"])
 
 
 def score_grid(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -> Tensor:
@@ -306,8 +297,5 @@ def score_matrix(params: ParamStore, cfg: ModelConfig, region_list, token_lists)
                 for j in range(0, n_captions, tile_captions):
                     tile = _caption_slice(captions, j, j + tile_captions)
                     out[i:i + tile_images, j:j + tile_captions] = score_tile(params, cfg, images, tile).data
-    bad = np.argwhere(~np.isfinite(out))
-    if bad.size:
-        i, j = (int(x) for x in bad[0])
-        raise DataError(f"score of image {i} and caption {j} is not finite ({out[i, j]!r})")
+    check_finite(out)
     return out

@@ -1,5 +1,6 @@
-"""Stream fusion, scalar scoring, and the bidirectional ranking loss, whose
-hardest negatives are chosen once, in numpy, from the score grid's values."""
+"""Scalar scoring, the one finiteness rule for scores, and the bidirectional
+ranking loss, whose hardest negatives are chosen once, in numpy, from the
+score grid's values."""
 
 from __future__ import annotations
 
@@ -8,12 +9,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DataError, DimensionError
 from .tensor import Tensor
+
+
+def check_finite(scores: np.ndarray) -> None:
+    """Raise DataError naming the first (image, caption) entry that is not finite."""
+    bad = np.argwhere(~np.isfinite(scores))
+    if bad.size:
+        i, j = (int(x) for x in bad[0])
+        raise DataError(f"score of image {i} and caption {j} is not finite ({float(scores[i, j])!r})")
+
 
 @dataclass(frozen=True)
 class LossBatch:
-    """(b, b) score grid whose diagonal holds the matched pairs."""
+    """(b, b) score grid whose diagonal holds the matched pairs, every entry
+    finite: a hardest negative that is not finite would leave the loss finite
+    and wrong."""
 
     scores: Tensor
     margin: float
@@ -25,22 +37,12 @@ class LossBatch:
             raise ContractError("score grid needs at least two pairs for negatives")
         if not 0.0 <= self.margin < np.inf:  # NaN fails both comparisons
             raise ConfigError(f"margin must be finite and non-negative, got {self.margin}")
-
-
-def fuse(s_i2t: Tensor | None, s_t2i: Tensor | None) -> Tensor:
-    """Sum of the two stream vectors, or the one given when a stream is off."""
-    if s_i2t is None and s_t2i is None:
-        raise ContractError("fuse needs at least one stream vector")
-    if s_i2t is None or s_t2i is None:
-        return s_t2i if s_i2t is None else s_i2t
-    if s_i2t.shape != s_t2i.shape:
-        raise DimensionError(f"stream shapes differ: {s_i2t.shape} vs {s_t2i.shape}")
-    return tt.add(s_i2t, s_t2i)
+        check_finite(self.scores.data)
 
 
 def score(fused: Tensor, w_head: Tensor, b_head: Tensor) -> Tensor:
-    """Scalar matching score w . fused + b of each fused vector (..., m)."""
-    if fused.ndim < 1 or w_head.ndim != 1 or w_head.shape[0] != fused.shape[-1]:
+    """Scalar matching score w . fused + b of each fused vector of a (..., m) stack."""
+    if fused.ndim < 2 or w_head.ndim != 1 or w_head.shape[0] != fused.shape[-1]:
         raise DimensionError(f"score needs matching vectors, got {fused.shape} and {w_head.shape}")
     return tt.add(tt.matmul(fused, w_head), b_head)
 
@@ -48,7 +50,7 @@ def score(fused: Tensor, w_head: Tensor, b_head: Tensor) -> Tensor:
 def hardest_negatives(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column of each row's and row of each column's largest off-diagonal
     entry; ties take the lowest index.  The diagonal is set to -inf first, so
-    it is chosen only where every other entry of its row or column is -inf."""
+    on a finite grid it is never chosen."""
     off = np.array(scores, dtype=np.float64)
     np.fill_diagonal(off, -np.inf)
     return np.argmax(off, axis=1), np.argmax(off, axis=0)

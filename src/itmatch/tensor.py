@@ -297,11 +297,11 @@ def inv_norm(a: Tensor, axis: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product under numpy's matmul rules: 1-D operands are vectors,
-    and the leading axes of stacked operands broadcast against each other.
-    A 1-D left operand takes a 1-D or 2-D right operand only."""
+    """Matrix product under numpy's matmul rules: a 1-D right operand is a
+    vector, and the leading axes of stacked operands broadcast against each
+    other.  The left operand is at least 2-D."""
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0 or (ad.ndim == 1 and bd.ndim > 2):
+    if ad.ndim < 2 or bd.ndim == 0:
         raise DimensionError(f"matmul cannot multiply {ad.shape} by {bd.shape}")
     inner = bd.shape[0] if bd.ndim == 1 else bd.shape[-2]
     if ad.shape[-1] != inner:
@@ -315,12 +315,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if bd.ndim == 1:
-            if ad.ndim == 1:
-                return (g * bd, g * ad)
-            gb = ad.T @ g if ad.ndim == 2 else np.tensordot(g, ad, axes=g.ndim)
-            return (g[..., None] * bd, gb)
-        if ad.ndim == 1:
-            return (bd @ g, np.outer(ad, g))
+            return (g[..., None] * bd, np.tensordot(g, ad, axes=g.ndim))
         if bd.ndim == 2:
             # a matrix shared by a whole stack: fold the stack into rows, so
             # its gradient is one product, not a per-matrix one summed after

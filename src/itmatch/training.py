@@ -221,17 +221,14 @@ def _train_step(
     they are freed before the next step's forward pass and before
     validation.
     """
-    grid, loss = batch_loss(params, config.model, config.margin, regions, tokens)
+    try:
+        _, loss = batch_loss(params, config.model, config.margin, regions, tokens)
+    except DataError as err:  # a score of the batch is not finite
+        raise DataError(f"step {state.step + 1}: {err}") from None
+    # a finite grid can still overflow the sum of its hinge terms
     value = loss.item()
     if not math.isfinite(value):
         raise DataError(f"step {state.step + 1}: the loss is not finite ({value!r})")
-    # the loss reads only the matched and hardest entries, so a non-finite
-    # score elsewhere in the grid (or a diagonal +inf) can leave it finite
-    bad = np.argwhere(~np.isfinite(grid.data))
-    if bad.size:
-        i, j = (int(x) for x in bad[0])
-        raise DataError(f"step {state.step + 1}: the score of image {i} and caption {j} "
-                        f"of the batch is not finite ({float(grid.data[i, j])!r})")
     # a non-finite gradient raises here, before the store or state changes
     params, _ = adam_step(params, backward(loss, params), state, lr)
     return params, value

@@ -242,7 +242,7 @@ def test_train_stops_on_non_finite_features_and_writes_no_checkpoint(tmp_path, c
         rc = main(["train", "--data", data, "--out", str(ckpt), "--epochs", "2",
                    "--batch-size", "4", *MODEL_TINY])
     assert rc == 3
-    assert "step 1: the loss is not finite" in capsys.readouterr().err
+    assert "step 1: score of image 0 and caption 0 is not finite (nan)" in capsys.readouterr().err
     assert not ckpt.exists()
 
 
@@ -283,6 +283,19 @@ def test_gradcheck_detects_corrupted_gradient(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "gradient verification FAILED" in captured.err
     assert [line.split()[0] for line in captured.out.splitlines() if line.endswith("FAIL")] == ["head.w"]
+
+
+def test_gradcheck_exits_3_on_a_non_finite_grid(capsys, monkeypatch):
+    real = training.score_grid
+
+    def planted(params, cfg, regions, tokens):
+        plant = np.zeros((len(regions), len(regions)))
+        plant[0, 1] = -np.inf
+        return tt.add(real(params, cfg, regions, tokens), tt.constant(plant))
+
+    monkeypatch.setattr(training, "score_grid", planted)
+    assert main(GRADCHECK_TINY) == 3
+    assert "error: score of image 0 and caption 1 is not finite (-inf)" in capsys.readouterr().err
 
 
 def test_gradcheck_enforces_param_budget(tmp_path, capsys):

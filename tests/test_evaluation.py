@@ -128,7 +128,7 @@ def test_score_matrix_names_the_first_non_finite_score():
     table = params["embed.table"].data.copy()
     table[captions[1][0]] = np.nan
     params = params.copy_with({"embed.table": tt.parameter(table)})
-    with pytest.raises(DataError, match="image 0 and caption 1 is not finite"):
+    with pytest.raises(DataError, match=r"^score of image 0 and caption 1 is not finite \(nan\)$"):
         score_matrix(params, cfg, regions, captions)
 
 
@@ -243,6 +243,6 @@ def test_a_non_finite_score_in_a_later_fold_names_a_locatable_pair():
     with pytest.raises(
         DataError,
         match=r"fold 1 \(its image i is image 2 \+ i, its caption j is caption 4 \+ j\): "
-        r"score of image 1 and caption 0 is not finite",
+        r"score of image 1 and caption 0 is not finite \(nan\)$",
     ):
         evaluate(params, cfg, bundles, folds=2)

@@ -1,15 +1,14 @@
-"""Fusion, the scalar head, and the hardest-negative ranking loss."""
+"""The scalar head, the finiteness rule for scores, and the hardest-negative ranking loss."""
 
 import numpy as np
 import pytest
 
 from itmatch import tensor as tt
-from itmatch.errors import ConfigError, ContractError, DimensionError
+from itmatch.errors import ConfigError, ContractError, DataError, DimensionError
 from itmatch.gradcheck import _hinge_distance
 from itmatch.scoring import (
     LossBatch,
     bidirectional_ranking_loss,
-    fuse,
     hardest_negatives,
     score,
 )
@@ -80,6 +79,34 @@ def test_loss_batch_validation():
         LossBatch(tt.constant(np.zeros((2, 2))), margin=-0.1)
 
 
+def _planted_4x4(entry, value):
+    values = np.random.default_rng(5).normal(size=(4, 4))
+    values[entry] = value
+    return values
+
+
+@pytest.mark.parametrize("values, message", [
+    # the grid whose loss read 0.2: row 0's only negative is -inf
+    ([[0.5, -np.inf], [0.1, 0.5]], r"image 0 and caption 1 is not finite \(-inf\)"),
+    ([[np.inf, 0.1], [0.1, 0.5]], r"image 0 and caption 0 is not finite \(inf\)"),
+    ([[0.5, 0.1], [np.nan, 0.5]], r"image 1 and caption 0 is not finite \(nan\)"),
+    (_planted_4x4((2, 3), -np.inf), r"image 2 and caption 3 is not finite \(-inf\)"),
+    (_planted_4x4((1, 1), np.inf), r"image 1 and caption 1 is not finite \(inf\)"),
+    (_planted_4x4((3, 0), np.nan), r"image 3 and caption 0 is not finite \(nan\)"),
+    # the first bad entry in row order is named
+    ([[0.0, 0.0, 0.0], [0.0, 0.0, np.inf], [np.nan, 0.0, 0.0]], r"image 1 and caption 2 is not finite \(inf\)"),
+], ids=["2x2-off-diag-neg-inf", "2x2-diag-inf", "2x2-nan", "4x4-off-diag-neg-inf", "4x4-diag-inf", "4x4-nan",
+        "3x3-two-bad-entries"])
+def test_loss_batch_refuses_a_non_finite_score(values, message):
+    with pytest.raises(DataError, match=rf"^score of {message}$"):
+        _grid(values)
+
+
+def test_signed_zeros_are_finite_scores():
+    values = np.array([[0.0, -0.0], [-0.0, 0.0]])
+    assert bidirectional_ranking_loss(_grid(values)).item() == 0.8
+
+
 def test_loss_gradient_matches_finite_differences_away_from_kinks():
     rng = np.random.default_rng(3)
     values = rng.normal(size=(4, 4))
@@ -118,37 +145,16 @@ def test_loss_tie_gradient_goes_to_first_index():
     assert g[0, 2] == 0.0
 
 
-# --- fusion and head ------------------------------------------------------------
-
-
-def test_fuse_adds_elementwise_and_commutes():
-    a = tt.constant(np.array([1.0, 2.0]))
-    b = tt.constant(np.array([10.0, 20.0]))
-    out = fuse(a, b)
-    assert out.data.tolist() == [11.0, 22.0]
-    np.testing.assert_array_equal(out.data, fuse(b, a).data)
-
-
-def test_fuse_single_stream_modes():
-    a = tt.constant(np.array([1.0, 2.0]))
-    b = tt.constant(np.array([10.0, 20.0]))
-    assert fuse(a, None) is a
-    assert fuse(None, b) is b
-
-
-def test_fuse_validation():
-    a = tt.constant(np.array([1.0, 2.0]))
-    with pytest.raises(ContractError):
-        fuse(None, None)
-    with pytest.raises(DimensionError):
-        fuse(a, tt.constant(np.ones(3)))
+# --- head -----------------------------------------------------------------------
 
 
 def test_score_is_affine_in_the_fused_vector():
     w = tt.constant(np.array([1.0, -2.0, 0.5]))
     b = tt.constant(np.asarray(0.25))
-    fused = tt.constant(np.array([2.0, 1.0, 4.0]))
-    assert score(fused, w, b).item() == 2.0 - 2.0 + 2.0 + 0.25
+    fused = tt.constant(np.array([[2.0, 1.0, 4.0]]))
+    assert score(fused, w, b).data.tolist() == [2.0 - 2.0 + 2.0 + 0.25]
+    with pytest.raises(DimensionError):
+        score(tt.constant(np.array([2.0, 1.0, 4.0])), w, b)  # a stack of vectors only
     grid = score(tt.constant(np.array([[[2.0, 1.0, 4.0], [0.0, 0.0, 0.0]]])), w, b).data
     assert grid.tolist() == [[2.0 - 2.0 + 2.0 + 0.25, 0.25]]
 

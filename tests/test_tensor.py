@@ -79,10 +79,10 @@ def test_matmul_shapes_and_values():
     v = tt.constant(np.array([1.0, -1.0]))
     assert tt.matmul(a, b).data.tolist() == a.data.tolist()
     assert tt.matmul(a, v).data.tolist() == [-1.0, -1.0]
-    assert tt.matmul(v, a).data.tolist() == [-2.0, -2.0]
-    assert tt.matmul(v, v).item() == 2.0
     with pytest.raises(DimensionError):
         tt.matmul(a, tt.constant(np.zeros((3, 2))))
+    with pytest.raises(DimensionError, match=r"cannot multiply \(2,\) by \(2, 2\)"):
+        tt.matmul(v, a)  # a left operand is at least 2-D
 
 
 def test_take_and_stack_values():
@@ -371,8 +371,6 @@ OP_CASES = [
     ("inv_norm_cols", lambda p: tt.sum(tt.inv_norm(p["a"], axis=0))),
     ("matmul", lambda p: tt.sum(tt.square(tt.matmul(p["a"], p["b"])))),
     ("matvec", lambda p: tt.sum(tt.square(tt.matmul(p["a"], p["v"])))),
-    ("vecmat", lambda p: tt.sum(tt.square(tt.matmul(p["u"], p["a"])))),
-    ("dot", lambda p: tt.square(tt.matmul(p["v"], p["v"]))),
     ("transpose", lambda p: tt.sum(tt.square(tt.matmul(tt.transpose(p["a"]), p["a"])))),
     ("scale_rows", lambda p: tt.sum(tt.square(tt.scale_rows(p["a"], p["u"])))),
     ("softmax", lambda p: tt.sum(tt.square(tt.softmax_rows(p["a"])))),

@@ -12,6 +12,7 @@ from itmatch import training
 from itmatch.dataio import gen_synthetic
 from itmatch.errors import ConfigError, ContractError, DataError
 from itmatch.evaluation import evaluate, flatten_captions, rsum
+from itmatch.gradcheck import run_gradcheck
 from itmatch.model import ModelConfig, init_params
 from itmatch.tensor import ParamStore, backward
 from itmatch.training import (
@@ -388,39 +389,48 @@ def test_train_stops_at_the_first_non_finite_loss():
     for bundle in data:
         bundle.regions = bundle.regions * 1e200
     tc = TrainConfig(model=_tiny_model(), epochs=2, lr_decay_epoch=2, batch_size=4)
-    with np.errstate(all="ignore"), pytest.raises(DataError, match=r"step 1: the loss is not finite"):
+    with np.errstate(all="ignore"), pytest.raises(
+        DataError, match=r"^step 1: score of image 0 and caption 0 is not finite \(nan\)$"
+    ):
         train(data, tc)
 
 
-# the loss stays finite for the first two, since it reads only the matched
-# entries and the hardest negatives; the loss check catches the others first
-@pytest.mark.parametrize(
-    "entry,value,message",
-    [
-        ((0, 1), -np.inf, r"the score of image 0 and caption 1 of the batch is not finite \(-inf\)"),
-        ((1, 1), np.inf, r"the score of image 1 and caption 1 of the batch is not finite \(inf\)"),
-        ((2, 0), np.inf, r"the loss is not finite \(inf\)"),
-        ((3, 2), np.nan, r"the loss is not finite \(nan\)"),
-    ],
-    ids=["off_diagonal_-inf", "diagonal_inf", "off_diagonal_inf", "nan"],
-)
-def test_train_step_stops_on_a_non_finite_score(monkeypatch, entry, value, message):
+def _plant_in_grid(monkeypatch, plants, call):
+    """Make training.score_grid add each {entry: value} to the grid it returns at this call."""
     real = training.score_grid
     calls = []
 
     def planted(params, cfg, regions, tokens):
-        # the second step's grid gets the value at the entry
         calls.append(None)
         grid = real(params, cfg, regions, tokens)
-        if len(calls) != 2:
+        if len(calls) != call:
             return grid
         plant = np.zeros(grid.shape)
-        plant[entry] = value
+        for entry, value in plants.items():
+            plant[entry] = value
         return tt.add(grid, tt.constant(plant))
 
     monkeypatch.setattr(training, "score_grid", planted)
+    return calls
+
+
+# the loss refuses every non-finite grid entry, even one it would not read;
+# the last case is a finite grid whose hinge term overflows
+@pytest.mark.parametrize(
+    "plants,message",
+    [
+        ({(0, 1): -np.inf}, r"score of image 0 and caption 1 is not finite \(-inf\)"),
+        ({(1, 1): np.inf}, r"score of image 1 and caption 1 is not finite \(inf\)"),
+        ({(2, 0): np.inf}, r"score of image 2 and caption 0 is not finite \(inf\)"),
+        ({(3, 2): np.nan}, r"score of image 3 and caption 2 is not finite \(nan\)"),
+        ({(0, 0): -1.5e308, (0, 1): 1.5e308}, r"the loss is not finite \(inf\)"),
+    ],
+    ids=["off_diagonal_-inf", "diagonal_inf", "off_diagonal_inf", "nan", "finite_grid_loss_overflows"],
+)
+def test_train_step_stops_on_a_non_finite_score(monkeypatch, plants, message):
+    calls = _plant_in_grid(monkeypatch, plants, call=2)
     tc = TrainConfig(model=_tiny_model(), epochs=2, lr=0.01, lr_decay_epoch=2, batch_size=4)
-    with pytest.raises(DataError, match=rf"^step 2: {message}$"):
+    with np.errstate(over="ignore"), pytest.raises(DataError, match=rf"^step 2: {message}$"):
         train(_tiny_data(), tc)
 
     calls.clear()
@@ -434,10 +444,18 @@ def test_train_step_stops_on_a_non_finite_score(monkeypatch, entry, value, messa
         return [(t.data.tobytes(), state.m[name].tobytes(), state.v[name].tobytes()) for name, t in params.items()]
 
     kept = snapshot()
-    with pytest.raises(DataError, match=rf"^step 2: {message}$"):
+    with np.errstate(over="ignore"), pytest.raises(DataError, match=rf"^step 2: {message}$"):
         training._train_step(params, state, tc, *batch, lr=0.01)
     assert state.step == 1
     assert snapshot() == kept
+
+
+def test_gradcheck_refuses_a_non_finite_grid(monkeypatch):
+    # the first candidate seed's grid: gradcheck must not step on to the next seed
+    _plant_in_grid(monkeypatch, {(1, 0): np.nan}, call=1)
+    cfg = dataclasses.replace(_tiny_model(), d_raw=6, hidden_dim=4, sim_dim=4)
+    with pytest.raises(DataError, match=r"^score of image 1 and caption 0 is not finite \(nan\)$"):
+        run_gradcheck(cfg, k=3, caption_len=3)
 
 
 def test_train_skips_single_leftover_pair():
