@@ -9,12 +9,13 @@ ready to attend over the (I, 1, k, d) regions, and text-to-image weights
 region-major (I, C, k, n), ready to attend over the (C, n, d) words.
 
 Both streams start from one matrix of clamped region-word cosines per
-tile.  It is l2-normalised along one modality and softmaxed (with a
-temperature) along the other, giving region weights per word
-(image-to-text) or word weights per region (text-to-image).  Attended
-features are compared to their query vectors through a shared
-bilinear-free similarity map: the elementwise squared difference
-projected to an m-vector and scaled by the inverse euclidean distance.
+tile.  It is l2-normalised along one modality (a broadcast product with
+the kept axis of ``tensor.inv_norm``) and softmaxed (with a temperature)
+along the other, giving region weights per word (image-to-text) or word
+weights per region (text-to-image).  Attended features are compared to
+their query vectors through a shared bilinear-free similarity map: the
+elementwise squared difference projected to an m-vector and scaled by
+the inverse euclidean distance.
 The text-to-image stream needs only the mean of its k region vectors and
 the global one; a mean commutes with the projection, so the scaled
 squared differences are summed over regions and projected once per pair.
@@ -70,12 +71,12 @@ def sim_vec_rows(x: Tensor, y: Tensor, weight: Tensor, row_mask=None) -> Tensor:
     projected = tt.matmul(tt.square(diff), tt.transpose(weight))
     inv_dist = tt.inv_norm(diff, axis=-1)
     if row_mask is not None:
-        inv_dist = tt.mul(inv_dist, tt.constant(row_mask))
-    return tt.scale_rows(projected, inv_dist)
+        inv_dist = tt.mul(inv_dist, tt.constant(row_mask[..., None]))
+    return tt.mul(projected, inv_dist)
 
 
 def _unit_rows(x: Tensor) -> Tensor:
-    return tt.scale_rows(x, tt.inv_norm(x, axis=-1))
+    return tt.mul(x, tt.inv_norm(x, axis=-1))
 
 
 def _check_stacks(v: Tensor, t: Tensor) -> None:
@@ -98,7 +99,7 @@ def i2t_weights(cos: Tensor, temperature: float) -> Tensor:
     """Region weights per word, word-major (I, C, n, k), each row summing to
     1: each region row of the (I, C, k, n) cosines l2-normalised over words,
     then softmaxed over regions."""
-    normed = tt.scale_rows(cos, tt.inv_norm(cos, axis=-1))
+    normed = tt.mul(cos, tt.inv_norm(cos, axis=-1))
     return tt.softmax_rows(tt.transpose(tt.mul(normed, temperature)))
 
 
@@ -106,9 +107,7 @@ def t2i_weights(cos: Tensor, temperature: float, word_mask) -> Tensor:
     """Word weights per region (I, C, k, n), each row summing to 1: each word
     column of the cosines l2-normalised over regions, softmaxed over the
     words the (C, n) `word_mask` marks real."""
-    n_images, n_captions, _, n = cos.shape
-    inv = tt.inv_norm(cos, axis=-2)
-    normed = tt.mul(cos, tt.reshape(inv, (n_images, n_captions, 1, n)))
+    normed = tt.mul(cos, tt.inv_norm(cos, axis=-2))
     return tt.softmax_rows(tt.mul(normed, temperature), word_mask[:, None, :])
 
 
@@ -148,7 +147,7 @@ def local_similarities(
         # with the k region rows summed before the one projection
         attended = tt.matmul(t2i_weights(cos, temperature, word_mask), t)
         diff = tt.sub(attended, regions)
-        summed = tt.sum(tt.scale_rows(tt.square(diff), tt.inv_norm(diff, axis=-1)), axis=-2)
+        summed = tt.sum(tt.mul(tt.square(diff), tt.inv_norm(diff, axis=-1)), axis=-2)
         projected = tt.matmul(summed, tt.transpose(w_t2i))
         s_t2i = tt.mul(tt.add(projected, s_glob), 1.0 / (k + 1))
     return LocalSimilarities(s_glob=s_glob, s_i2t=s_i2t, s_t2i=s_t2i)

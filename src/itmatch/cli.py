@@ -17,9 +17,10 @@ from .dataio import gen_synthetic, read_dataset, write_dataset
 from .errors import ConfigError, DataError, InputError, ItmatchError
 from .evaluation import RANKS, evaluate, rsum
 from .gradcheck import run_gradcheck
-from .kvfile import read_kv, replacing
+from .kvfile import read_kv, refuse_other_format, replacing
 from .model import STREAMS, ModelConfig, param_shapes
 from .training import (
+    CHECKPOINT_FORMAT,
     PROFILES,
     TrainConfig,
     load_checkpoint,
@@ -290,6 +291,7 @@ def _read_train_and_val(args):
 
 
 def cmd_train(args) -> int:
+    refuse_other_format(args.out, CHECKPOINT_FORMAT)  # before training, not after it
     bundles, val_bundles, manifest, max_len = _read_train_and_val(args)
     config = _train_config(
         args, _model_config(args, manifest.vocab_size, manifest.d_raw, max_caption_len=max_len)

@@ -63,7 +63,7 @@ def encode_texts(
         c, j = bad[0]
         raise InputError(f"caption {c}: token id {ids[c, j]} outside vocabulary of size {vocab}")
     # padded positions embed token 0; the GRU never reads them
-    embedded = tt.reshape(tt.take_rows(table, ids.ravel()), ids.shape + (table.shape[1],))
+    embedded = tt.take_rows(table, ids)
     states = tt.add(
         tt.gru_sequence(embedded, lengths, fwd),
         tt.gru_sequence(embedded, lengths, bwd, reverse=True),

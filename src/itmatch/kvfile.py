@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+from pathlib import Path
 
 from .errors import DataError
 
@@ -63,13 +64,24 @@ def parse_kv_text(text: str, source: str = "<text>") -> dict[str, str]:
 
 
 def read_kv(path: str | os.PathLike) -> dict[str, str]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
         raise DataError(f"{path}: not UTF-8 text (byte offset {err.start})") from None
     return parse_kv_text(text, source=str(path))
+
+
+def refuse_other_format(path: str | os.PathLike, fmt: str) -> None:
+    """Raise DataError if ``<path>/manifest`` parses and names a format other
+    than `fmt`; a damaged one may be overwritten, so it can be regenerated."""
+    manifest = os.path.join(path, MANIFEST_FILE)
+    try:
+        found = read_kv(manifest).get("format", fmt)
+    except (OSError, DataError):
+        return
+    if found != fmt:
+        raise DataError(f"{manifest}: holds format {found!r}; refusing to replace it with {fmt!r}")
 
 
 def write_container(
@@ -78,13 +90,15 @@ def write_container(
     """Write each blob as ``<stem>.bin``, then the manifest; return the checksums.
 
     The (key, value) ``fields`` go between the format header and the
-    checksum lines.  The manifest is built, and so validated, before any
-    file is opened.  Every file is written under a temporary name first;
-    then the old manifest is deleted and the files renamed into place,
-    the manifest last.  A write that fails part way leaves the old
-    container or no manifest, never a manifest over other blobs.  The
-    directory itself is kept, since other files may share it.
+    checksum lines.  A container of another format is refused, and the
+    manifest built, and so validated, before any file is opened.  Every
+    file is written under a temporary name first; then the old manifest
+    is deleted and the files renamed into place, the manifest last.  A
+    write that fails part way leaves the old container or no manifest,
+    never a manifest over other blobs.  The directory itself is kept,
+    since other files may share it.
     """
+    refuse_other_format(path, fmt)
     checksums = {stem: hashlib.sha256(blob).hexdigest() for stem, blob in blobs.items()}
     text = format_kv(
         [("format", fmt), ("version", version), *fields]

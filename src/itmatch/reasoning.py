@@ -117,7 +117,7 @@ def reason(
     lead, (n, m) = nodes.shape[:-2], nodes.shape[-2:]
     global_rows = np.asarray(global_rows, dtype=np.intp)
     try:
-        flat_rows = np.broadcast_to(global_rows, lead).ravel()
+        node_rows = np.broadcast_to(global_rows, lead)
     except ValueError:
         raise DimensionError(f"global rows {global_rows.shape} do not broadcast over {lead}") from None
     if np.any(global_rows < 0) or np.any(global_rows >= n):
@@ -128,6 +128,5 @@ def reason(
         current = reason_step(
             current, layer, node_mask, hierarchical=hierarchical, row_softmax=row_softmax
         )
-    rows = tt.reshape(current, (flat_rows.size * n, m))
-    picked = tt.take_rows(rows, np.arange(flat_rows.size) * n + flat_rows)
-    return tt.reshape(picked, lead + (m,))
+    rows = tt.reshape(current, (node_rows.size * n, m))
+    return tt.take_rows(rows, np.arange(node_rows.size).reshape(lead) * n + node_rows)

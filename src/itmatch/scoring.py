@@ -69,9 +69,9 @@ def bidirectional_ranking_loss(batch: LossBatch) -> Tensor:
     row_negs, col_negs = hardest_negatives(batch.scores.data)
     ks = np.arange(b)
     diag = ks * (b + 1)
-    # entry (i, j) is row i * b + j of the grid as a (b*b, 1) column
+    # entry (i, j) is row i * b + j of the grid as a (b*b, 1) column; gathers are (2, b, 1)
     entries = tt.reshape(batch.scores, (b * b, 1))
-    matched = tt.take_rows(entries, np.concatenate([diag, diag]))
-    negatives = tt.take_rows(entries, np.concatenate([ks * b + row_negs, col_negs * b + ks]))
+    matched = tt.take_rows(entries, np.stack([diag, diag]))
+    negatives = tt.take_rows(entries, np.stack([ks * b + row_negs, col_negs * b + ks]))
     terms = tt.relu(tt.add(tt.sub(negatives, matched), batch.margin))
-    return tt.sum(tt.sum(tt.reshape(terms, (2, b)), axis=1))
+    return tt.sum(tt.sum(terms, axis=1))

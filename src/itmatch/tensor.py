@@ -11,11 +11,11 @@ Binary operations follow numpy broadcasting with one restriction: the
 second operand never has more axes than the first, so the first operand
 fixes the rank of the result.  A plain Python number is a constant.
 Shapes that do not broadcast raise :class:`DimensionError`.  The batched
-ops (``matmul``, ``transpose``, ``scale_rows``, ``softmax_rows``,
-``conv2d_3x3``) work on the last one or two axes and carry any leading
-axes along, so a whole stack of matrices is one tape node.  ``take_rows``
-is the one gather; it takes rows of a matrix, so entries of a stack or
-grid are gathered after a ``reshape`` to rows.
+ops (``matmul``, ``transpose``, ``softmax_rows``, ``conv2d_3x3``) work on
+the last one or two axes and carry any leading axes along, so a whole
+stack of matrices is one tape node.  ``inv_norm`` keeps the axis it
+reduces, so scaling by it is a broadcast ``mul``.  ``take_rows``, the one
+gather, takes matrix rows into an index array's shape.
 ``gru_sequence`` runs one GRU direction over a padded batch of sequences
 as a single node with a hand-written backward pass.
 All storage is 64-bit floats and result arrays are frozen (read-only) on
@@ -255,41 +255,33 @@ def _check_axis(a: Tensor, axis) -> None:
         raise DimensionError(f"axis {axis!r} invalid for shape {a.data.shape}")
 
 
-def _expand_reduced(g, shape: tuple[int, ...], axis) -> Array:
-    g = np.asarray(g)
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    return np.broadcast_to(np.expand_dims(g, axis), shape)
-
-
 def sum(a: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - mirrors numpy naming
     _check_axis(a, axis)
     out = np.sum(a.data, axis=axis)
     if not _tracking(a):
         return _result(out)
-    shape = a.data.shape
 
     def backward_fn(g):
-        return (_expand_reduced(g, shape, axis),)
+        return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape),)
     return _result(out, (a,), backward_fn)
 
 
 def inv_norm(a: Tensor, axis: int) -> Tensor:
-    """1 / ||a|| over one axis, and 0 where the norm is at or below INV_GUARD.
+    """1 / ||a|| over one axis, kept with length 1, and 0 where the norm is
+    at or below INV_GUARD.
 
     The guard makes normalisations well defined on degenerate inputs (zero
     vectors); guarded slices also get zero gradient.
     """
     _check_axis(a, axis)
-    norm = np.sqrt(np.sum(a.data * a.data, axis=axis))
+    norm = np.sqrt(np.sum(a.data * a.data, axis=axis, keepdims=True))
     kept = norm > INV_GUARD
     out = np.where(kept, 1.0 / np.where(kept, norm, 1.0), 0.0)
     if not _tracking(a):
         return _result(out)
-    shape = a.data.shape
 
     def backward_fn(g):
-        return (-a.data * _expand_reduced(np.asarray(g) * out * out * out, shape, axis),)
+        return (-a.data * (g * out * out * out),)
     return _result(out, (a,), backward_fn)
 
 
@@ -356,41 +348,25 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
-    """Gather matrix rows by a 1-D integer index array or sequence; repeated
-    indices accumulate gradient."""
+    """Gather matrix rows by an integer index array of any shape, giving
+    indices.shape + (row width,); repeated indices accumulate gradient."""
     if a.data.ndim != 2:
         raise DimensionError(f"take_rows needs a matrix, got shape {a.data.shape}")
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise DimensionError("take_rows needs a non-empty 1-D index list")
+    if idx.size == 0:
+        raise DimensionError("take_rows needs a non-empty index array")
     n = a.data.shape[0]
     if np.any(idx < 0) or np.any(idx >= n):
         raise DimensionError(f"take_rows index out of range for {n} rows")
     out = a.data[idx]
     if not _tracking(a):
         return _result(out)
-    shape = a.data.shape
 
     def backward_fn(g):
-        grad = np.zeros(shape)
+        grad = np.zeros(a.data.shape)
         np.add.at(grad, idx, g)
         return (grad,)
     return _result(out, (a,), backward_fn)
-
-
-def scale_rows(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply each row a[..., i, :] by the scalar s[..., i]."""
-    if a.data.ndim < 2 or s.data.shape != a.data.shape[:-1]:
-        raise DimensionError(
-            f"scale_rows needs (..., n, d) and (..., n), got {a.data.shape} and {s.data.shape}"
-        )
-    out = a.data * s.data[..., None]
-    if not _tracking(a, s):
-        return _result(out)
-
-    def backward_fn(g):
-        return (g * s.data[..., None], np.sum(g * a.data, axis=-1))
-    return _result(out, (a, s), backward_fn)
 
 
 def softmax_rows(a: Tensor, mask=None) -> Tensor:

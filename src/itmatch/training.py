@@ -33,7 +33,7 @@ from . import tensor as tt
 from .dataio import FeatureBundle
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import RetrievalResult, evaluate, flatten_captions, rsum
-from .kvfile import Container, replacing, write_container
+from .kvfile import MANIFEST_FILE, Container, replacing, write_container
 from .model import ModelConfig, init_params, param_shapes, score_grid
 from .scoring import LossBatch, bidirectional_ranking_loss
 from .tensor import ParamStore, Tensor, backward
@@ -304,11 +304,15 @@ def _shape_text(shape: tuple[int, ...]) -> str:
 
 
 def save_checkpoint(path: str | os.PathLike, params: ParamStore, cfg: ModelConfig) -> None:
-    """Container with one float64 blob ``params.bin`` holding every parameter by name."""
+    """Container with one float64 blob ``params.bin`` holding every parameter by
+    name.  A parameter with a non-finite entry is refused before any file is written."""
     fields = [("dtype", "<f8")]
     fields += [(f"model.{f.name}", getattr(cfg, f.name)) for f in dataclasses.fields(ModelConfig)]
     fields += [(f"param.{name}", _shape_text(t.data.shape)) for name, t in params.items()]
     blob = b"".join(t.data.astype("<f8").tobytes(order="C") for _, t in params.items())
+    if not np.isfinite(np.frombuffer(blob, dtype="<f8")).all():
+        name = next(name for name, t in params.items() if not np.isfinite(t.data).all())
+        raise DataError(f"{os.path.join(path, MANIFEST_FILE)}: parameter {name!r} is not finite")
     write_container(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, fields, {"params": blob})
 
 
@@ -365,4 +369,7 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig]:
         count = math.prod(shapes[name])
         store.add(name, tt.parameter(flat[offset:offset + count].reshape(shapes[name])))
         offset += count
+    if not np.isfinite(flat).all():
+        name = next(name for name, t in store.items() if not np.isfinite(t.data).all())
+        raise DataError(f"{container.manifest}: parameter {name!r} is not finite")
     return store, cfg

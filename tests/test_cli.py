@@ -160,6 +160,62 @@ def test_eval_rejects_a_non_finite_score(tmp_path, capsys):
     assert "(index 1): region features are not finite" in err
 
 
+def test_eval_rejects_a_checkpoint_with_a_non_finite_parameter(tmp_path, capsys):
+    data = _gen(tmp_path)
+    ckpt = str(tmp_path / "ckpt")
+    cfg = model.ModelConfig(vocab_size=32, d_raw=6, embed_dim=8, hidden_dim=8, sim_dim=4, n_layers=1)
+    training.save_checkpoint(ckpt, model.init_params(cfg), cfg)
+    # head.b planted as inf in the blob (parameters in name order), checksum updated
+    blob_path = os.path.join(ckpt, "params.bin")
+    with open(blob_path, "rb") as fh:
+        flat = np.frombuffer(fh.read(), dtype="<f8").copy()
+    shapes = model.param_shapes(cfg)
+    flat[sum(int(np.prod(shapes[name])) for name in sorted(shapes) if name < "head.b")] = np.inf
+    blob = flat.tobytes()
+    with open(blob_path, "wb") as fh:
+        fh.write(blob)
+    manifest = os.path.join(ckpt, "manifest")
+    with open(manifest, encoding="utf-8") as fh:
+        lines = [
+            f"checksum_params: {hashlib.sha256(blob).hexdigest()}\n"
+            if line.startswith("checksum_params:") else line
+            for line in fh
+        ]
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert main(["eval", "--data", data, "--checkpoint", ckpt]) == 3
+    assert f"{manifest}: parameter 'head.b' is not finite" in capsys.readouterr().err
+
+
+def test_train_refuses_to_write_its_checkpoint_over_a_dataset(tmp_path, capsys, monkeypatch):
+    data = _gen(tmp_path)
+    before = {name: open(os.path.join(data, name), "rb").read() for name in os.listdir(data)}
+    steps = []
+    monkeypatch.setattr(training, "_train_step", lambda *args: steps.append(args))
+    capsys.readouterr()
+    rc = main(["train", "--data", data, "--out", data, "--epochs", "1",
+               "--batch-size", "4", *MODEL_TINY])
+    assert rc == 3 and steps == []
+    err = capsys.readouterr().err
+    assert f"{os.path.join(data, 'manifest')}: holds format 'itmatch-dataset'" in err
+    assert {name: open(os.path.join(data, name), "rb").read() for name in os.listdir(data)} == before
+
+
+def test_gen_data_refuses_to_write_over_a_checkpoint(tmp_path, capsys):
+    data = _gen(tmp_path)
+    ckpt = str(tmp_path / "ckpt")
+    assert main(["train", "--data", data, "--out", ckpt, "--epochs", "1",
+                 "--batch-size", "4", *MODEL_TINY]) == 0
+    params, _ = training.load_checkpoint(ckpt)
+    capsys.readouterr()
+    assert main(GEN_TINY + ["--out", ckpt]) == 3
+    assert "holds format 'itmatch-checkpoint'" in capsys.readouterr().err
+    again, _ = training.load_checkpoint(ckpt)
+    for name in params.names():
+        assert again[name].data.tobytes() == params[name].data.tobytes()
+
+
 def test_train_rejects_a_manifest_that_is_not_utf8(tmp_path, capsys):
     data = _gen(tmp_path)
     manifest = os.path.join(data, "manifest")

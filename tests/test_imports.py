@@ -1,6 +1,9 @@
-"""No module of the package or of the tests imports a name it never uses."""
+"""No module of the package or of the tests imports a name it never uses,
+no function of the package binds a name it never reads, and no function
+of the package is called only by the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -105,3 +108,73 @@ def test_the_checker_finds_an_unused_binding():
 @pytest.mark.parametrize("path", SRC_FILES, ids=[p.name for p in SRC_FILES])
 def test_no_unused_bindings(path):
     assert unused_bindings(path.read_text()) == []
+
+
+# functions the program never calls, kept for a stated reason
+UNCALLED_ALLOWED = {
+    # ROADMAP direction 7: eight call sites in the tests build stores with it;
+    # it stays until a test helper replaces them
+    "ParamStore.from_dict",
+}
+PERFBENCH_FILES = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+
+
+def _namings(nodes) -> Counter:
+    """How often each name appears as a name, an attribute or a string constant."""
+    found = Counter()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                found[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found[node.value] += 1
+    return found
+
+
+def uncalled_functions(defining: dict[str, str], others: list[str]) -> list[str]:
+    """Top-level functions, and class methods without double underscores, of
+    the `defining` sources (file name -> text) that no source names outside
+    the function's own definition."""
+    trees = {name: ast.parse(text) for name, text in defining.items()}
+    named = _namings([*trees.values(), *(ast.parse(text) for text in others)])
+    found = []
+    for file, tree in trees.items():
+        defs = [(node, node.name) for node in tree.body if isinstance(node, FUNCTIONS)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            defs += [
+                (node, f"{cls.name}.{node.name}") for node in cls.body
+                if isinstance(node, FUNCTIONS) and "__" not in node.name
+            ]
+        for node, qualified in defs:
+            if named[node.name] == _namings([node])[node.name] and qualified not in UNCALLED_ALLOWED:
+                found.append(f"{file}:{node.lineno}: {qualified}")
+    return found
+
+
+def test_the_checker_finds_a_function_only_tests_call():
+    source = (
+        "def used():\n    return unused_helper\n"
+        "def unused():\n    return 'unused'\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class ParamStore:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def method(self):\n        pass\n"
+        "    def traced(self):\n        pass\n"
+        "    def from_dict(self):\n        pass\n"
+        "used()\nParamStore().method()\n"
+    )
+    assert uncalled_functions({"a.py": source}, ["getattr(ParamStore, 'traced')"]) == [
+        "a.py:3: unused",
+        "a.py:5: recursive",
+    ]
+    # the allowance is by qualified name
+    assert uncalled_functions({"b.py": "class L:\n    def from_dict(self):\n        pass\n"}, []) == [
+        "b.py:2: L.from_dict",
+    ]
+
+
+def test_no_function_is_called_only_by_the_tests():
+    others = [path.read_text() for path in PERFBENCH_FILES]
+    assert uncalled_functions({path.name: path.read_text() for path in SRC_FILES}, others) == []

@@ -192,6 +192,36 @@ def test_a_failed_overwrite_leaves_the_old_dataset_readable(tmp_path):
     _assert_bundles_equal(back, PINNED_BUNDLES)
 
 
+def test_a_write_refuses_to_replace_a_container_of_another_format(tmp_path):
+    dataset, checkpoint = _write_pinned(tmp_path)
+    for directory, write in (
+        (dataset, lambda: save_checkpoint(dataset, _pinned_params(), PINNED_CONFIG)),
+        (checkpoint, lambda: write_dataset(NEW_BUNDLES, checkpoint, vocab_size=6)),
+    ):
+        before = {name: (directory / name).read_bytes() for name in os.listdir(directory)}
+        with pytest.raises(DataError) as err:
+            write()
+        message = str(err.value)
+        assert message.startswith(f"{directory / 'manifest'}: ")
+        assert "'itmatch-dataset'" in message and "'itmatch-checkpoint'" in message
+        assert {name: (directory / name).read_bytes() for name in os.listdir(directory)} == before
+    _assert_bundles_equal(read_dataset(dataset)[0], PINNED_BUNDLES)
+    _assert_checkpoint_is_pinned(checkpoint)
+
+
+def test_a_container_of_the_same_format_or_a_damaged_manifest_is_rewritten(tmp_path):
+    dataset, checkpoint = _write_pinned(tmp_path)
+    write_dataset(NEW_BUNDLES, dataset, vocab_size=6)
+    _assert_bundles_equal(read_dataset(dataset)[0], NEW_BUNDLES)
+    save_checkpoint(checkpoint, _pinned_params(), PINNED_CONFIG)
+    _assert_checkpoint_is_pinned(checkpoint)
+    # a manifest that does not parse names no format, so it may be overwritten
+    for damaged in (b"format itmatch-checkpoint\n", b"format: caf\xe9\n"):
+        (dataset / "manifest").write_bytes(damaged)
+        write_dataset(PINNED_BUNDLES, dataset, vocab_size=6, name="pin", split="val")
+        _assert_bundles_equal(read_dataset(dataset)[0], PINNED_BUNDLES)
+
+
 class _Injected(Exception):
     pass
 

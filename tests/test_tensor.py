@@ -109,15 +109,30 @@ def test_take_rows_takes_an_index_array_as_it_is():
     assert out.data.tolist() == [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
     g = backward(tt.sum(out), ParamStore.from_dict({"t": table}))["t"].data
     assert g.tolist() == [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]
-    for bad in (np.array([[0, 1]]), np.array([], dtype=np.intp), np.array([3]), np.array([-1])):
+    # the result has the index array's shape plus the row axis
+    assert tt.take_rows(table, np.array([[0, 1]])).data.tolist() == [[[0.0, 1.0], [2.0, 3.0]]]
+    grid = tt.take_rows(table, np.array([[1, 2], [1, 0]]))
+    assert grid.data.tolist() == [[[2.0, 3.0], [4.0, 5.0]], [[2.0, 3.0], [0.0, 1.0]]]
+    g = backward(tt.sum(tt.square(grid)), ParamStore.from_dict({"t": table}))["t"].data
+    assert g.tolist() == [[0.0, 2.0], [8.0, 12.0], [8.0, 10.0]]  # row 1 twice
+    # a 0-d index gives one row
+    row = tt.take_rows(table, np.array(1))
+    assert row.data.tolist() == [2.0, 3.0]
+    g = backward(tt.sum(row), ParamStore.from_dict({"t": table}))["t"].data
+    assert g.tolist() == [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]
+    for bad in (np.array([], dtype=np.intp), np.zeros((2, 0), dtype=np.intp), np.array([3]),
+                np.array([[0], [-1]])):
         with pytest.raises(DimensionError):
             tt.take_rows(table, bad)
+    with pytest.raises(DimensionError, match="needs a matrix"):
+        tt.take_rows(tt.parameter(np.zeros((2, 2, 2))), [0])
 
 
 def test_scale_rows_values():
+    # a kept (2, 1) axis scales each row
     a = tt.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    s = tt.constant(np.array([2.0, -1.0]))
-    assert tt.scale_rows(a, s).data.tolist() == [[2.0, 4.0], [-3.0, -4.0]]
+    s = tt.constant(np.array([[2.0], [-1.0]]))
+    assert tt.mul(a, s).data.tolist() == [[2.0, 4.0], [-3.0, -4.0]]
 
 
 # rows of norm 5, 0, 1e-13, INV_GUARD and 4
@@ -126,13 +141,16 @@ GUARD_ROWS = [[3.0, 4.0], [0.0, 0.0], [1e-13, 0.0], [tt.INV_GUARD, 0.0], [0.0, -
 
 def test_inv_norm_guards_short_slices():
     x = np.array(GUARD_ROWS)
-    assert tt.inv_norm(tt.constant(x), axis=1).data.tolist() == [0.2, 0.0, 0.0, 0.0, 0.25]
-    assert tt.inv_norm(tt.constant(x.T), axis=0).data.tolist() == [0.2, 0.0, 0.0, 0.0, 0.25]
+    # the reduced axis is kept with length 1
+    rows = tt.inv_norm(tt.constant(x), axis=1).data
+    assert rows.shape == (5, 1) and rows.ravel().tolist() == [0.2, 0.0, 0.0, 0.0, 0.25]
+    cols = tt.inv_norm(tt.constant(x.T), axis=0).data
+    assert cols.shape == (1, 5) and cols.ravel().tolist() == [0.2, 0.0, 0.0, 0.0, 0.25]
     # bitwise the reciprocal of numpy's sum-of-squares norm wherever unguarded
     rng = np.random.default_rng(4)
     t = rng.normal(size=(2, 3, 4))
     for axis in (-1, -2, 0):
-        norm = np.sqrt(np.sum(t * t, axis=axis))
+        norm = np.sqrt(np.sum(t * t, axis=axis, keepdims=True))
         assert np.array_equal(tt.inv_norm(tt.constant(t), axis=axis).data, 1.0 / norm)
 
 
@@ -372,7 +390,7 @@ OP_CASES = [
     ("matmul", lambda p: tt.sum(tt.square(tt.matmul(p["a"], p["b"])))),
     ("matvec", lambda p: tt.sum(tt.square(tt.matmul(p["a"], p["v"])))),
     ("transpose", lambda p: tt.sum(tt.square(tt.matmul(tt.transpose(p["a"]), p["a"])))),
-    ("scale_rows", lambda p: tt.sum(tt.square(tt.scale_rows(p["a"], p["u"])))),
+    ("mul_kept_axis", lambda p: tt.sum(tt.square(tt.mul(p["a"], tt.reshape(p["u"], (3, 1)))))),
     ("softmax", lambda p: tt.sum(tt.square(tt.softmax_rows(p["a"])))),
     ("conv", lambda p: tt.sum(tt.square(tt.conv2d_3x3(p["a"], p["k"], p["s"])))),
 ]
@@ -403,8 +421,8 @@ BATCHED_OP_CASES = [
     ("matvec_stack", lambda p: tt.sum(tt.square(tt.matmul(p["t"], p["v"])))),
     ("transpose_stack", lambda p: tt.sum(tt.square(tt.matmul(tt.transpose(p["t"]), p["a"])))),
     ("inv_norm_stack", lambda p: tt.sum(tt.inv_norm(p["t"], axis=-2))),
-    ("scale_rows_stack", lambda p: tt.sum(tt.square(tt.scale_rows(
-        p["t"], tt.mul(tt.reshape(p["u"], (1, 3)), tt.constant(np.array([[1.0], [-0.5]]))))))),
+    ("mul_kept_axis_stack", lambda p: tt.sum(tt.square(tt.mul(p["t"], tt.mul(
+        tt.reshape(p["u"], (1, 3, 1)), tt.constant(np.array([[[1.0]], [[-0.5]]]))))))),
     ("softmax_masked", lambda p: tt.sum(tt.square(tt.softmax_rows(
         p["t"], np.array([[True, False, True, True], [False, True, True, False], [True] * 4]))))),
     ("conv_stack", lambda p: tt.sum(tt.square(tt.conv2d_3x3(p["t"], p["k"], p["s"])))),

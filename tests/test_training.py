@@ -1,6 +1,7 @@
 """Adam behaviour, the training loop, and checkpoint files."""
 
 import dataclasses
+import hashlib
 import os
 import tracemalloc
 
@@ -569,6 +570,35 @@ def test_checkpoint_parameter_list_must_match_its_config(tmp_path, old, new, mes
     assert old in text
     manifest.write_text(text.replace(old, new))
     with pytest.raises(DataError, match=message):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_checkpoint_refuses_a_non_finite_parameter(tmp_path, value):
+    cfg = _tiny_model()
+    params = init_params(cfg, seed=4)
+    # two bad parameters: the first by name is named
+    bad = params.copy_with({
+        "head.b": tt.parameter(np.asarray(value)),
+        "sim.w_glob": tt.parameter(np.full(params["sim.w_glob"].shape, np.nan)),
+    })
+    manifest = os.path.join(tmp_path / "ckpt", "manifest")
+    with pytest.raises(DataError, match=f"^{manifest}: parameter 'head.b' is not finite$"):
+        save_checkpoint(tmp_path / "ckpt", bad, cfg)
+    assert not (tmp_path / "ckpt").exists()
+    # the same value planted in a saved blob, with its checksum updated
+    save_checkpoint(tmp_path / "ckpt", params, cfg)
+    blob_path = tmp_path / "ckpt" / "params.bin"
+    flat = np.frombuffer(blob_path.read_bytes(), dtype="<f8").copy()
+    flat[sum(t.data.size for name, t in params.items() if name < "head.b")] = value
+    blob_path.write_bytes(flat.tobytes())
+    lines = [
+        f"checksum_params: {hashlib.sha256(flat.tobytes()).hexdigest()}"
+        if line.startswith("checksum_params:") else line
+        for line in (tmp_path / "ckpt" / "manifest").read_text().splitlines()
+    ]
+    (tmp_path / "ckpt" / "manifest").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"^{manifest}: parameter 'head.b' is not finite$"):
         load_checkpoint(tmp_path / "ckpt")
 
 
