@@ -71,7 +71,7 @@ def sim_vec_rows(x: Tensor, y: Tensor, weight: Tensor, row_mask=None) -> Tensor:
     projected = tt.matmul(tt.square(diff), tt.transpose(weight))
     inv_dist = tt.inv_norm(diff, axis=-1)
     if row_mask is not None:
-        inv_dist = tt.mul(inv_dist, tt.constant(row_mask[..., None]))
+        inv_dist = tt.mul(inv_dist, row_mask[..., None])
     return tt.mul(projected, inv_dist)
 
 

@@ -227,6 +227,8 @@ def gen_synthetic(
         raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
     if not 0.0 <= signal_strength <= 1.0:
         raise ConfigError(f"signal_strength must lie in [0, 1], got {signal_strength}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     mixing = rng.normal(size=(k, d_raw, LATENT_DIM)) / np.sqrt(LATENT_DIM)

@@ -87,4 +87,4 @@ def global_feature(local: Tensor, lengths=None) -> Tensor:
         counts = np.asarray(lengths, dtype=np.float64)
         if counts.shape != local.shape[:-2]:
             raise DimensionError(f"lengths {counts.shape} do not match the stack {local.shape}")
-    return tt.square(tt.mul(tt.sum(local, axis=-2), tt.constant((1.0 / counts)[..., None])))
+    return tt.square(tt.mul(tt.sum(local, axis=-2), (1.0 / counts)[..., None]))

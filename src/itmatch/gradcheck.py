@@ -72,11 +72,9 @@ def _generic_point(params: ParamStore, seed: int) -> ParamStore:
     point keeps every path live.
     """
     rng = np.random.default_rng(seed + 7919)
-    out = ParamStore()
-    for name in params.names():
-        base = params[name].data
-        out.add(name, parameter(base + rng.uniform(-JITTER, JITTER, size=base.shape)))
-    return out
+    return params.copy_with({
+        name: parameter(t.data + rng.uniform(-JITTER, JITTER, size=t.data.shape)) for name, t in params.items()
+    })
 
 
 def run_gradcheck(

@@ -154,12 +154,12 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
     one seed always yields the same store.
     """
     rng = np.random.default_rng(seed)
-    store = ParamStore()
+    entries = {}
     for name, shape in param_shapes(cfg).items():
         bound = _init_bound(name, shape)
         values = np.zeros(shape) if bound is None else rng.uniform(-bound, bound, size=shape)
-        store.add(name, tt.parameter(values))
-    return store
+        entries[name] = tt.Tensor(values, requires_grad=True)
+    return ParamStore(entries)
 
 
 def _gru_weights(params: ParamStore, direction: str) -> tuple[Tensor, ...]:
@@ -273,9 +273,9 @@ def _caption_slice(captions: EncodedCaptions, start: int, stop: int) -> EncodedC
     lengths = captions.lengths[start:stop]
     rows = int(lengths.max()) + 1
     return EncodedCaptions(
-        local=tt.constant(captions.local.data[start:stop, :rows]),
+        local=tt.Tensor(captions.local.data[start:stop, :rows]),
         lengths=lengths,
-        glob=tt.constant(captions.glob.data[start:stop]),
+        glob=tt.Tensor(captions.glob.data[start:stop]),
     )
 
 

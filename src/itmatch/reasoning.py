@@ -93,7 +93,7 @@ def reason_step(
     mixing = rel
     if row_softmax:
         mixing = tt.softmax_rows(mixing, node_mask[..., None, :])
-        mixing = tt.mul(mixing, tt.constant(node_mask[..., :, None]))
+        mixing = tt.mul(mixing, node_mask[..., :, None])
     context = tt.matmul(tt.matmul(mixing, nodes), layer.w_mix)
     update = tt.matmul(context, tt.transpose(layer.w_out))
     return tt.add(update, nodes)

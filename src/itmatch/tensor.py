@@ -9,8 +9,11 @@ verify the tape; it never touches the graph machinery.
 
 Binary operations follow numpy broadcasting with one restriction: the
 second operand never has more axes than the first, so the first operand
-fixes the rank of the result.  A plain Python number is a constant.
-Shapes that do not broadcast raise :class:`DimensionError`.  The batched
+fixes the rank of the result.  A second operand that is a number, a
+numpy array or a Tensor without gradient is a constant: it never becomes
+a node of the graph.  Shapes that do not broadcast raise
+:class:`DimensionError`.  The binary ops and ``matmul`` compute no
+gradient for an operand that carries none.  The batched
 ops (``matmul``, ``transpose``, ``softmax_rows``, ``conv2d_3x3``) work on
 the last one or two axes and carry any leading axes along, so a whole
 stack of matrices is one tape node.  ``inv_norm`` keeps the axis it
@@ -53,17 +56,29 @@ def no_grad():
 
 
 class Tensor:
-    """Immutable dense float64 array, optionally tracked for autodiff."""
+    """Immutable dense float64 array, optionally tracked for autodiff.
+
+    The constructor takes `data` over without copying it when it already is
+    float64, and freezes it in place: no writable view of it may be used
+    afterwards.  Only ``_record`` gives a tensor parents and a backward
+    function, which makes it a tape node.
+    """
 
     __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, values, requires_grad: bool = False):
-        data = np.array(values, dtype=np.float64)
+    def __init__(
+        self,
+        data,
+        requires_grad: bool = False,
+        parents: tuple[Tensor, ...] = (),
+        backward: Callable[[Array], tuple] | None = None,
+    ):
+        data = np.asarray(data, dtype=np.float64)
         data.flags.writeable = False
         self.data = data
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[Array], tuple] | None = None
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._backward = backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -84,65 +99,67 @@ class Tensor:
 
 
 def constant(values) -> Tensor:
-    return Tensor(values, requires_grad=False)
+    return Tensor(np.array(values, dtype=np.float64))
 
 
 def parameter(values) -> Tensor:
-    return Tensor(values, requires_grad=True)
+    return Tensor(np.array(values, dtype=np.float64), requires_grad=True)
 
 
 # --- graph plumbing ---------------------------------------------------------
 
 
-def adopt(data, requires_grad: bool = False) -> Tensor:
-    """Wrap a float64 array as a Tensor without copying it.
-
-    The array is frozen in place, so the caller hands it over: no writable
-    view of it may be used afterwards.
-    """
-    out = Tensor.__new__(Tensor)
-    arr = np.asarray(data, dtype=np.float64)
-    arr.flags.writeable = False
-    out.data = arr
-    out.requires_grad = requires_grad
-    out._parents = ()
-    out._backward = None
-    return out
-
-
-def _result(data, parents: tuple[Tensor, ...] = (), backward=None) -> Tensor:
-    out = adopt(data, requires_grad=backward is not None)
-    if backward is not None:
-        out._parents = parents
-        out._backward = backward
-    return out
-
-
-def _tracking(*operands) -> bool:
+def _tracking(parents: Sequence[Tensor]) -> bool:
     if not _grad_enabled:
         return False
-    for op in operands:
-        if isinstance(op, Tensor) and op.requires_grad:
+    for parent in parents:
+        if parent.requires_grad:
             return True
     return False
 
 
-def _binary_operand(a: Tensor, b):
-    """Validate the broadcast rule and return b's raw value."""
+def _record(data, parents: tuple[Tensor, ...], backward: Callable[[Array], tuple]) -> Tensor:
+    """An op's result: a tape node when grad mode is on and a parent carries
+    gradient, otherwise a constant."""
+    if _tracking(parents):
+        return Tensor(data, True, parents, backward)
+    return Tensor(data)
+
+
+def _grads(parents: tuple[Tensor, ...], grad_a: Callable[[], Array], grad_b: Callable[[], Array]) -> tuple:
+    """The gradients of a binary op's one or two parents, each computed only
+    for a parent that carries gradient; the others get None, which
+    ``backward`` skips."""
+    ga = grad_a() if parents[0].requires_grad else None
+    if len(parents) == 1:
+        return (ga,)
+    return ga, (grad_b() if parents[1].requires_grad else None)
+
+
+def _binary_operand(a: Tensor, b) -> tuple[Array | float, tuple[Tensor, ...]]:
+    """Validate the broadcast rule; return b's value and the op's parents.
+
+    b joins the parents only as a Tensor that carries gradient; a number,
+    an array or an untracked Tensor is a constant.
+    """
     if isinstance(b, (int, float)):
-        return float(b)
-    if not isinstance(b, Tensor):
-        raise ContractError(f"expected Tensor or number, got {type(b).__name__}")
-    if a.data.shape == b.data.shape:
-        return b.data
-    if b.data.ndim <= a.data.ndim:
+        return float(b), (a,)
+    if isinstance(b, Tensor):
+        b_val, parents = b.data, ((a, b) if b.requires_grad else (a,))
+    elif isinstance(b, np.ndarray):
+        b_val, parents = np.asarray(b, dtype=np.float64), (a,)
+    else:
+        raise ContractError(f"expected Tensor, number or array, got {type(b).__name__}")
+    if b_val.shape == a.data.shape:
+        return b_val, parents
+    if b_val.ndim <= a.data.ndim:
         try:
-            np.broadcast_shapes(a.data.shape, b.data.shape)
-            return b.data
+            np.broadcast_shapes(a.data.shape, b_val.shape)
+            return b_val, parents
         except ValueError:
             pass
     raise DimensionError(
-        f"shapes {a.data.shape} and {b.data.shape} do not broadcast with the "
+        f"shapes {a.data.shape} and {b_val.shape} do not broadcast with the "
         "second operand having no more axes than the first"
     )
 
@@ -162,48 +179,31 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 def add(a: Tensor, b) -> Tensor:
-    b_val = _binary_operand(a, b)
-    out = a.data + b_val
-    if not _tracking(a, b):
-        return _result(out)
-    if isinstance(b, Tensor):
-        def backward_fn(g):
-            return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
-        return _result(out, (a, b), backward_fn)
+    b_val, parents = _binary_operand(a, b)
 
     def backward_fn(g):
-        return (g,)
-    return _result(out, (a,), backward_fn)
+        return _grads(parents, lambda: _unbroadcast(g, a.data.shape), lambda: _unbroadcast(g, b.data.shape))
+    return _record(a.data + b_val, parents, backward_fn)
 
 
 def sub(a: Tensor, b) -> Tensor:
-    b_val = _binary_operand(a, b)
-    out = a.data - b_val
-    if not _tracking(a, b):
-        return _result(out)
-    if isinstance(b, Tensor):
-        def backward_fn(g):
-            return (_unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape))
-        return _result(out, (a, b), backward_fn)
+    b_val, parents = _binary_operand(a, b)
 
     def backward_fn(g):
-        return (g,)
-    return _result(out, (a,), backward_fn)
+        return _grads(parents, lambda: _unbroadcast(g, a.data.shape), lambda: -_unbroadcast(g, b.data.shape))
+    return _record(a.data - b_val, parents, backward_fn)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    b_val = _binary_operand(a, b)
-    out = a.data * b_val
-    if not _tracking(a, b):
-        return _result(out)
-    if isinstance(b, Tensor):
-        def backward_fn(g):
-            return (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
-        return _result(out, (a, b), backward_fn)
+    b_val, parents = _binary_operand(a, b)
 
     def backward_fn(g):
-        return (g * b_val,)
-    return _result(out, (a,), backward_fn)
+        return _grads(
+            parents,
+            lambda: _unbroadcast(g * b_val, a.data.shape),
+            lambda: _unbroadcast(g * a.data, b.data.shape),
+        )
+    return _record(a.data * b_val, parents, backward_fn)
 
 
 # --- elementwise unary ops --------------------------------------------------
@@ -211,12 +211,10 @@ def mul(a: Tensor, b) -> Tensor:
 
 def square(a: Tensor) -> Tensor:
     out = a.data * a.data
-    if not _tracking(a):
-        return _result(out)
 
     def backward_fn(g):
         return (2.0 * a.data * g,)
-    return _result(out, (a,), backward_fn)
+    return _record(out, (a,), backward_fn)
 
 
 def _sigmoid_values(x: Array) -> Array:
@@ -227,22 +225,18 @@ def _sigmoid_values(x: Array) -> Array:
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid_values(a.data)
-    if not _tracking(a):
-        return _result(out)
 
     def backward_fn(g):
         return (out * (1.0 - out) * g,)
-    return _result(out, (a,), backward_fn)
+    return _record(out, (a,), backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
-    if not _tracking(a):
-        return _result(out)
 
     def backward_fn(g):
         return (g * (a.data > 0.0),)
-    return _result(out, (a,), backward_fn)
+    return _record(out, (a,), backward_fn)
 
 
 # --- reductions ---------------------------------------------------------------
@@ -258,12 +252,10 @@ def _check_axis(a: Tensor, axis) -> None:
 def sum(a: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - mirrors numpy naming
     _check_axis(a, axis)
     out = np.sum(a.data, axis=axis)
-    if not _tracking(a):
-        return _result(out)
 
     def backward_fn(g):
         return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape),)
-    return _result(out, (a,), backward_fn)
+    return _record(out, (a,), backward_fn)
 
 
 def inv_norm(a: Tensor, axis: int) -> Tensor:
@@ -277,12 +269,10 @@ def inv_norm(a: Tensor, axis: int) -> Tensor:
     norm = np.sqrt(np.sum(a.data * a.data, axis=axis, keepdims=True))
     kept = norm > INV_GUARD
     out = np.where(kept, 1.0 / np.where(kept, norm, 1.0), 0.0)
-    if not _tracking(a):
-        return _result(out)
 
     def backward_fn(g):
         return (-a.data * (g * out * out * out),)
-    return _result(out, (a,), backward_fn)
+    return _record(out, (a,), backward_fn)
 
 
 # --- structural ops -----------------------------------------------------------
@@ -302,21 +292,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = np.matmul(ad, bd)
     except ValueError:
         raise DimensionError(f"matmul leading axes do not broadcast: {ad.shape} x {bd.shape}") from None
-    if not _tracking(a, b):
-        return _result(out)
+    parents = (a, b)
 
     def backward_fn(g):
         if bd.ndim == 1:
-            return (g[..., None] * bd, np.tensordot(g, ad, axes=g.ndim))
+            return _grads(parents, lambda: g[..., None] * bd, lambda: np.tensordot(g, ad, axes=g.ndim))
         if bd.ndim == 2:
             # a matrix shared by a whole stack: fold the stack into rows, so
             # its gradient is one product, not a per-matrix one summed after
             rows = ad.reshape(-1, ad.shape[-1])
-            return (g @ bd.T, rows.T @ g.reshape(rows.shape[0], -1))
-        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-        return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
-    return _result(out, (a, b), backward_fn)
+            return _grads(parents, lambda: g @ bd.T, lambda: rows.T @ g.reshape(rows.shape[0], -1))
+        return _grads(
+            parents,
+            lambda: _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape),
+            lambda: _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape),
+        )
+    return _record(out, parents, backward_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -324,12 +315,10 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise DimensionError(f"transpose needs a matrix, got shape {a.data.shape}")
     out = np.swapaxes(a.data, -1, -2)
-    if not _tracking(a):
-        return _result(out)
 
     def backward_fn(g):
         return (np.swapaxes(g, -1, -2),)
-    return _result(out, (a,), backward_fn)
+    return _record(out, (a,), backward_fn)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -338,13 +327,11 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(shape)) != a.data.size:
         raise DimensionError(f"cannot reshape {a.data.shape} to {shape}")
     out = a.data.reshape(shape)
-    if not _tracking(a):
-        return _result(out)
     original = a.data.shape
 
     def backward_fn(g):
         return (g.reshape(original),)
-    return _result(out, (a,), backward_fn)
+    return _record(out, (a,), backward_fn)
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
@@ -359,14 +346,12 @@ def take_rows(a: Tensor, indices) -> Tensor:
     if np.any(idx < 0) or np.any(idx >= n):
         raise DimensionError(f"take_rows index out of range for {n} rows")
     out = a.data[idx]
-    if not _tracking(a):
-        return _result(out)
 
     def backward_fn(g):
         grad = np.zeros(a.data.shape)
         np.add.at(grad, idx, g)
         return (grad,)
-    return _result(out, (a,), backward_fn)
+    return _record(out, (a,), backward_fn)
 
 
 def softmax_rows(a: Tensor, mask=None) -> Tensor:
@@ -385,13 +370,11 @@ def softmax_rows(a: Tensor, mask=None) -> Tensor:
         x = np.where(mask, x, -np.inf)
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     out = e / e.sum(axis=-1, keepdims=True)
-    if not _tracking(a):
-        return _result(out)
 
     def backward_fn(g):
         dot = np.sum(g * out, axis=-1, keepdims=True)
         return (out * (g - dot),)
-    return _result(out, (a,), backward_fn)
+    return _record(out, (a,), backward_fn)
 
 
 def _shifted(h: int, w: int, u: int, v: int) -> tuple[tuple, tuple]:
@@ -424,8 +407,6 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     out = np.full(x.data.shape, float(bias.data))
     for u, v, o, i in taps:
         out[o] += kernel.data[u, v] * x.data[i]
-    if not _tracking(x, kernel, bias):
-        return _result(out)
 
     def backward_fn(g):
         gx = np.zeros(x.data.shape)
@@ -434,7 +415,7 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             gx[i] += kernel.data[u, v] * g[o]
             gk[u, v] = np.sum(g[o] * x.data[i])
         return (gx, gk, np.asarray(np.sum(g)))
-    return _result(out, (x, kernel, bias), backward_fn)
+    return _record(out, (x, kernel, bias), backward_fn)
 
 
 def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = False) -> Tensor:
@@ -482,7 +463,8 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = Fa
     order = range(int(lengths.max()))
     if reverse:
         order = order[::-1]
-    tracking = _tracking(x, *gates)
+    parents = (x, *gates)
+    tracking = _tracking(parents)
     if tracking:
         # per position: the incoming state, sigmoid(reset), sigmoid(update)
         # (gate-major), the candidate and reset * state; untouched
@@ -505,7 +487,7 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = Fa
         out[:, t] = np.where(active[:, t], new, 0.0)
         state = np.where(active[:, t], new, state)
     if not tracking:
-        return _result(out)
+        return Tensor(out)
 
     def backward_fn(g):
         d_pre = np.zeros((3, n, steps, h))  # gradient of the three pre-activations
@@ -540,7 +522,7 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = Fa
             d_u[0], d_u[1], flat[2].T @ rs_all.reshape(-1, h),
             d_b[0], d_b[1], d_b[2],
         )
-    return _result(out, (x, *gates), backward_fn)
+    return _record(out, parents, backward_fn)
 
 
 # --- parameter store ----------------------------------------------------------
@@ -549,15 +531,11 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = Fa
 class ParamStore:
     """Named parameter tensors with deterministic lexicographic iteration."""
 
-    def __init__(self):
-        self._entries: dict[str, Tensor] = {}
-
-    def add(self, name: str, tensor: Tensor) -> None:
-        if name in self._entries:
-            raise ContractError(f"parameter {name!r} already registered")
-        if not isinstance(tensor, Tensor) or not tensor.requires_grad:
-            raise ContractError(f"parameter {name!r} must be a Tensor with requires_grad")
-        self._entries[name] = tensor
+    def __init__(self, entries: dict[str, Tensor]):
+        for name, tensor in entries.items():
+            if not isinstance(tensor, Tensor) or not tensor.requires_grad:
+                raise ContractError(f"parameter {name!r} must be a Tensor with requires_grad")
+        self._entries = dict(entries)
 
     def __getitem__(self, name: str) -> Tensor:
         if name not in self._entries:
@@ -570,30 +548,16 @@ class ParamStore:
     def items(self) -> list[tuple[str, Tensor]]:
         return [(name, self._entries[name]) for name in self.names()]
 
-    def copy_with(self, updates: dict[str, Tensor] | None = None) -> "ParamStore":
-        updates = updates or {}
+    def copy_with(self, updates: dict[str, Tensor]) -> "ParamStore":
         for name in updates:
             if name not in self._entries:
                 raise ContractError(f"unknown parameter {name!r} in update")
-        out = ParamStore()
-        for name, tensor in self._entries.items():
-            replacement = updates.get(name, tensor)
-            if not isinstance(replacement, Tensor) or not replacement.requires_grad:
-                raise ContractError(f"replacement for {name!r} must require grad")
-            if replacement.data.shape != tensor.data.shape:
-                raise ContractError(
-                    f"replacement for {name!r} changes shape "
-                    f"{tensor.data.shape} -> {replacement.data.shape}"
-                )
-            out._entries[name] = replacement
+        out = ParamStore({**self._entries, **updates})
+        for name in updates:
+            old, new = self._entries[name].data.shape, out._entries[name].data.shape
+            if new != old:
+                raise ContractError(f"replacement for {name!r} changes shape {old} -> {new}")
         return out
-
-    @classmethod
-    def from_dict(cls, entries: dict[str, Tensor]) -> "ParamStore":
-        store = cls()
-        for name in sorted(entries):
-            store.add(name, entries[name])
-        return store
 
 
 # --- reverse-mode differentiation ---------------------------------------------
@@ -653,7 +617,7 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, Tensor]:
     out: dict[str, Tensor] = {}
     for name, tensor in params.items():
         g = grads.get(id(tensor))
-        out[name] = adopt(np.zeros(tensor.data.shape) if g is None else g)
+        out[name] = Tensor(np.zeros(tensor.data.shape) if g is None else g)
     return out
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as tt
 from .dataio import FeatureBundle
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import RetrievalResult, evaluate, flatten_captions, rsum
@@ -85,6 +84,8 @@ class TrainConfig:
             raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -179,7 +180,7 @@ def adam_step(
             np.divide(m_b, s, out=s)
             s *= alpha
             np.subtract(theta_b, s, out=theta_out)
-        updates[name] = tt.adopt(theta, requires_grad=True)
+        updates[name] = Tensor(theta, requires_grad=True)
     state.step = t
     return params.copy_with(updates), state
 
@@ -363,13 +364,13 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig]:
 
     total = sum(math.prod(shape) for shape in shapes.values())
     flat = np.frombuffer(container.blob("params", total * 8), dtype="<f8")
-    store = ParamStore()
+    entries = {}
     offset = 0
     for name in sorted(shapes):  # blob order matches store iteration order
         count = math.prod(shapes[name])
-        store.add(name, tt.parameter(flat[offset:offset + count].reshape(shapes[name])))
+        entries[name] = Tensor(flat[offset:offset + count].reshape(shapes[name]), requires_grad=True)
         offset += count
     if not np.isfinite(flat).all():
-        name = next(name for name, t in store.items() if not np.isfinite(t.data).all())
+        name = next(name for name, t in entries.items() if not np.isfinite(t.data).all())
         raise DataError(f"{container.manifest}: parameter {name!r} is not finite")
-    return store, cfg
+    return ParamStore(entries), cfg

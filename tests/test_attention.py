@@ -97,7 +97,7 @@ def test_sim_vec_zero_distance_guard():
 
 
 def test_sim_vec_guard_has_finite_gradient():
-    store = tt.ParamStore.from_dict({"w": tt.parameter(np.ones((2, 3)))})
+    store = tt.ParamStore({"w": tt.parameter(np.ones((2, 3)))})
     x = tt.constant(np.array([1.0, 1.0, 1.0]))
     loss = tt.sum(sim_vec(x, x, store["w"]))
     g = tt.backward(loss, store)["w"].data

@@ -391,6 +391,23 @@ def test_gradcheck_lambda_flag_sets_temperature(tmp_path, capsys):
 
 # --------------------------------------------------------------- ablate
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "gradcheck", "ablate"])
+def test_a_negative_seed_exits_2(tmp_path, capsys, command):
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    argv = {
+        "gen-data": GEN_TINY + ["--out", str(tmp_path / "other")],
+        "train": ["train", "--data", data, "--out", str(tmp_path / "ckpt"), "--epochs", "1",
+                  "--batch-size", "4", *MODEL_TINY],
+        "gradcheck": GRADCHECK_TINY,
+        "ablate": ["ablate", "--data", data, "--m-list", "1", "--epochs", "1", "--batch-size", "4",
+                   *MODEL_TINY],
+    }[command]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "other") and not os.path.exists(tmp_path / "ckpt")
+
+
 def test_ablate_grid_rows_and_csv(tmp_path, capsys):
     data = _gen(tmp_path)
     csv = str(tmp_path / "grid.csv")

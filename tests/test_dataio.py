@@ -107,6 +107,8 @@ def test_gen_synthetic_validation():
         gen_synthetic(2, 2, 4, 3, 1, seed=0, signal_strength=0.5)
     with pytest.raises(ConfigError):
         gen_synthetic(2, 2, 4, 3, 16, seed=0, signal_strength=1.5)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        gen_synthetic(2, 2, 4, 3, 16, seed=-1, signal_strength=0.5)
 
 
 def test_signal_zero_decouples_the_modalities():

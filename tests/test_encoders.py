@@ -232,7 +232,7 @@ def test_encoder_stack_gradients():
             entries[f"{direction}.w_{gate}"] = tt.parameter(0.5 * rng.normal(size=(4, 3)))
             entries[f"{direction}.u_{gate}"] = tt.parameter(0.5 * rng.normal(size=(4, 4)))
             entries[f"{direction}.b_{gate}"] = tt.parameter(0.5 * rng.normal(size=4))
-    store = ParamStore.from_dict(entries)
+    store = ParamStore(entries)
     captions = [[7, 3, 3, 5], [2], [4, 1, 3]]
     probe = tt.constant(0.1 * rng.normal(size=(3, 5, 4)))
 

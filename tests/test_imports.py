@@ -1,6 +1,7 @@
 """No module of the package or of the tests imports a name it never uses,
-no function of the package binds a name it never reads, and no function
-of the package is called only by the tests."""
+no function of the package binds a name it never reads, no function of
+the package is called only by the tests, and only ``tensor._record``
+builds an autodiff tape node."""
 
 import ast
 from collections import Counter
@@ -110,12 +111,6 @@ def test_no_unused_bindings(path):
     assert unused_bindings(path.read_text()) == []
 
 
-# functions the program never calls, kept for a stated reason
-UNCALLED_ALLOWED = {
-    # ROADMAP direction 7: eight call sites in the tests build stores with it;
-    # it stays until a test helper replaces them
-    "ParamStore.from_dict",
-}
 PERFBENCH_FILES = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
 
 
@@ -148,7 +143,7 @@ def uncalled_functions(defining: dict[str, str], others: list[str]) -> list[str]
                 if isinstance(node, FUNCTIONS) and "__" not in node.name
             ]
         for node, qualified in defs:
-            if named[node.name] == _namings([node])[node.name] and qualified not in UNCALLED_ALLOWED:
+            if named[node.name] == _namings([node])[node.name]:
                 found.append(f"{file}:{node.lineno}: {qualified}")
     return found
 
@@ -162,19 +157,83 @@ def test_the_checker_finds_a_function_only_tests_call():
         "    def __init__(self):\n        pass\n"
         "    def method(self):\n        pass\n"
         "    def traced(self):\n        pass\n"
-        "    def from_dict(self):\n        pass\n"
+        "    def orphan(self):\n        pass\n"
         "used()\nParamStore().method()\n"
     )
     assert uncalled_functions({"a.py": source}, ["getattr(ParamStore, 'traced')"]) == [
         "a.py:3: unused",
         "a.py:5: recursive",
-    ]
-    # the allowance is by qualified name
-    assert uncalled_functions({"b.py": "class L:\n    def from_dict(self):\n        pass\n"}, []) == [
-        "b.py:2: L.from_dict",
+        "a.py:14: ParamStore.orphan",
     ]
 
 
 def test_no_function_is_called_only_by_the_tests():
     others = [path.read_text() for path in PERFBENCH_FILES]
     assert uncalled_functions({path.name: path.read_text() for path in SRC_FILES}, others) == []
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def tape_builders(source: str) -> list[str]:
+    """Code outside ``_record`` that gives a Tensor parents or a backward
+    function, by constructor argument or attribute assignment (the Tensor
+    class itself excepted), and calls of ``_tracking`` outside ``_record``
+    and ``gru_sequence``."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _callee(node) == "Tensor":
+                linked = len(node.args) > 2 or any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+                    kw.arg in (None, "parents", "backward") for kw in node.keywords
+                )
+                if linked and scope != "_record":
+                    found.append((node.lineno, f"line {node.lineno}: {scope} builds a tape node"))
+            elif isinstance(node, ast.Call) and _callee(node) == "_tracking":
+                if scope not in ("_record", "gru_sequence"):
+                    found.append((node.lineno, f"line {node.lineno}: {scope} calls _tracking"))
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if getattr(sub, "attr", None) in ("_parents", "_backward") and scope != "Tensor":
+                            found.append((node.lineno, f"line {node.lineno}: {scope} builds a tape node"))
+    return [entry for _, entry in sorted(found)]
+
+
+def test_the_checker_finds_a_tape_node_built_outside_record():
+    source = (
+        "def _record(data, parents, backward):\n"
+        "    if _tracking(parents):\n"
+        "        return Tensor(data, True, parents, backward)\n"
+        "    return Tensor(data)\n"
+        "def gru_sequence(x):\n"
+        "    if not _tracking((x,)):\n"
+        "        return Tensor(x, requires_grad=False)\n"
+        "    return _record(x, (x,), None)\n"
+        "def square(a):\n"
+        "    if not tt._tracking((a,)):\n"
+        "        return tt.Tensor(a)\n"
+        "    return tt.Tensor(a, True, backward=f, parents=(a,))\n"
+        "def relu(a, rest):\n"
+        "    out = Tensor(a, *rest)\n"
+        "    out._parents, y = (a,), 1\n"
+        "    return out\n"
+        "class Tensor:\n"
+        "    def __init__(self, parents):\n"
+        "        self._parents = parents\n"
+    )
+    assert tape_builders(source) == [
+        "line 10: square calls _tracking",
+        "line 12: square builds a tape node",
+        "line 14: relu builds a tape node",
+        "line 15: relu builds a tape node",
+    ]
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=[p.name for p in SRC_FILES])
+def test_only_record_builds_a_tape_node(path):
+    assert tape_builders(path.read_text()) == []

@@ -32,10 +32,11 @@ def _draw(seed):
         row_softmax=bool(rng.integers(2)),
         share_sim_w=bool(rng.integers(2)),
     )
-    params = tt.ParamStore()
     # the initializer's zero biases and output projections would hide whole branches
-    for name, t in init_params(cfg, seed=seed).items():
-        params.add(name, tt.parameter(t.data + rng.uniform(-0.2, 0.2, size=t.data.shape)))
+    params = tt.ParamStore({
+        name: tt.parameter(t.data + rng.uniform(-0.2, 0.2, size=t.data.shape))
+        for name, t in init_params(cfg, seed=seed).items()
+    })
     b, k = int(rng.integers(3, 6)), int(rng.integers(1, 4))
     lengths = rng.integers(1, 4, size=b + 1)
     lengths[rng.integers(b + 1)] = rng.integers(10, 20)

@@ -105,13 +105,13 @@ CHECKPOINT_MANIFEST = {
 
 
 def _pinned_params():
-    store = tt.ParamStore()
+    entries = {}
     offset = 0
     for name, shape in param_shapes(PINNED_CONFIG).items():
         count = int(np.prod(shape)) if shape else 1
-        store.add(name, tt.parameter((np.arange(count) + offset).reshape(shape) / 16 - 1))
+        entries[name] = tt.parameter((np.arange(count) + offset).reshape(shape) / 16 - 1)
         offset += count
-    return store
+    return tt.ParamStore(entries)
 
 
 def _write_pinned(tmp_path):

@@ -237,7 +237,7 @@ def test_reasoning_stack_gradients():
             entries[f"{i}.{field}"] = tt.parameter(0.5 * rng.normal(size=(m, m)))
         entries[f"{i}.kernel"] = tt.parameter(0.5 * rng.normal(size=(3, 3)))
         entries[f"{i}.bias"] = tt.parameter(np.asarray(0.2))
-    store = tt.ParamStore.from_dict(entries)
+    store = tt.ParamStore(entries)
 
     def run(p):
         nodes = p["nodes"]

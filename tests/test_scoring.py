@@ -118,7 +118,7 @@ def test_loss_gradient_matches_finite_differences_away_from_kinks():
             if j != k:
                 assert abs(margin - matched + values[k, j]) > 1e-3
                 assert abs(margin - matched + values[j, k]) > 1e-3
-    store = tt.ParamStore.from_dict({"s": tt.parameter(values)})
+    store = tt.ParamStore({"s": tt.parameter(values)})
 
     def f(p):
         return bidirectional_ranking_loss(LossBatch(p["s"], margin=margin))
@@ -136,7 +136,7 @@ def test_loss_tie_gradient_goes_to_first_index():
         [0.0, 1.0, 0.0],
         [0.0, 0.0, 1.0],
     ])
-    store = tt.ParamStore.from_dict({"s": tt.parameter(values)})
+    store = tt.ParamStore({"s": tt.parameter(values)})
     g = tt.backward(
         bidirectional_ranking_loss(LossBatch(store["s"], margin=0.2)), store
     )["s"].data
@@ -180,7 +180,7 @@ def _per_pair_loop(values, margin=0.2):
 
 
 def _loss_and_gradient(values):
-    store = tt.ParamStore.from_dict({"s": tt.parameter(values)})
+    store = tt.ParamStore({"s": tt.parameter(values)})
     loss = bidirectional_ranking_loss(LossBatch(store["s"], margin=0.2))
     return loss.item(), tt.backward(loss, store)["s"].data
 

@@ -11,7 +11,7 @@ from itmatch.tensor import ParamStore, backward, finite_diff_grad
 
 
 def _store(**arrays):
-    return ParamStore.from_dict(
+    return ParamStore(
         {name: tt.parameter(np.asarray(value, dtype=np.float64)) for name, value in arrays.items()}
     )
 
@@ -97,7 +97,7 @@ def test_take_rows_repeats():
     table = tt.parameter(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))
     out = tt.take_rows(table, [2, 0, 2])
     assert out.data.tolist() == [[2.0, 2.0], [1.0, 0.0], [2.0, 2.0]]
-    store = ParamStore.from_dict({"t": table})
+    store = ParamStore({"t": table})
     g = backward(tt.sum(out), store)["t"].data
     assert g.tolist() == [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]  # repeated row accumulates
 
@@ -107,18 +107,18 @@ def test_take_rows_takes_an_index_array_as_it_is():
     index = np.array([2, 0, 2], dtype=np.int64)
     out = tt.take_rows(table, index)
     assert out.data.tolist() == [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
-    g = backward(tt.sum(out), ParamStore.from_dict({"t": table}))["t"].data
+    g = backward(tt.sum(out), ParamStore({"t": table}))["t"].data
     assert g.tolist() == [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]
     # the result has the index array's shape plus the row axis
     assert tt.take_rows(table, np.array([[0, 1]])).data.tolist() == [[[0.0, 1.0], [2.0, 3.0]]]
     grid = tt.take_rows(table, np.array([[1, 2], [1, 0]]))
     assert grid.data.tolist() == [[[2.0, 3.0], [4.0, 5.0]], [[2.0, 3.0], [0.0, 1.0]]]
-    g = backward(tt.sum(tt.square(grid)), ParamStore.from_dict({"t": table}))["t"].data
+    g = backward(tt.sum(tt.square(grid)), ParamStore({"t": table}))["t"].data
     assert g.tolist() == [[0.0, 2.0], [8.0, 12.0], [8.0, 10.0]]  # row 1 twice
     # a 0-d index gives one row
     row = tt.take_rows(table, np.array(1))
     assert row.data.tolist() == [2.0, 3.0]
-    g = backward(tt.sum(row), ParamStore.from_dict({"t": table}))["t"].data
+    g = backward(tt.sum(row), ParamStore({"t": table}))["t"].data
     assert g.tolist() == [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]
     for bad in (np.array([], dtype=np.intp), np.zeros((2, 0), dtype=np.intp), np.array([3]),
                 np.array([[0], [-1]])):
@@ -347,12 +347,18 @@ def test_backward_hands_over_read_only_gradients_with_the_copied_values():
         assert not np.shares_memory(g.data, store[name].data)
 
 
-def test_adopt_freezes_without_copying():
+def test_tensor_freezes_without_copying_and_constant_and_parameter_copy():
     values = np.arange(3.0)
-    t = tt.adopt(values, requires_grad=True)
+    t = tt.Tensor(values, requires_grad=True)
     assert t.data is values and t.requires_grad
     assert not values.flags.writeable
     assert t._parents == () and t._backward is None
+    for make in (tt.constant, tt.parameter):
+        source = np.arange(3.0)
+        made = make(source)
+        assert not np.shares_memory(made.data, source)
+        assert source.flags.writeable and not made.data.flags.writeable
+        np.testing.assert_array_equal(made.data, source)
 
 
 def test_backward_unused_param_gets_zeros():
@@ -467,6 +473,71 @@ def test_no_grad_blocks_graph_construction():
     assert y._parents == ()
 
 
+@pytest.mark.parametrize("cases", [OP_CASES, BATCHED_OP_CASES], ids=["plain", "batched"])
+def test_no_grad_makes_every_op_a_leaf(cases):
+    rng = np.random.default_rng(13)
+    store = _store(
+        a=rng.normal(size=(3, 4)), b=rng.normal(size=(4, 2)), v=rng.normal(size=4),
+        u=rng.normal(size=3), k=rng.normal(size=(3, 3)), s=np.asarray(0.2), t=rng.normal(size=(2, 3, 4)),
+    )
+    with tt.no_grad():
+        for name, f in cases:
+            out = f(store)
+            assert (out.requires_grad, out._parents, out._backward) == (False, (), None), name
+
+
+@pytest.mark.parametrize("op", [tt.add, tt.sub, tt.mul], ids=["add", "sub", "mul"])
+@pytest.mark.parametrize(
+    "operand",
+    [0.75, np.array(-3.0), np.array([1.5, -2.0, 0.25]), np.array([[True], [False]])],
+    ids=["number", "0d", "row", "bool_column"],
+)
+def test_a_number_or_array_operand_is_a_constant_and_never_a_parent(op, operand):
+    store = _store(a=np.random.default_rng(14).normal(size=(2, 3)))
+
+    def run(b):
+        out = op(store["a"], b)
+        return out, backward(tt.sum(tt.square(out)), store)["a"].data
+
+    (out, grad), (ref, ref_grad) = run(operand), run(tt.constant(operand))
+    assert out._parents == ref._parents == (store["a"],)
+    assert out.data.tobytes() == ref.data.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("op", [tt.add, tt.sub, tt.mul], ids=["add", "sub", "mul"])
+def test_a_binary_operand_of_another_type_or_with_more_axes_is_refused(op):
+    a = tt.parameter(np.ones((2, 3)))
+    for bad in ([1.0, 2.0, 3.0], "1.0", None):
+        with pytest.raises(ContractError):
+            op(a, bad)
+    for wide in (np.ones((1, 2, 3)), tt.constant(np.ones((1, 2, 3))), np.ones(2)):
+        with pytest.raises(DimensionError):
+            op(a, wide)
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [((3, 4), (4,)), ((2, 3, 4), (4, 2)), ((2, 3, 4), (2, 4, 5)), ((2, 1, 3, 4), (2, 4, 2))],
+    ids=["vector", "matrix", "batched", "broadcast"],
+)
+@pytest.mark.parametrize("tracked", [0, 1], ids=["parameter_left", "parameter_right"])
+def test_matmul_computes_no_gradient_for_a_constant_operand(left, right, tracked):
+    rng = np.random.default_rng(15)
+    values = [rng.normal(size=left), rng.normal(size=right)]
+    operands = [tt.constant(v) for v in values]
+    operands[tracked] = tt.parameter(values[tracked])
+    out = tt.matmul(*operands)
+    g = rng.normal(size=out.shape)
+    grads = out._backward(g)
+    # with both operands tracked each slot runs the same formula as before
+    # the constant slot was skipped
+    both = tt.matmul(tt.parameter(values[0]), tt.parameter(values[1]))._backward(g)
+    assert grads[1 - tracked] is None
+    assert grads[tracked].shape == values[tracked].shape
+    assert grads[tracked].tobytes() == both[tracked].tobytes()
+
+
 def test_constant_and_parameter_flags():
     assert tt.constant(np.array([1.0])).requires_grad is False
     assert tt.parameter(np.array([1.0])).requires_grad is True
@@ -478,17 +549,20 @@ def test_tensor_data_is_frozen():
         x.data[0] = 5.0
 
 
-def test_param_store_rejects_duplicates_and_non_params():
-    store = ParamStore()
-    store.add("w", tt.parameter(np.ones(2)))
+def test_param_store_rejects_non_params():
     with pytest.raises(ContractError):
-        store.add("w", tt.parameter(np.ones(2)))
+        ParamStore({"w": tt.parameter(np.ones(2)), "c": tt.constant(np.ones(2))})
     with pytest.raises(ContractError):
-        store.add("c", tt.constant(np.ones(2)))
+        ParamStore({"w": np.ones(2)})
+    store = ParamStore({"w": tt.parameter(np.ones(2))})
+    with pytest.raises(ContractError):
+        store.copy_with({"w": tt.constant(np.ones(2))})
+    with pytest.raises(ContractError):
+        store.copy_with({"v": tt.parameter(np.ones(2))})
 
 
 def test_param_store_copy_with_keeps_shapes():
-    store = ParamStore.from_dict({"w": tt.parameter(np.ones((2, 2)))})
+    store = ParamStore({"w": tt.parameter(np.ones((2, 2)))})
     with pytest.raises(ContractError):
         store.copy_with({"w": tt.parameter(np.ones(3))})
     out = store.copy_with({"w": tt.parameter(np.zeros((2, 2)))})
@@ -497,7 +571,7 @@ def test_param_store_copy_with_keeps_shapes():
 
 
 def test_param_store_iterates_sorted():
-    store = ParamStore.from_dict(
+    store = ParamStore(
         {"b": tt.parameter(np.ones(1)), "a": tt.parameter(np.ones(1)), "c": tt.parameter(np.ones(1))}
     )
     assert store.names() == ["a", "b", "c"]

@@ -30,9 +30,7 @@ from itmatch.training import (
 
 
 def _scalar_store(value=3.0):
-    store = ParamStore()
-    store.add("theta", tt.parameter(np.asarray(value)))
-    return store
+    return ParamStore({"theta": tt.parameter(np.asarray(value))})
 
 
 def _tiny_model():
@@ -148,7 +146,7 @@ ADAM_SHAPES = {"big": (3, ADAM_BLOCK + 41), "one": (1,), "scalar": (), "still": 
 
 def _adam_problem(seed):
     rng = np.random.default_rng(seed)
-    store = ParamStore.from_dict(
+    store = ParamStore(
         {name: tt.parameter(rng.standard_normal(shape)) for name, shape in ADAM_SHAPES.items()}
     )
 
@@ -229,13 +227,13 @@ def test_adam_walks_a_transposed_gradient_in_row_blocks():
     # parameter is three blocks, the last one short
     shape = (40, 1000)
     rng = np.random.default_rng(9)
-    store = ParamStore.from_dict({"w": tt.parameter(rng.standard_normal(shape))})
+    store = ParamStore({"w": tt.parameter(rng.standard_normal(shape))})
     state = adam_init(store)
     theta, m, v = store["w"].data, np.zeros(shape), np.zeros(shape)
     for t in range(1, 4):
         g = rng.standard_normal(shape[::-1]).T
         assert not g.flags.c_contiguous
-        store, state = adam_step(store, {"w": tt.adopt(g)}, state, lr=0.01)
+        store, state = adam_step(store, {"w": tt.Tensor(g)}, state, lr=0.01)
         before = theta
         theta, m, v = _textbook_adam(theta, g, m, v, t, 0.01)
         assert np.max(np.abs(store["w"].data - theta)) <= 1e-12 * np.max(np.abs(theta - before))
@@ -249,9 +247,9 @@ def test_adam_allocates_one_parameter_and_no_copy():
     # to 2x
     shape = (1024, 2048)
     rng = np.random.default_rng(10)
-    store = ParamStore.from_dict({"w": tt.parameter(rng.standard_normal(shape))})
+    store = ParamStore({"w": tt.parameter(rng.standard_normal(shape))})
     state = adam_init(store)
-    grads = {"w": tt.adopt(rng.standard_normal(shape[::-1]).T)}
+    grads = {"w": tt.Tensor(rng.standard_normal(shape[::-1]).T)}
     tracemalloc.start()
     try:
         adam_step(store, grads, state, lr=0.01)
@@ -306,6 +304,7 @@ def test_adam_stops_on_a_non_finite_gradient_before_returning(bad):
         {"lr": np.inf},
         {"margin": np.nan},
         {"margin": np.inf},
+        {"seed": -1},
     ],
 )
 def test_train_config_validation(kwargs):
