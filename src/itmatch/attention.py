@@ -55,7 +55,7 @@ class LocalSimilarities:
 
 
 def sim_vec_rows(x: Tensor, y: Tensor, weight: Tensor, row_mask=None) -> Tensor:
-    """Similarity vectors weight @ (x-y)^2 / ||x-y|| over the last axis, 0
+    """Similarity vectors (x-y)^2 @ weight / ||x-y|| over the last axis, 0
     where x and y are closer than ``tensor.INV_GUARD`` (coincident).
 
     x and y broadcast against each other (y has no more axes than x); a
@@ -63,12 +63,12 @@ def sim_vec_rows(x: Tensor, y: Tensor, weight: Tensor, row_mask=None) -> Tensor:
     """
     if x.ndim < 1 or x.shape[-1] != y.shape[-1]:
         raise DimensionError(f"sim_vec_rows needs rows of equal width, got {x.shape} and {y.shape}")
-    if weight.ndim != 2 or weight.shape[1] != x.shape[-1]:
+    if weight.ndim != 2 or weight.shape[0] != x.shape[-1]:
         raise DimensionError(
-            f"similarity weight must be (m, {x.shape[-1]}), got {weight.shape}"
+            f"similarity weight must be ({x.shape[-1]}, m), got {weight.shape}"
         )
     diff = tt.sub(x, y)
-    projected = tt.matmul(tt.square(diff), tt.transpose(weight))
+    projected = tt.matmul(tt.square(diff), weight)
     inv_dist = tt.inv_norm(diff, axis=-1)
     if row_mask is not None:
         inv_dist = tt.mul(inv_dist, row_mask[..., None])
@@ -126,8 +126,8 @@ def local_similarities(
 
     v: (I, k, d) regions with their (I, d) globals; t: (C, n, d) words,
     zero-padded where the (C, n) boolean `word_mask` is False, with their
-    (C, d) globals computed over the real words only.  A stream whose
-    weight is None is skipped.
+    (C, d) globals computed over the real words only.  Each similarity
+    weight is (d, m); a stream whose weight is None is skipped.
     """
     _check_stacks(v, t)
     word_mask = np.asarray(word_mask, dtype=bool)
@@ -148,6 +148,6 @@ def local_similarities(
         attended = tt.matmul(t2i_weights(cos, temperature, word_mask), t)
         diff = tt.sub(attended, regions)
         summed = tt.sum(tt.mul(tt.square(diff), tt.inv_norm(diff, axis=-1)), axis=-2)
-        projected = tt.matmul(summed, tt.transpose(w_t2i))
+        projected = tt.matmul(summed, w_t2i)
         s_t2i = tt.mul(tt.add(projected, s_glob), 1.0 / (k + 1))
     return LocalSimilarities(s_glob=s_glob, s_i2t=s_i2t, s_t2i=s_t2i)

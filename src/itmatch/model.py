@@ -4,7 +4,8 @@ One scalar score per image-caption pair: encode both modalities, build
 local similarity vectors through cross attention (the text-to-image
 stream's already mean-pooled), run the image-to-text node set through
 gated graph reasoning, sum the stream vectors that ran, and apply a
-linear head.
+linear head.  The store holds exactly the parameters this pass reads,
+each stored as it is applied (``x @ W``; ``W x`` inside the GRU node).
 
 Every (image, caption) pairing of a tile is scored at once: a tile's
 images are encoded as one batch in one projection, its captions as one
@@ -91,8 +92,10 @@ class EncodedCaptions:
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter of cfg's model, in creation order.
 
-    Streams that are switched off have no parameters.  Nothing is allocated
-    or drawn, so a checkpoint can be checked against its config cheaply.
+    Only what the forward pass reads: nothing for a stream switched off,
+    no i2t weight at depth 0, no gate when ungated.  Each matrix but the
+    GRU's is (in, out), as ``x @ W`` applies it.  Nothing is allocated or
+    drawn, so a checkpoint can be checked against its config cheaply.
     """
     d, m = cfg.hidden_dim, cfg.sim_dim
     shapes: dict[str, tuple[int, ...]] = {"embed.table": (cfg.vocab_size, cfg.embed_dim)}
@@ -104,21 +107,21 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["img_proj.w"] = (cfg.d_raw, d)
     shapes["img_proj.b"] = (d,)
     if cfg.share_sim_w:
-        shapes["sim.w_shared"] = (m, d)
+        shapes["sim.w_shared"] = (d, m)
     else:
-        shapes["sim.w_glob"] = (m, d)
-        if cfg.uses_i2t:
-            shapes["sim.w_i2t"] = (m, d)
+        shapes["sim.w_glob"] = (d, m)
+        if cfg.uses_i2t and cfg.n_layers:
+            shapes["sim.w_i2t"] = (d, m)
         if cfg.uses_t2i:
-            shapes["sim.w_t2i"] = (m, d)
+            shapes["sim.w_t2i"] = (d, m)
     if cfg.uses_i2t:
         for i in range(cfg.n_layers):
             for name in ("w_query", "w_key", "w_out", "w_mix"):
                 shapes[f"reason.{i}.{name}"] = (m, m)
-            shapes[f"reason.{i}.kernel"] = (3, 3)
-            shapes[f"reason.{i}.bias"] = ()
+            if cfg.hierarchical:
+                shapes[f"reason.{i}.kernel"] = (3, 3)
+                shapes[f"reason.{i}.bias"] = ()
     shapes["head.w"] = (m,)
-    shapes["head.b"] = ()
     return shapes
 
 
@@ -136,12 +139,12 @@ def _init_bound(name: str, shape: tuple[int, ...]) -> float | None:
         # start the residual updates drown the global node and training
         # stalls for thousands of steps
         return None
-    if name == "img_proj.w":
-        fan_in = shape[0]  # applied as regions @ w
-    elif leaf == "kernel":
+    if leaf == "kernel":
         fan_in = 9
+    elif name.startswith("gru."):
+        fan_in = shape[-1]  # applied as W x inside tensor.gru_sequence
     else:
-        fan_in = shape[-1]
+        fan_in = shape[0]  # applied as x @ W
     return math.sqrt(3.0 / fan_in)
 
 
@@ -151,13 +154,19 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
     Two deliberate exceptions: the embedding table starts at unit scale, and
     each reasoning layer's output projection starts at zero (see
     ``_init_bound``).  Parameters are drawn in ``param_shapes`` order, so
-    one seed always yields the same store.
+    one seed always yields the same store.  Similarity, query and key
+    weights are drawn (out, in), as format 1 stored them, then transposed.
     """
     rng = np.random.default_rng(seed)
     entries = {}
     for name, shape in param_shapes(cfg).items():
         bound = _init_bound(name, shape)
-        values = np.zeros(shape) if bound is None else rng.uniform(-bound, bound, size=shape)
+        if bound is None:
+            values = np.zeros(shape)
+        elif name.startswith("sim.") or name.endswith(("w_query", "w_key")):
+            values = np.ascontiguousarray(rng.uniform(-bound, bound, size=shape[::-1]).T)
+        else:
+            values = rng.uniform(-bound, bound, size=shape)
         entries[name] = tt.Tensor(values, requires_grad=True)
     return ParamStore(entries)
 
@@ -171,15 +180,10 @@ def _gru_weights(params: ParamStore, direction: str) -> tuple[Tensor, ...]:
     )
 
 
-def layer_params(params: ParamStore, index: int) -> ReasonLayerParams:
-    return ReasonLayerParams(
-        w_query=params[f"reason.{index}.w_query"],
-        w_key=params[f"reason.{index}.w_key"],
-        w_out=params[f"reason.{index}.w_out"],
-        w_mix=params[f"reason.{index}.w_mix"],
-        kernel=params[f"reason.{index}.kernel"],
-        bias=params[f"reason.{index}.bias"],
-    )
+def layer_params(params: ParamStore, cfg: ModelConfig, index: int) -> ReasonLayerParams:
+    """Reasoning layer ``index``, with its gate only under ``cfg.hierarchical``."""
+    names = ("w_query", "w_key", "w_out", "w_mix") + (("kernel", "bias") if cfg.hierarchical else ())
+    return ReasonLayerParams(**{name: params[f"reason.{index}.{name}"] for name in names})
 
 
 def encode_image(params: ParamStore, cfg: ModelConfig, region_list) -> EncodedImages:
@@ -234,14 +238,12 @@ def score_tile(
             streams.append(local.s_glob)
         else:
             nodes = build_node_set(local.s_i2t, local.s_glob, lengths)
-            layers = [layer_params(params, i) for i in range(cfg.n_layers)]
-            streams.append(reason(
-                nodes, layers, lengths, hierarchical=cfg.hierarchical, row_softmax=cfg.row_softmax,
-            ))
+            layers = [layer_params(params, cfg, i) for i in range(cfg.n_layers)]
+            streams.append(reason(nodes, layers, lengths, row_softmax=cfg.row_softmax))
     if cfg.uses_t2i:
         streams.append(local.s_t2i)
     fused = tt.add(*streams) if len(streams) == 2 else streams[0]
-    return score(fused, params["head.w"], params["head.b"])
+    return score(fused, params["head.w"])
 
 
 def score_grid(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -> Tensor:

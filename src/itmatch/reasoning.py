@@ -8,12 +8,13 @@ zero rows act as the 3x3 gate's zero border, so every real entry sees
 the same neighbourhood as in an unpadded (L_j + 1)-node set.
 
 Each reasoning layer builds a dense pairwise relation matrix from two
-learned projections, optionally gates it by a sigmoid of a 3x3
-convolution over the matrix itself (the "hierarchical" path, which makes
-the update sensitive to neighbourhoods of relations rather than single
-entries), and applies a residual per-node linear update.  The
-image-to-text stream reads out the global node after the last layer, one
-gather from the node sets flattened to rows.
+learned projections, gates it by a sigmoid of a 3x3 convolution over the
+matrix itself when the layer has a gate kernel (the "hierarchical" path,
+which makes the update sensitive to neighbourhoods of relations rather
+than single entries), and applies a residual per-node linear update.
+Every weight is applied as ``x @ W``.  The image-to-text stream reads out
+the global node after the last layer, one gather from the node sets
+flattened to rows.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class ReasonLayerParams:
-    """Independent parameters of one reasoning layer."""
+    """Independent parameters of one reasoning layer; an ungated one has no gate."""
 
-    w_query: Tensor   # (m, m) projection of the receiving node
-    w_key: Tensor     # (m, m) projection of the contributing node
-    w_out: Tensor     # (m, m) per-node output map
-    w_mix: Tensor     # (m, m) feature mix inside the aggregation
-    kernel: Tensor    # (3, 3) gate convolution kernel
-    bias: Tensor      # ()     gate convolution bias
+    w_query: Tensor                # (m, m) projection of the receiving node
+    w_key: Tensor                  # (m, m) projection of the contributing node
+    w_out: Tensor                  # (m, m) per-node output map
+    w_mix: Tensor                  # (m, m) feature mix inside the aggregation
+    kernel: Tensor | None = None   # (3, 3) gate convolution kernel
+    bias: Tensor | None = None     # ()     gate convolution bias
 
 
 def build_node_set(local: Tensor, glob: Tensor, lengths) -> Tensor:
@@ -62,9 +63,9 @@ def build_node_set(local: Tensor, glob: Tensor, lengths) -> Tensor:
 
 
 def relation_matrix(nodes: Tensor, w_query: Tensor, w_key: Tensor) -> Tensor:
-    """Dense pairwise relations: R[p, q] = (Wq' s_p) . (Wk' s_q)."""
-    queries = tt.matmul(nodes, tt.transpose(w_query))
-    keys = tt.matmul(nodes, tt.transpose(w_key))
+    """Dense pairwise relations: R[p, q] = (s_p Wq) . (s_q Wk)."""
+    queries = tt.matmul(nodes, w_query)
+    keys = tt.matmul(nodes, w_key)
     return tt.matmul(queries, tt.transpose(keys))
 
 
@@ -77,7 +78,6 @@ def reason_step(
     nodes: Tensor,
     layer: ReasonLayerParams,
     node_mask,
-    hierarchical: bool = True,
     row_softmax: bool = False,
 ) -> Tensor:
     """One residual update of every node from its relation-weighted context.
@@ -87,15 +87,14 @@ def reason_step(
     the relation matrix; only the row softmax needs the mask, to keep
     padded columns out of each row and padded rows at zero.
     """
-    rel = relation_matrix(nodes, layer.w_query, layer.w_key)
-    if hierarchical:
-        rel = gate_relations(rel, layer.kernel, layer.bias)
-    mixing = rel
+    mixing = relation_matrix(nodes, layer.w_query, layer.w_key)
+    if layer.kernel is not None:
+        mixing = gate_relations(mixing, layer.kernel, layer.bias)
     if row_softmax:
         mixing = tt.softmax_rows(mixing, node_mask[..., None, :])
         mixing = tt.mul(mixing, node_mask[..., :, None])
     context = tt.matmul(tt.matmul(mixing, nodes), layer.w_mix)
-    update = tt.matmul(context, tt.transpose(layer.w_out))
+    update = tt.matmul(context, layer.w_out)
     return tt.add(update, nodes)
 
 
@@ -103,7 +102,6 @@ def reason(
     nodes: Tensor,
     layers: Sequence[ReasonLayerParams],
     global_rows,
-    hierarchical: bool = True,
     row_softmax: bool = False,
 ) -> Tensor:
     """Run every layer and read out the global node of each node set.
@@ -125,8 +123,6 @@ def reason(
     node_mask = np.arange(n) <= global_rows[..., None]
     current = nodes
     for layer in layers:
-        current = reason_step(
-            current, layer, node_mask, hierarchical=hierarchical, row_softmax=row_softmax
-        )
+        current = reason_step(current, layer, node_mask, row_softmax=row_softmax)
     rows = tt.reshape(current, (node_rows.size * n, m))
     return tt.take_rows(rows, np.arange(node_rows.size).reshape(lead) * n + node_rows)

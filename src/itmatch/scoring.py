@@ -40,11 +40,12 @@ class LossBatch:
         check_finite(self.scores.data)
 
 
-def score(fused: Tensor, w_head: Tensor, b_head: Tensor) -> Tensor:
-    """Scalar matching score w . fused + b of each fused vector of a (..., m) stack."""
+def score(fused: Tensor, w_head: Tensor) -> Tensor:
+    """Scalar matching score fused . w of each fused vector of a (..., m) stack;
+    no bias, which the loss would never move: every hinge term reads a difference of scores."""
     if fused.ndim < 2 or w_head.ndim != 1 or w_head.shape[0] != fused.shape[-1]:
         raise DimensionError(f"score needs matching vectors, got {fused.shape} and {w_head.shape}")
-    return tt.add(tt.matmul(fused, w_head), b_head)
+    return tt.matmul(fused, w_head)
 
 
 def hardest_negatives(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,12 +12,14 @@ Everything is driven by explicit seeds; two identical runs produce
 bitwise-identical loss curves.
 
 A checkpoint is a ``kvfile`` container (format ``itmatch-checkpoint``,
-version 1): the manifest holds the dtype, every ``ModelConfig`` field as
+version 2): the manifest holds the dtype, every ``ModelConfig`` field as
 ``model.<name>`` and every parameter's shape as ``param.<name>``, and
 ``params.bin`` holds the parameters as little-endian float64 in name order.
 The schema is derived, not restated: fields go in ``ModelConfig`` order,
 each read back by its annotated type, and ``model.param_shapes`` of the
 loaded configuration gives the parameters, their shapes and the blob size.
+Version 2 holds each matrix as the forward pass applies it; a version-1
+file is refused, since its square weights would load silently transposed.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .scoring import LossBatch, bidirectional_ranking_loss
 from .tensor import ParamStore, Tensor, backward
 
 CHECKPOINT_FORMAT = "itmatch-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # elements per Adam block: the block's slices of the parameter, its
 # gradient, both moments, the new parameter and the scratch buffer (128 KB
@@ -129,8 +131,7 @@ def adam_step(
     buffer, advancing m and v in place in ``state.m`` and ``state.v`` and
     writing the new parameter into one fresh frozen array, so ``params``
     and any store kept from an earlier step stay as they were.  Row blocks
-    are views whatever the strides, so a gradient that arrives as a
-    transposed view is never copied whole.
+    are views, so no gradient is copied whole.
     Returns the new store and ``state`` itself, its step advanced.
     A missing or misshapen gradient raises ContractError, and one that is
     not finite raises DataError naming the step and the parameter; both

@@ -18,8 +18,9 @@ def _zeros(n):
     return [0.0 for _ in range(n)]
 
 
-def _matvec(m, x):
-    return [sum(row[j] * x[j] for j in range(len(x))) for row in m]
+def _vecmat(x, w):
+    """x @ w for a vector x and a matrix w stored (len(x), out), by column."""
+    return [sum(x[a] * w[a][c] for a in range(len(x))) for c in range(len(w[0]))]
 
 
 def _sigmoid(x):
@@ -101,12 +102,13 @@ def ref_global(local):
 
 
 def ref_sim_vec(x, y, w):
+    """(x-y)^2 @ w / ||x-y|| for a (d, m) weight w."""
     d = len(x)
     diff = [x[j] - y[j] for j in range(d)]
     dist = math.sqrt(sum(v * v for v in diff))
     inv = _inv_guarded(dist)
     sq = [v * v for v in diff]
-    return [inv * sum(w[i][j] * sq[j] for j in range(d)) for i in range(len(w))]
+    return [inv * sum(sq[j] * w[j][i] for j in range(d)) for i in range(len(w[0]))]
 
 
 def ref_cosines(v, t):
@@ -188,8 +190,8 @@ def ref_conv3x3(x, kernel, bias):
 
 def ref_reason_step(nodes, layer, hierarchical, row_softmax):
     n = len(nodes)
-    queries = [_matvec(layer["w_query"], s) for s in nodes]
-    keys = [_matvec(layer["w_key"], s) for s in nodes]
+    queries = [_vecmat(s, layer["w_query"]) for s in nodes]
+    keys = [_vecmat(s, layer["w_key"]) for s in nodes]
     rel = [
         [sum(queries[p][c] * keys[q][c] for c in range(len(queries[0]))) for q in range(n)]
         for p in range(n)
@@ -204,11 +206,8 @@ def ref_reason_step(nodes, layer, hierarchical, row_softmax):
         [sum(rel[p][q] * nodes[q][c] for q in range(n)) for c in range(m)]
         for p in range(n)
     ]
-    context = [
-        [sum(mixed[p][a] * layer["w_mix"][a][c] for a in range(m)) for c in range(m)]
-        for p in range(n)
-    ]
-    update = [_matvec(layer["w_out"], context[p]) for p in range(n)]
+    context = [_vecmat(mixed[p], layer["w_mix"]) for p in range(n)]
+    update = [_vecmat(context[p], layer["w_out"]) for p in range(n)]
     return [[nodes[p][c] + update[p][c] for c in range(m)] for p in range(n)]
 
 
@@ -249,14 +248,10 @@ def ref_pair_score(weights, cfg, raw_regions, tokens):
             rows = [ref_sim_vec(attended[j], t[j], w_i2t) for j in range(len(t))]
             nodes = rows + [s_glob]
             for layer_index in range(cfg.n_layers):
-                layer = {
-                    "w_query": weights[f"reason.{layer_index}.w_query"],
-                    "w_key": weights[f"reason.{layer_index}.w_key"],
-                    "w_out": weights[f"reason.{layer_index}.w_out"],
-                    "w_mix": weights[f"reason.{layer_index}.w_mix"],
-                    "kernel": weights[f"reason.{layer_index}.kernel"],
-                    "bias": weights[f"reason.{layer_index}.bias"],
-                }
+                names = ["w_query", "w_key", "w_out", "w_mix"]
+                if cfg.hierarchical:
+                    names += ["kernel", "bias"]
+                layer = {name: weights[f"reason.{layer_index}.{name}"] for name in names}
                 nodes = ref_reason_step(nodes, layer, cfg.hierarchical, cfg.row_softmax)
             s_i2t = nodes[-1]
 
@@ -276,7 +271,7 @@ def ref_pair_score(weights, cfg, raw_regions, tokens):
     else:
         fused = s_t2i
     head_w = weights["head.w"]
-    return sum(head_w[c] * fused[c] for c in range(len(fused))) + weights["head.b"]
+    return sum(head_w[c] * fused[c] for c in range(len(fused)))
 
 
 def ref_ranking_loss(scores, margin):

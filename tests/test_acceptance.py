@@ -134,7 +134,7 @@ def test_criterion_03_attention_invariants():
 
 def test_criterion_04_similarity_vector_properties():
     rng = np.random.default_rng(9)
-    w = tt.constant(rng.normal(size=(3, 4)))
+    w = tt.constant(rng.normal(size=(4, 3)))
 
     def sim_vec(x, y, w):
         # the similarity vector of one pair of rows
@@ -189,7 +189,7 @@ def test_criterion_05_reasoning_structure():
         bias=tt.constant(np.asarray(0.3)),
     )
     # an unpadded node set: its global node is its last row, every row is real
-    readout = reason(nodes, [layer_zero_out], 3, hierarchical=True)
+    readout = reason(nodes, [layer_zero_out], 3)
     identity = np.array_equal(readout.data, nodes.data[-1])
 
     layer = ReasonLayerParams(
@@ -200,13 +200,13 @@ def test_criterion_05_reasoning_structure():
         bias=tt.constant(np.asarray(-0.2)),
     )
     real = np.ones(4, dtype=bool)
-    on = reason_step(nodes, layer, real, hierarchical=True).data
-    off = reason_step(nodes, layer, real, hierarchical=False).data
+    on = reason_step(nodes, layer, real).data
+    off = reason_step(nodes, replace(layer, kernel=None, bias=None), real).data
     r = rel.data
     gate = 1.0 / (1.0 + np.exp(-_np_conv3x3(r, layer.kernel.data, float(layer.bias.data))))
     s = nodes.data
-    expected_on = (r * gate) @ s @ layer.w_mix.data @ layer.w_out.data.T + s
-    expected_off = r @ s @ layer.w_mix.data @ layer.w_out.data.T + s
+    expected_on = (r * gate) @ s @ layer.w_mix.data @ layer.w_out.data + s
+    expected_off = r @ s @ layer.w_mix.data @ layer.w_out.data + s
     gate_only = (
         np.max(np.abs(on - expected_on)) < 1e-12
         and np.max(np.abs(off - expected_off)) < 1e-12

@@ -25,7 +25,7 @@ def _units(rng, n, d):
 def sim_vec(x, y, w):
     """Similarity vector of two d-vectors: sim_vec_rows on one row."""
     rows = sim_vec_rows(tt.reshape(x, (1, x.shape[0])), tt.reshape(y, (1, y.shape[0])), w)
-    return tt.reshape(rows, (w.shape[0],))
+    return tt.reshape(rows, (w.shape[1],))
 
 
 def _pair(v, t):
@@ -61,7 +61,7 @@ def _similarities(v, t, w, word_mask=None, t_glob=None, **weights):
 
 
 def test_sim_vec_hand_value():
-    w = tt.constant(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    w = tt.constant(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
     x = tt.constant(np.array([3.0, 0.0]))
     y = tt.constant(np.array([0.0, 4.0]))
     # diff (3, -4), squares (9, 16), norm 5 -> (1.8, 3.2, 5.0)
@@ -70,7 +70,7 @@ def test_sim_vec_hand_value():
 
 def test_sim_vec_symmetry_exact():
     rng = np.random.default_rng(0)
-    w = tt.constant(rng.normal(size=(4, 6)))
+    w = tt.constant(rng.normal(size=(6, 4)))
     for _ in range(10):
         x = tt.constant(rng.normal(size=6))
         y = tt.constant(rng.normal(size=6))
@@ -82,7 +82,7 @@ def test_sim_vec_symmetry_exact():
 @pytest.mark.parametrize("alpha", [0.25, 1.0, 3.0, 117.0])
 def test_sim_vec_positive_homogeneity(alpha):
     rng = np.random.default_rng(1)
-    w = tt.constant(rng.normal(size=(4, 6)))
+    w = tt.constant(rng.normal(size=(6, 4)))
     x = rng.normal(size=6)
     y = rng.normal(size=6)
     scaled = sim_vec(tt.constant(alpha * x), tt.constant(alpha * y), w).data
@@ -91,13 +91,13 @@ def test_sim_vec_positive_homogeneity(alpha):
 
 
 def test_sim_vec_zero_distance_guard():
-    w = tt.constant(np.ones((3, 4)))
+    w = tt.constant(np.ones((4, 3)))
     x = tt.constant(np.array([1.0, 2.0, 3.0, 4.0]))
     assert sim_vec(x, x, w).data.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_sim_vec_guard_has_finite_gradient():
-    store = tt.ParamStore({"w": tt.parameter(np.ones((2, 3)))})
+    store = tt.ParamStore({"w": tt.parameter(np.ones((3, 2)))})
     x = tt.constant(np.array([1.0, 1.0, 1.0]))
     loss = tt.sum(sim_vec(x, x, store["w"]))
     g = tt.backward(loss, store)["w"].data
@@ -107,7 +107,7 @@ def test_sim_vec_guard_has_finite_gradient():
 
 def test_sim_vec_rows_matches_scalar_reference():
     rng = np.random.default_rng(2)
-    w = rng.normal(size=(5, 4))
+    w = rng.normal(size=(4, 5))
     x = rng.normal(size=(3, 4))
     y = rng.normal(size=(3, 4))
     out = sim_vec_rows(tt.constant(x), tt.constant(y), tt.constant(w)).data
@@ -118,7 +118,7 @@ def test_sim_vec_rows_matches_scalar_reference():
 
 
 def test_sim_vec_rejects_bad_shapes():
-    w = tt.constant(np.ones((3, 4)))
+    w = tt.constant(np.ones((4, 3)))
     with pytest.raises(DimensionError):
         sim_vec_rows(tt.constant(np.ones((2, 4))), tt.constant(np.ones((3, 4))), w)
     with pytest.raises(DimensionError):
@@ -129,7 +129,7 @@ def test_sim_vec_rejects_bad_shapes():
 
 def test_sim_vec_rows_broadcast_and_row_mask():
     rng = np.random.default_rng(13)
-    w = tt.constant(rng.normal(size=(3, 4)))
+    w = tt.constant(rng.normal(size=(4, 3)))
     x = rng.normal(size=(2, 1, 4))
     y = rng.normal(size=(5, 4))
     mask = np.array([True, False, True, True, False])
@@ -287,7 +287,7 @@ def test_both_streams_share_one_cosine_matrix(monkeypatch):
     monkeypatch.setattr(attention, "cosines", counted)
     rng = np.random.default_rng(11)
     v, t = _pair(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)))
-    w = tt.constant(rng.normal(size=(5, 6)))
+    w = tt.constant(rng.normal(size=(6, 5)))
     _similarities(v, t, w, w_i2t=w, w_t2i=w)
     assert len(calls) == 1
 
@@ -298,7 +298,7 @@ def test_both_streams_share_one_cosine_matrix(monkeypatch):
 def test_local_similarities_streams_optional():
     rng = np.random.default_rng(11)
     v, t = _pair(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)))
-    w = tt.constant(rng.normal(size=(5, 6)))
+    w = tt.constant(rng.normal(size=(6, 5)))
     full = _similarities(v, t, w, w_i2t=w, w_t2i=w)
     assert full.s_glob.shape == (1, 1, 5)
     assert full.s_i2t.shape == (1, 1, 3, 5)
@@ -316,7 +316,7 @@ def test_local_similarities_streams_optional():
 def test_local_similarities_accepts_precomputed_globals():
     rng = np.random.default_rng(12)
     v, t = _pair(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)))
-    w = tt.constant(rng.normal(size=(5, 6)))
+    w = tt.constant(rng.normal(size=(6, 5)))
     mask = np.ones((1, 3), dtype=bool)
     stacked = _similarities(v, t, w, w_i2t=w, w_t2i=w)
     per_pair = local_similarities(
@@ -334,7 +334,7 @@ def test_padded_word_rows_are_zero_and_real_rows_unchanged():
     rng = np.random.default_rng(16)
     v = rng.normal(size=(4, 6))
     t = rng.normal(size=(2, 6))
-    w = tt.constant(rng.normal(size=(5, 6)))
+    w = tt.constant(rng.normal(size=(6, 5)))
     t_glob = tt.reshape(global_feature(tt.constant(t)), (1, 6))
     plain = _similarities(*_pair(v, t), w, w_i2t=w, w_t2i=w, t_glob=t_glob)
     padded = _similarities(

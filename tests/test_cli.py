@@ -165,12 +165,12 @@ def test_eval_rejects_a_checkpoint_with_a_non_finite_parameter(tmp_path, capsys)
     ckpt = str(tmp_path / "ckpt")
     cfg = model.ModelConfig(vocab_size=32, d_raw=6, embed_dim=8, hidden_dim=8, sim_dim=4, n_layers=1)
     training.save_checkpoint(ckpt, model.init_params(cfg), cfg)
-    # head.b planted as inf in the blob (parameters in name order), checksum updated
+    # head.w's first entry planted as inf in the blob (parameters in name order), checksum updated
     blob_path = os.path.join(ckpt, "params.bin")
     with open(blob_path, "rb") as fh:
         flat = np.frombuffer(fh.read(), dtype="<f8").copy()
     shapes = model.param_shapes(cfg)
-    flat[sum(int(np.prod(shapes[name])) for name in sorted(shapes) if name < "head.b")] = np.inf
+    flat[sum(int(np.prod(shapes[name])) for name in sorted(shapes) if name < "head.w")] = np.inf
     blob = flat.tobytes()
     with open(blob_path, "wb") as fh:
         fh.write(blob)
@@ -185,7 +185,22 @@ def test_eval_rejects_a_checkpoint_with_a_non_finite_parameter(tmp_path, capsys)
         fh.writelines(lines)
     capsys.readouterr()
     assert main(["eval", "--data", data, "--checkpoint", ckpt]) == 3
-    assert f"{manifest}: parameter 'head.b' is not finite" in capsys.readouterr().err
+    assert f"{manifest}: parameter 'head.w' is not finite" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_version_1_checkpoint(tmp_path, capsys):
+    data = _gen(tmp_path)
+    ckpt = str(tmp_path / "ckpt")
+    cfg = model.ModelConfig(vocab_size=32, d_raw=6, embed_dim=8, hidden_dim=8, sim_dim=4, n_layers=1)
+    training.save_checkpoint(ckpt, model.init_params(cfg), cfg)
+    manifest = os.path.join(ckpt, "manifest")
+    with open(manifest, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(f"\nversion: {training.CHECKPOINT_VERSION}\n", "\nversion: 1\n"))
+    capsys.readouterr()
+    assert main(["eval", "--data", data, "--checkpoint", ckpt]) == 3
+    assert f"{manifest}: unsupported version 1, expected 2" in capsys.readouterr().err
 
 
 def test_train_refuses_to_write_its_checkpoint_over_a_dataset(tmp_path, capsys, monkeypatch):
@@ -320,8 +335,7 @@ def test_gradcheck_passes_and_reports_every_param(tmp_path, capsys):
     assert main(GRADCHECK_TINY) == 0
     stdout = capsys.readouterr().out
     assert "all gradients within tolerance" in stdout
-    for name in ("embed.table", "img_proj.w", "sim.w_glob", "reason.0.kernel",
-                 "head.w", "head.b"):
+    for name in ("embed.table", "img_proj.w", "sim.w_glob", "reason.0.kernel", "head.w"):
         assert stdout.count(f"  {name} ") == 1
     assert "FAIL" not in stdout
 

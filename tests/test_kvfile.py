@@ -1,6 +1,6 @@
 """The manifest-and-blob container: its dialect, typed fields, checked
-blobs, the pinned format version 1 of datasets and checkpoints, and a
-corruption fuzz over both."""
+blobs, the pinned format version 1 of datasets and version 2 of
+checkpoints, and a corruption fuzz over both."""
 
 import hashlib
 import os
@@ -17,7 +17,8 @@ from itmatch.model import ModelConfig, param_shapes
 from itmatch.training import load_checkpoint, save_checkpoint
 
 # A fixed tiny dataset and checkpoint, with the sha256 of every blob and
-# the parsed manifest (in file order) that format version 1 gives them.
+# the parsed manifest (in file order) that dataset format version 1 and
+# checkpoint format version 2 give them.
 PINNED_BUNDLES = [
     FeatureBundle("a", regions=np.arange(6.0).reshape(2, 3) / 4 - 0.5, captions=[[1, 2, 3], [4]]),
     FeatureBundle("b", regions=-np.arange(6.0).reshape(2, 3) / 8, captions=[[0, 5]]),
@@ -50,11 +51,11 @@ DATASET_MANIFEST = {
     "image_id.1": "b",
 }
 CHECKPOINT_BLOBS = {
-    "params.bin": "b7632e32c26d10f8136165a6f841096006e4fe65297928d4bf7489f46362c88c",
+    "params.bin": "46c246a2e2e38c3d9bd59a7557663b9b3067e7dd7aa2f96b55845fb4d43d3b15",
 }
 CHECKPOINT_MANIFEST = {
     "format": "itmatch-checkpoint",
-    "version": "1",
+    "version": "2",
     "dtype": "<f8",
     "model.vocab_size": "3",
     "model.d_raw": "2",
@@ -87,7 +88,6 @@ CHECKPOINT_MANIFEST = {
     "param.gru.fwd.w_cand": "2x2",
     "param.gru.fwd.w_reset": "2x2",
     "param.gru.fwd.w_update": "2x2",
-    "param.head.b": "scalar",
     "param.head.w": "2",
     "param.img_proj.b": "2",
     "param.img_proj.w": "2x2",
@@ -295,7 +295,7 @@ def test_format_kv_refuses_keys_that_would_not_read_back_unchanged():
     assert parse_kv_text(format_kv({"a b": "x: y #z"})) == {"a b": "x: y #z"}
 
 
-# ------------------------------------------------------ format version 1
+# ------------------------------------- dataset version 1, checkpoint version 2
 
 def test_format_version_1_is_pinned(tmp_path):
     dataset, checkpoint = _write_pinned(tmp_path)

@@ -1,5 +1,7 @@
 """Graph reasoning: relation matrices, the conv gate, residual updates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,15 +32,16 @@ def _layer(rng, m, zero_out=False):
     )
 
 
+def _gated(layer, hierarchical):
+    """The layer itself, or the layer without its gate."""
+    return layer if hierarchical else replace(layer, kernel=None, bias=None)
+
+
 def _layer_as_ref(layer):
-    return {
-        "w_query": layer.w_query.data.tolist(),
-        "w_key": layer.w_key.data.tolist(),
-        "w_out": layer.w_out.data.tolist(),
-        "w_mix": layer.w_mix.data.tolist(),
-        "kernel": layer.kernel.data.tolist(),
-        "bias": layer.bias.data.tolist(),
-    }
+    names = ["w_query", "w_key", "w_out", "w_mix"]
+    if layer.kernel is not None:
+        names += ["kernel", "bias"]
+    return {name: getattr(layer, name).data.tolist() for name in names}
 
 
 def _nodes(rng, n, m):
@@ -98,7 +101,7 @@ def test_relation_matrix_loop_oracle():
     s = nodes.data
     for p in range(4):
         for q in range(4):
-            expected = np.dot(w_query.data @ s[p], w_key.data @ s[q])
+            expected = np.dot(s[p] @ w_query.data, s[q] @ w_key.data)
             assert abs(rel[p, q] - expected) < 1e-10
 
 
@@ -125,7 +128,7 @@ def test_zero_output_map_keeps_nodes_and_readout():
     rng = np.random.default_rng(4)
     nodes = _nodes(rng, 5, 4)
     layers = [_layer(rng, 4, zero_out=True) for _ in range(3)]
-    out = reason(nodes, layers, _global_row(nodes), hierarchical=True)
+    out = reason(nodes, layers, _global_row(nodes))
     # residual-only updates: the global node must come back untouched
     np.testing.assert_array_equal(out.data, nodes.data[-1])
 
@@ -134,15 +137,15 @@ def test_hierarchical_off_is_the_ungated_update():
     rng = np.random.default_rng(5)
     nodes = _nodes(rng, 5, 3)
     layer = _layer(rng, 3)
-    gated = reason_step(nodes, layer, _all_real(nodes), hierarchical=True)
-    plain = reason_step(nodes, layer, _all_real(nodes), hierarchical=False)
+    gated = reason_step(nodes, layer, _all_real(nodes))
+    plain = reason_step(nodes, _gated(layer, False), _all_real(nodes))
     # recompute both mixing matrices: they differ exactly by the gate factor
     rel = relation_matrix(nodes, layer.w_query, layer.w_key).data
     gate = 1.0 / (1.0 + np.exp(-(
         _conv3x3(rel, layer.kernel.data, float(layer.bias.data))
     )))
     s = nodes.data
-    diff_expected = ((rel * gate - rel) @ s) @ layer.w_mix.data @ layer.w_out.data.T
+    diff_expected = ((rel * gate - rel) @ s) @ layer.w_mix.data @ layer.w_out.data
     np.testing.assert_allclose(
         gated.data - plain.data, diff_expected, atol=1e-10
     )
@@ -166,8 +169,8 @@ def _conv3x3(x, kernel, bias):
 def test_reason_step_matches_scalar_reference(hierarchical, row_softmax):
     rng = np.random.default_rng(6)
     nodes = _nodes(rng, 5, 3)
-    layer = _layer(rng, 3)
-    out = reason_step(nodes, layer, _all_real(nodes), hierarchical=hierarchical, row_softmax=row_softmax)
+    layer = _gated(_layer(rng, 3), hierarchical)
+    out = reason_step(nodes, layer, _all_real(nodes), row_softmax=row_softmax)
     expected = ref_reason_step(
         nodes.data.tolist(), _layer_as_ref(layer), hierarchical, row_softmax
     )
@@ -178,7 +181,7 @@ def test_multi_layer_reason_iterates_the_step():
     rng = np.random.default_rng(7)
     nodes = _nodes(rng, 4, 3)
     layers = [_layer(rng, 3) for _ in range(3)]
-    out = reason(nodes, layers, _global_row(nodes), hierarchical=True)
+    out = reason(nodes, layers, _global_row(nodes))
     state = nodes.data.tolist()
     for layer in layers:
         state = ref_reason_step(state, _layer_as_ref(layer), True, False)
@@ -213,16 +216,13 @@ def test_gated_update_is_permutation_sensitive():
 
     real = np.ones(5, dtype=bool)
 
-    base = reason_step(tt.constant(np.vstack([local, glob])), layer, real, hierarchical=True).data
-    permuted = reason_step(
-        tt.constant(np.vstack([local[perm], glob])), layer, real, hierarchical=True
-    ).data
+    base = reason_step(tt.constant(np.vstack([local, glob])), layer, real).data
+    permuted = reason_step(tt.constant(np.vstack([local[perm], glob])), layer, real).data
     assert not np.allclose(permuted[:4][inverse], base[:4], atol=1e-10)
 
-    base_plain = reason_step(tt.constant(np.vstack([local, glob])), layer, real, hierarchical=False).data
-    permuted_plain = reason_step(
-        tt.constant(np.vstack([local[perm], glob])), layer, real, hierarchical=False
-    ).data
+    plain = _gated(layer, False)
+    base_plain = reason_step(tt.constant(np.vstack([local, glob])), plain, real).data
+    permuted_plain = reason_step(tt.constant(np.vstack([local[perm], glob])), plain, real).data
     np.testing.assert_allclose(permuted_plain[:4][inverse], base_plain[:4], atol=1e-10)
     np.testing.assert_allclose(permuted_plain[4], base_plain[4], atol=1e-10)
 
@@ -249,7 +249,7 @@ def test_reasoning_stack_gradients():
             )
             for i in range(3)
         ]
-        return tt.sum(tt.square(reason(nodes, layers, _global_row(nodes), hierarchical=True)))
+        return tt.sum(tt.square(reason(nodes, layers, _global_row(nodes))))
 
     auto = tt.backward(run(store), store)
     fd = tt.finite_diff_grad(lambda p: run(p).item(), store)
@@ -267,7 +267,7 @@ def test_padded_node_sets_reason_like_unpadded_ones(hierarchical, row_softmax):
     rng = np.random.default_rng(11)
     m = 3
     lengths = [2, 4, 1]
-    layers = [_layer(rng, m) for _ in range(2)]
+    layers = [_gated(_layer(rng, m), hierarchical) for _ in range(2)]
     local = np.zeros((2, 3, 5, m))
     glob = rng.normal(size=(2, 3, m))
     sets = {}
@@ -276,8 +276,8 @@ def test_padded_node_sets_reason_like_unpadded_ones(hierarchical, row_softmax):
             local[i, j, :n_local] = rng.normal(size=(n_local, m))
             sets[i, j] = np.vstack([local[i, j, :n_local], glob[i, j]])
     nodes = build_node_set(tt.constant(local), tt.constant(glob), lengths)
-    out = reason(nodes, layers, lengths, hierarchical=hierarchical, row_softmax=row_softmax).data
+    out = reason(nodes, layers, lengths, row_softmax=row_softmax).data
     for (i, j), alone in sets.items():
         alone = tt.constant(alone)
-        want = reason(alone, layers, _global_row(alone), hierarchical=hierarchical, row_softmax=row_softmax)
+        want = reason(alone, layers, _global_row(alone), row_softmax=row_softmax)
         np.testing.assert_allclose(out[i, j], want.data, atol=1e-12)

@@ -207,7 +207,7 @@ def _reachable(roots):
 # tape nodes of one whole training step (both encoders, the tile and the
 # loss) at the README widths with 3 layers, at any batch size; README.md
 # quotes the "both" count
-STEP_TAPE_NODES = {"both": 161, "row_softmax": 167}
+STEP_TAPE_NODES = {"both": 147, "row_softmax": 153}
 
 
 @pytest.mark.parametrize("name", sorted(STEP_TAPE_NODES))
@@ -233,6 +233,46 @@ def test_tile_tape_nodes_do_not_grow_with_the_batch(name):
         tape_counts.append(len(_reachable([bidirectional_ranking_loss(LossBatch(grid, 0.2))])))
     assert tile_counts[0] == tile_counts[1]
     assert tape_counts == [STEP_TAPE_NODES[name]] * 2
+
+
+# every stream x depth 0/1/3 x shared weight x row softmax x gate
+PARAMETER_GRID = [
+    dict(stream=stream, n_layers=depth, share_sim_w=shared, row_softmax=softmax, hierarchical=gated)
+    for stream in STREAMS for depth in (0, 1, 3) for shared in (False, True)
+    for softmax in (False, True) for gated in (False, True)
+]
+
+
+def test_every_parameter_is_live_and_stored_as_applied():
+    # a margin this large keeps every hinge term active, so a parameter
+    # whose gradient is exactly zero is one the loss never reads; a weight
+    # transposed on the tape gets its gradient back as a swapped-axes view
+    rng = np.random.default_rng(4000)
+    raws = [rng.normal(size=(3, 4)) for _ in range(5)]
+    token_lists = [[int(t) for t in rng.integers(0, 12, size=n)] for n in (1, 4, 2, 6, 3)]
+    dead, strided = [], []
+    for i, flags in enumerate(PARAMETER_GRID):
+        cfg = ModelConfig(vocab_size=12, d_raw=4, embed_dim=3, hidden_dim=5, sim_dim=3, **flags)
+        params = _jitter(init_params(cfg, seed=i), rng)
+        grid = score_grid(params, cfg, raws, token_lists)
+        grads = tt.backward(bidirectional_ranking_loss(LossBatch(grid, 1e3)), params)
+        dead += [(i, name) for name, g in grads.items() if not np.any(g.data)]
+        strided += [(i, name) for name, g in grads.items() if not g.data.flags.c_contiguous]
+    assert dead == [] and strided == []
+
+
+def test_parameters_are_stored_as_the_forward_pass_applies_them():
+    cfg = ModelConfig(vocab_size=12, d_raw=4, embed_dim=3, hidden_dim=5, sim_dim=3, n_layers=2)
+    shapes = model.param_shapes(cfg)
+    for name in ("sim.w_glob", "sim.w_i2t", "sim.w_t2i"):
+        assert shapes[name] == (cfg.hidden_dim, cfg.sim_dim), name
+    assert model.param_shapes(ModelConfig(**{**vars(cfg), "share_sim_w": True}))["sim.w_shared"] == (5, 3)
+    assert all(p.data.flags.c_contiguous for _, p in init_params(cfg, seed=0).items())
+    # no parameter the forward pass never reads
+    assert "head.b" not in shapes
+    assert "sim.w_i2t" not in model.param_shapes(ModelConfig(**{**vars(cfg), "n_layers": 0}))
+    ungated = model.param_shapes(ModelConfig(**{**vars(cfg), "hierarchical": False}))
+    assert not [name for name in ungated if name.endswith((".kernel", ".bias"))]
 
 
 def test_score_grid_encodes_each_modality_once(monkeypatch):

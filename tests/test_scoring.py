@@ -148,15 +148,24 @@ def test_loss_tie_gradient_goes_to_first_index():
 # --- head -----------------------------------------------------------------------
 
 
-def test_score_is_affine_in_the_fused_vector():
+def test_score_is_linear_in_the_fused_vector():
     w = tt.constant(np.array([1.0, -2.0, 0.5]))
-    b = tt.constant(np.asarray(0.25))
     fused = tt.constant(np.array([[2.0, 1.0, 4.0]]))
-    assert score(fused, w, b).data.tolist() == [2.0 - 2.0 + 2.0 + 0.25]
+    assert score(fused, w).data.tolist() == [2.0 - 2.0 + 2.0]
     with pytest.raises(DimensionError):
-        score(tt.constant(np.array([2.0, 1.0, 4.0])), w, b)  # a stack of vectors only
-    grid = score(tt.constant(np.array([[[2.0, 1.0, 4.0], [0.0, 0.0, 0.0]]])), w, b).data
-    assert grid.tolist() == [[2.0 - 2.0 + 2.0 + 0.25, 0.25]]
+        score(tt.constant(np.array([2.0, 1.0, 4.0])), w)  # a stack of vectors only
+    grid = score(tt.constant(np.array([[[2.0, 1.0, 4.0], [0.0, 0.0, 0.0]]])), w).data
+    assert grid.tolist() == [[2.0 - 2.0 + 2.0, 0.0]]
+
+
+def test_a_constant_score_shift_leaves_the_loss_unchanged():
+    # why the head has no bias: every hinge term reads a difference of scores
+    values = np.array([[0.5, 0.25, -1.0], [0.75, 0.0, 0.5], [-0.25, 1.0, 0.125]])
+    losses = [
+        bidirectional_ranking_loss(LossBatch(tt.constant(values + shift), margin=0.5)).item()
+        for shift in (0.0, 0.25, -3.0)
+    ]
+    assert losses == [losses[0]] * 3
 
 
 def _per_pair_loop(values, margin=0.2):

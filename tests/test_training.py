@@ -18,6 +18,7 @@ from itmatch.model import ModelConfig, init_params
 from itmatch.tensor import ParamStore, backward
 from itmatch.training import (
     ADAM_BLOCK,
+    CHECKPOINT_VERSION,
     LR_DECAY_FACTOR,
     TrainConfig,
     adam_init,
@@ -578,18 +579,18 @@ def test_checkpoint_refuses_a_non_finite_parameter(tmp_path, value):
     params = init_params(cfg, seed=4)
     # two bad parameters: the first by name is named
     bad = params.copy_with({
-        "head.b": tt.parameter(np.asarray(value)),
+        "head.w": tt.parameter(np.full(params["head.w"].shape, value)),
         "sim.w_glob": tt.parameter(np.full(params["sim.w_glob"].shape, np.nan)),
     })
     manifest = os.path.join(tmp_path / "ckpt", "manifest")
-    with pytest.raises(DataError, match=f"^{manifest}: parameter 'head.b' is not finite$"):
+    with pytest.raises(DataError, match=f"^{manifest}: parameter 'head.w' is not finite$"):
         save_checkpoint(tmp_path / "ckpt", bad, cfg)
     assert not (tmp_path / "ckpt").exists()
     # the same value planted in a saved blob, with its checksum updated
     save_checkpoint(tmp_path / "ckpt", params, cfg)
     blob_path = tmp_path / "ckpt" / "params.bin"
     flat = np.frombuffer(blob_path.read_bytes(), dtype="<f8").copy()
-    flat[sum(t.data.size for name, t in params.items() if name < "head.b")] = value
+    flat[sum(t.data.size for name, t in params.items() if name < "head.w")] = value
     blob_path.write_bytes(flat.tobytes())
     lines = [
         f"checksum_params: {hashlib.sha256(flat.tobytes()).hexdigest()}"
@@ -597,7 +598,7 @@ def test_checkpoint_refuses_a_non_finite_parameter(tmp_path, value):
         for line in (tmp_path / "ckpt" / "manifest").read_text().splitlines()
     ]
     (tmp_path / "ckpt" / "manifest").write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError, match=f"^{manifest}: parameter 'head.b' is not finite$"):
+    with pytest.raises(DataError, match=f"^{manifest}: parameter 'head.w' is not finite$"):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -626,13 +627,17 @@ def test_checkpoint_truncated_blob_detected(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
-def test_checkpoint_bad_version_detected(tmp_path):
+@pytest.mark.parametrize("version", [1, 999])
+def test_checkpoint_bad_version_detected(tmp_path, version):
+    # version 1 stored every similarity, query, key and output weight
+    # transposed; its square weights would pass every shape check
     cfg = _tiny_model()
     save_checkpoint(tmp_path / "ckpt", init_params(cfg, seed=4), cfg)
     manifest = tmp_path / "ckpt" / "manifest"
-    text = manifest.read_text().replace("version: 1", "version: 999")
-    manifest.write_text(text)
-    with pytest.raises(DataError, match="version"):
+    text = manifest.read_text()
+    assert f"\nversion: {CHECKPOINT_VERSION}\n" in text
+    manifest.write_text(text.replace(f"\nversion: {CHECKPOINT_VERSION}\n", f"\nversion: {version}\n"))
+    with pytest.raises(DataError, match=f"unsupported version {version}, expected {CHECKPOINT_VERSION}$"):
         load_checkpoint(tmp_path / "ckpt")
 
 
