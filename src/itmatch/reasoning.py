@@ -55,10 +55,10 @@ def build_node_set(local: Tensor, glob: Tensor, lengths) -> Tensor:
     n_captions, n = local.shape[-3:-1]
     if lengths.shape != (n_captions,) or np.any(lengths < 0) or np.any(lengths >= n):
         raise DimensionError(f"need {n_captions} caption lengths below {n}, got {lengths.tolist()}")
-    # a one-hot column times each global row places it: 1 * g is exact
+    # each global row times a one-hot column places it: 1 * g and 0 * g are exact
     one_hot = np.zeros((n_captions, n, 1))
     one_hot[np.arange(n_captions), lengths, 0] = 1.0
-    placed = tt.matmul(tt.constant(one_hot), tt.reshape(glob, glob.shape[:-1] + (1, glob.shape[-1])))
+    placed = tt.mul(tt.reshape(glob, glob.shape[:-1] + (1, glob.shape[-1])), one_hot)
     return tt.add(local, placed)
 
 

@@ -16,7 +16,9 @@ a node of the graph.  Shapes that do not broadcast raise
 gradient for an operand that carries none.  The batched
 ops (``matmul``, ``transpose``, ``softmax_rows``, ``conv2d_3x3``) work on
 the last one or two axes and carry any leading axes along, so a whole
-stack of matrices is one tape node.  ``inv_norm`` keeps the axis it
+stack of matrices is one tape node; ``conv2d_3x3`` and a ``matmul``
+against one shared matrix fold the stack into rows, so each is one BLAS
+product however many matrices it holds.  ``inv_norm`` keeps the axis it
 reduces, so scaling by it is a broadcast ``mul``.  ``take_rows``, the one
 gather, takes matrix rows into an index array's shape.
 ``gru_sequence`` runs one GRU direction over a padded batch of sequences
@@ -288,20 +290,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     inner = bd.shape[0] if bd.ndim == 1 else bd.shape[-2]
     if ad.shape[-1] != inner:
         raise DimensionError(f"matmul inner dimensions disagree: {ad.shape} x {bd.shape}")
-    try:
-        out = np.matmul(ad, bd)
-    except ValueError:
-        raise DimensionError(f"matmul leading axes do not broadcast: {ad.shape} x {bd.shape}") from None
+    if bd.ndim == 2:
+        # a matrix shared by a whole stack: fold the stack into rows, so the
+        # product and both gradients are one BLAS call each, not one per matrix
+        out = (ad.reshape(-1, inner) @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
+    else:
+        try:
+            out = np.matmul(ad, bd)
+        except ValueError:
+            raise DimensionError(f"matmul leading axes do not broadcast: {ad.shape} x {bd.shape}") from None
     parents = (a, b)
 
     def backward_fn(g):
         if bd.ndim == 1:
             return _grads(parents, lambda: g[..., None] * bd, lambda: np.tensordot(g, ad, axes=g.ndim))
         if bd.ndim == 2:
-            # a matrix shared by a whole stack: fold the stack into rows, so
-            # its gradient is one product, not a per-matrix one summed after
-            rows = ad.reshape(-1, ad.shape[-1])
-            return _grads(parents, lambda: g @ bd.T, lambda: rows.T @ g.reshape(rows.shape[0], -1))
+            rows, g_rows = ad.reshape(-1, inner), g.reshape(-1, g.shape[-1])
+            return _grads(parents, lambda: (g_rows @ bd.T).reshape(ad.shape), lambda: rows.T @ g_rows)
         return _grads(
             parents,
             lambda: _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape),
@@ -377,24 +382,14 @@ def softmax_rows(a: Tensor, mask=None) -> Tensor:
     return _record(out, (a,), backward_fn)
 
 
-def _shifted(h: int, w: int, u: int, v: int) -> tuple[tuple, tuple]:
-    """Slices pairing output entry (p, q) with input entry (p + u - 1, q + v - 1),
-    restricted to the entries where both lie inside an (h, w) matrix."""
-    du, dv = u - 1, v - 1
-    out = (..., slice(max(0, -du), h - max(0, du)), slice(max(0, -dv), w - max(0, dv)))
-    inp = (..., slice(max(0, du), h + min(0, du)), slice(max(0, dv), w + min(0, dv)))
-    return out, inp
-
-
-_KERNEL_TAPS = [(u, v) for u in range(3) for v in range(3)]
-
-
 def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """3x3 cross-correlation of each matrix in a (..., h, w) stack, zero
     padded, so the output shape equals the input's.
 
-    Each kernel tap adds a shifted slice of the input; a tap never reads
-    past the border, so no padded copy is built.
+    The stack is folded into rows and multiplied once by a (w, 3w) band
+    whose column block u applies kernel row u along each row; three
+    row-shifted adds combine the blocks.  A shift stops at each matrix's
+    border, so no padded copy is built and no two matrices mix.
     """
     if x.data.ndim < 2:
         raise DimensionError(f"conv2d_3x3 input must be a matrix, got {x.data.shape}")
@@ -402,19 +397,29 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"conv2d_3x3 kernel must be (3, 3), got {kernel.data.shape}")
     if bias.data.shape != ():
         raise DimensionError(f"conv2d_3x3 bias must be a scalar, got {bias.data.shape}")
-    h, w = x.data.shape[-2:]
-    taps = [(u, v, *_shifted(h, w, u, v)) for u, v in _KERNEL_TAPS]
-    out = np.full(x.data.shape, float(bias.data))
-    for u, v, o, i in taps:
-        out[o] += kernel.data[u, v] * x.data[i]
+    shape, w = x.data.shape, x.data.shape[-1]
+    # band[i, u, j] = kernel[u, v] where input column i = j + v - 1
+    diagonals = np.stack([np.eye(w, k=1 - v) for v in range(3)])
+    band = np.einsum("uv,vij->iuj", kernel.data, diagonals).reshape(w, 3 * w)
+    rows = x.data.reshape(-1, w)
+    blocks = (rows @ band).reshape(shape[:-1] + (3, w))
+    out = blocks[..., 1, :] + float(bias.data)
+    out[..., 1:, :] += blocks[..., :-1, 0, :]
+    out[..., :-1, :] += blocks[..., 1:, 2, :]
 
     def backward_fn(g):
-        gx = np.zeros(x.data.shape)
-        gk = np.empty((3, 3))
-        for u, v, o, i in taps:
-            gx[i] += kernel.data[u, v] * g[o]
-            gk[u, v] = np.sum(g[o] * x.data[i])
-        return (gx, gk, np.asarray(np.sum(g)))
+        # block u of output row p read input row p + u - 1
+        g_blocks = np.zeros(shape[:-1] + (3, w))
+        g_blocks[..., :-1, 0, :] = g[..., 1:, :]
+        g_blocks[..., 1, :] = g
+        g_blocks[..., 1:, 2, :] = g[..., :-1, :]
+        g_rows = g_blocks.reshape(-1, 3 * w)
+        g_band = (rows.T @ g_rows).reshape(w, 3, w)
+        return (
+            (g_rows @ band.T).reshape(shape),
+            np.tensordot(g_band, diagonals, axes=([0, 2], [1, 2])),
+            np.asarray(np.sum(g)),
+        )
     return _record(out, (x, kernel, bias), backward_fn)
 
 

@@ -208,25 +208,30 @@ def test_conv3x3_zero_kernel_returns_bias():
     assert out.data.tolist() == [[0.7] * 3] * 2
 
 
-def test_conv3x3_against_loop_oracle():
+# the band's borders: one row, one column, the smallest squares and a stack
+CONV_SHAPES = [(4, 5), (1, 1), (1, 6), (6, 1), (2, 2), (7, 7), (2, 31, 31)]
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES, ids=["x".join(map(str, s)) for s in CONV_SHAPES])
+def test_conv3x3_against_loop_oracle(shape):
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(4, 5))
+    x = rng.normal(size=shape)
     kernel = rng.normal(size=(3, 3))
     bias = 0.3
     out = tt.conv2d_3x3(
         tt.constant(x), tt.constant(kernel), tt.constant(np.asarray(bias))
     ).data
+    h, w = shape[-2:]
     expected = np.zeros_like(x)
-    for p in range(4):
-        for q in range(5):
-            acc = bias
-            for u in range(3):
-                for w in range(3):
-                    pi, qi = p + u - 1, q + w - 1
-                    if 0 <= pi < 4 and 0 <= qi < 5:
-                        acc += kernel[u, w] * x[pi, qi]
-            expected[p, q] = acc
-    np.testing.assert_allclose(out, expected, atol=1e-12)
+    for *lead, p, q in np.ndindex(*shape):
+        acc = bias
+        for u in range(3):
+            for v in range(3):
+                pi, qi = p + u - 1, q + v - 1
+                if 0 <= pi < h and 0 <= qi < w:
+                    acc += kernel[u, v] * x[(*lead, pi, qi)]
+        expected[(*lead, p, q)] = acc
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
 def test_conv3x3_stack_convolves_each_matrix_alone():
@@ -239,6 +244,25 @@ def test_conv3x3_stack_convolves_each_matrix_alone():
         for j in range(3):
             alone = tt.conv2d_3x3(tt.constant(x[i, j]), kernel, bias).data
             np.testing.assert_array_equal(out[i, j], alone)
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        (lambda x: x, lambda w: w),
+        (lambda x: x, lambda w: tt.transpose(tt.parameter(np.ascontiguousarray(w.data.T)))),
+        (lambda x: tt.transpose(tt.constant(np.swapaxes(x.data, -1, -2).copy())), lambda w: w),
+    ],
+    ids=["shared", "transposed_view_matrix", "transposed_stack"],
+)
+def test_a_stack_folded_against_a_shared_matrix_matches_numpy(left, right):
+    rng = np.random.default_rng(16)
+    x = left(tt.constant(rng.normal(size=(3, 5, 7, 16))))
+    w = right(tt.parameter(rng.normal(size=(16, 9))))
+    out = tt.matmul(x, w).data
+    ref = np.matmul(x.data, w.data)
+    assert out.shape == ref.shape == (3, 5, 7, 9)
+    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_masked_softmax_gives_masked_entries_zero_weight():
@@ -417,7 +441,8 @@ def test_op_gradients_match_finite_differences(name, f, magnitude):
     _check_against_fd(f, store)
 
 
-# the batched forms of the ops; t is a (2, 3, 4) stack of matrices
+# the batched forms of the ops; t is a (2, 3, 4) stack of matrices, r a
+# (2, 1, 5) one
 BATCHED_OP_CASES = [
     ("add_two_sided", lambda p: tt.sum(tt.square(tt.add(tt.reshape(p["u"], (3, 1)), p["v"])))),
     ("mul_stack_row", lambda p: tt.sum(tt.square(tt.mul(p["t"], tt.reshape(p["v"], (1, 4)))))),
@@ -432,6 +457,15 @@ BATCHED_OP_CASES = [
     ("softmax_masked", lambda p: tt.sum(tt.square(tt.softmax_rows(
         p["t"], np.array([[True, False, True, True], [False, True, True, False], [True] * 4]))))),
     ("conv_stack", lambda p: tt.sum(tt.square(tt.conv2d_3x3(p["t"], p["k"], p["s"])))),
+    # a stack against a transposed-view matrix, and a transposed stack against one
+    ("matmul_fold_transposed_matrix", lambda p: tt.sum(tt.square(tt.matmul(p["t"], tt.transpose(p["a"]))))),
+    ("matmul_fold_transposed_stack", lambda p: tt.sum(tt.square(
+        tt.matmul(tt.transpose(tt.reshape(p["t"], (3, 2, 4))), tt.transpose(p["b"]))))),
+    # matrices of one row and of one column: the row shifts, or the band's
+    # off-diagonals, read nothing
+    ("conv_stack_one_row", lambda p: tt.sum(tt.square(tt.conv2d_3x3(p["r"], p["k"], p["s"])))),
+    ("conv_stack_one_column", lambda p: tt.sum(tt.square(
+        tt.conv2d_3x3(tt.reshape(p["r"], (2, 5, 1)), p["k"], p["s"])))),
 ]
 
 
@@ -449,6 +483,7 @@ def test_batched_op_gradients_match_finite_differences(index, magnitude):
         k=magnitude * rng.normal(size=(3, 3)),
         s=np.asarray(0.2),
         t=magnitude * rng.normal(size=(2, 3, 4)),
+        r=magnitude * rng.normal(size=(2, 1, 5)),
     )
     _check_against_fd(f, store)
 
@@ -479,6 +514,7 @@ def test_no_grad_makes_every_op_a_leaf(cases):
     store = _store(
         a=rng.normal(size=(3, 4)), b=rng.normal(size=(4, 2)), v=rng.normal(size=4),
         u=rng.normal(size=3), k=rng.normal(size=(3, 3)), s=np.asarray(0.2), t=rng.normal(size=(2, 3, 4)),
+        r=rng.normal(size=(2, 1, 5)),
     )
     with tt.no_grad():
         for name, f in cases:
