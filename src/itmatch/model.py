@@ -13,10 +13,12 @@ padded batch, and the pair path runs on (images, captions, ...) arrays,
 so a tile costs a fixed number of tape nodes whatever its size.
 Captions are zero-padded to one row past the longest one (the row that
 longest caption's global reasoning node takes) and carry their lengths.
-``score_matrix`` encodes every caption once, then walks a large
-evaluation grid in tiles sized against ``TILE_ELEMENTS``: it encodes each
-tile of images once and scores it against caption slices, each trimmed to
-one row past its own longest caption.
+``score_matrix`` encodes every caption once and sorts the captions by
+length, then walks a large evaluation grid in tiles sized against
+``TILE_ELEMENTS`` at each tile's own rows: it encodes each tile of images
+once and scores it against caption tiles of neighbouring lengths, each
+gathered and trimmed to one row past its own longest caption, and puts
+the scores back in the captions' columns.
 """
 
 from __future__ import annotations
@@ -261,24 +263,25 @@ def score_grid(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -
     return score_tile(params, cfg, images, encode_caption(params, cfg, token_lists))
 
 
-def _tile_shape(cfg: ModelConfig, k: int, rows: int, n_captions: int) -> tuple[int, int]:
-    """(images, captions) per tile so that the largest per-pair array,
-    max(k, rows) x max(d, m, k, rows), fits TILE_ELEMENTS."""
-    per_pair = max(k, rows) * max(cfg.hidden_dim, cfg.sim_dim, k, rows)
-    pairs = max(1, TILE_ELEMENTS // per_pair)
-    captions = min(n_captions, pairs)
-    return max(1, pairs // captions), captions
+def _pair_elements(cfg: ModelConfig, k: int, rows: int) -> int:
+    """Entries of the largest per-pair array, max(k, rows) x max(d, m, k, rows)."""
+    return max(k, rows) * max(cfg.hidden_dim, cfg.sim_dim, k, rows)
 
 
-def _caption_slice(captions: EncodedCaptions, start: int, stop: int) -> EncodedCaptions:
-    """Gradient-free captions start..stop-1, trimmed to one row past their longest."""
-    lengths = captions.lengths[start:stop]
-    rows = int(lengths.max()) + 1
-    return EncodedCaptions(
-        local=tt.Tensor(captions.local.data[start:stop, :rows]),
-        lengths=lengths,
-        glob=tt.Tensor(captions.glob.data[start:stop]),
-    )
+def _caption_tiles(cfg: ModelConfig, k: int, lengths: np.ndarray, n_images: int) -> list[np.ndarray]:
+    """Caption indices of each tile in ascending length, each tile fitting
+    TILE_ELEMENTS against n_images at one row past its own longest caption:
+    a run of one length joins the previous tile if both fit at the run's
+    rows, and otherwise starts new tiles."""
+    order = np.argsort(lengths, kind="stable")
+    tiles: list[np.ndarray] = []
+    for run in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        fit = max(1, TILE_ELEMENTS // (n_images * _pair_elements(cfg, k, int(lengths[run[0]]) + 1)))
+        if tiles and len(tiles[-1]) + len(run) <= fit:
+            tiles[-1] = np.concatenate([tiles[-1], run])
+        else:
+            tiles += [run[j:j + fit] for j in range(0, len(run), fit)]
+    return tiles
 
 
 def score_matrix(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -> np.ndarray:
@@ -290,14 +293,21 @@ def score_matrix(params: ParamStore, cfg: ModelConfig, region_list, token_lists)
         out = np.empty((len(region_list), len(token_lists)))
         if len(region_list) and len(token_lists):
             captions = encode_caption(params, cfg, token_lists)
-            n_captions, rows = captions.local.shape[:2]
+            lengths = captions.lengths
             # encode_image rejects a region matrix that is not 2-D
             k = np.shape(region_list[0])[0] if np.ndim(region_list[0]) == 2 else 1
-            tile_images, tile_captions = _tile_shape(cfg, k, rows, n_captions)
+            # as many images as fit against one caption at the longest length
+            longest = _pair_elements(cfg, k, captions.local.shape[1])
+            tile_images = min(len(region_list), max(1, TILE_ELEMENTS // longest))
+            tiles = _caption_tiles(cfg, k, lengths, tile_images)
             for i in range(0, len(region_list), tile_images):
                 images = encode_image(params, cfg, region_list[i:i + tile_images])
-                for j in range(0, n_captions, tile_captions):
-                    tile = _caption_slice(captions, j, j + tile_captions)
-                    out[i:i + tile_images, j:j + tile_captions] = score_tile(params, cfg, images, tile).data
+                for cols in tiles:
+                    tile = EncodedCaptions(
+                        local=tt.Tensor(captions.local.data[cols, :lengths[cols[-1]] + 1]),
+                        lengths=lengths[cols],
+                        glob=tt.Tensor(captions.glob.data[cols]),
+                    )
+                    out[i:i + tile_images, cols] = score_tile(params, cfg, images, tile).data
     check_finite(out)
     return out

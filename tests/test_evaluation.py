@@ -125,11 +125,17 @@ def test_score_matrix_names_the_first_non_finite_score():
     # comes from the parameters: here a NaN embedding row poisons caption 1
     params, cfg, bundles = _setup()
     regions, captions, _ = flatten_captions(bundles)
+    poison = captions[1][0]
+    # then with mixed lengths: the long caption 1 and the short caption 3
+    # both hold the poisoned word, and tiling sorts caption 3 first
+    free = [t for t in range(cfg.vocab_size) if t != poison]
+    mixed = [free[0:2], [poison] + free[2:6], free[6:8], [poison]]
     table = params["embed.table"].data.copy()
-    table[captions[1][0]] = np.nan
+    table[poison] = np.nan
     params = params.copy_with({"embed.table": tt.parameter(table)})
-    with pytest.raises(DataError, match=r"^score of image 0 and caption 1 is not finite \(nan\)$"):
-        score_matrix(params, cfg, regions, captions)
+    for token_lists in (captions, mixed):
+        with pytest.raises(DataError, match=r"^score of image 0 and caption 1 is not finite \(nan\)$"):
+            score_matrix(params, cfg, regions, token_lists)
 
 
 def test_single_fold_equals_unpartitioned():

@@ -118,22 +118,38 @@ def test_score_grid_with_mixed_lengths_matches_reference(name):
 
 
 def _counted(monkeypatch, name):
-    """Replace model.<name> by a wrapper that counts its calls."""
+    """Replace model.<name> by a wrapper that records the arguments of each call."""
     calls = []
     original = getattr(model, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(model, name, counted)
     return calls
 
 
-# the largest per-pair array here is 5 rows x 6 = 30 entries: 120 entries
-# make tiles of 1 image x 4 captions (5 image tiles x 2 caption tiles),
-# 360 entries tiles of 2 images x 6 (3 x 1), and the default one tile
-TILE_COUNTS = {120: (5, 2), 360: (3, 1), None: (1, 1)}
+def _assert_trimmed(tile_calls):
+    # every score_tile call gets captions padded to one row past its own longest
+    for _, _, _, captions in tile_calls:
+        assert captions.local.shape[1] == captions.lengths.max() + 1
+
+
+# the largest per-pair array is max(3, rows) x max(6, rows) entries: 30 at
+# the longest caption (4 words, 5 rows), then 24, 18 and 18 for 3, 2 and
+# 1 words.  An image tile holds budget // 30 images (at most 5); a run of
+# one length joins the previous caption tile if both fit the budget at
+# the run's rows against that many images, and otherwise starts tiles of
+# budget // (images x entries) captions.
+# - 120: 4 images, then 1 (2 image tiles).  Every length fits 1 caption
+#   (120 // 72, 120 // 96, 120 // 120), so 6 caption tiles.
+# - 360: 5 images (1 image tile).  1 and 2 words fit 4 captions
+#   (360 // 90) and share a tile of 3; 3 words fit 3 (360 // 120), so the
+#   one 3-word caption starts a tile; 4 words fit 2 (360 // 150), so both
+#   start a third.
+# - the default budget: one tile.
+TILE_COUNTS = {120: (2, 6), 360: (1, 3), None: (1, 1)}
 
 
 @pytest.mark.parametrize("budget", [120, 360, None])
@@ -148,11 +164,37 @@ def test_score_matrix_tiles_match_reference(name, budget, monkeypatch):
     image_tiles, caption_tiles = TILE_COUNTS[budget]
     # each image tile is encoded once and scored against every caption tile
     assert (len(encodes), len(tiles)) == (image_tiles, image_tiles * caption_tiles)
+    _assert_trimmed(tiles)
     assert scores.shape == (5, 6)
     for i in range(5):
         for j in range(6):
             expected = ref_pair_score(weights, cfg, raws[i].tolist(), token_lists[j])
             assert abs(scores[i, j] - expected) < 1e-8, (i, j)
+
+
+def test_score_matrix_tiles_an_evaluation_fold_by_caption_length(monkeypatch):
+    # 16 images x 80 captions, 16 of each length 2-6, at the README widths
+    # (k=4, d=32): the largest per-pair array is 4 x 32 = 128 entries at 3
+    # and 4 rows, 160 at 5, 192 at 6 and 224 at 7.  All 16 images fit one
+    # tile (2^16 // 224).  Against 16 images a tile fits 32 captions at 4
+    # rows, so the 2- and 3-word captions share one; 4 words fit 25
+    # (2^16 // 2560), 5 words 21 and 6 words 18, so each of those runs
+    # starts a tile of its own: 4 tiles in all, not 6 of 3 x 80 at 7 rows.
+    cfg = ModelConfig(vocab_size=256, d_raw=32, embed_dim=32, hidden_dim=32, sim_dim=16, n_layers=3)
+    rng = np.random.default_rng(18)
+    params = _jitter(init_params(cfg, seed=18), rng)
+    raws = [rng.normal(size=(4, cfg.d_raw)) for _ in range(16)]
+    lengths = rng.permutation(np.repeat(np.arange(2, 7), 16))
+    token_lists = [[int(t) for t in rng.integers(0, cfg.vocab_size, size=n)] for n in lengths]
+    encodes, tiles = _counted(monkeypatch, "encode_image"), _counted(monkeypatch, "score_tile")
+    scores = score_matrix(params, cfg, raws, token_lists)
+    assert (len(encodes), len(tiles)) == (1, 4)
+    _assert_trimmed(tiles)
+    assert [sorted(set(captions.lengths)) for *_, captions in tiles] == [[2, 3], [4], [5], [6]]
+    weights = weights_as_lists(params)
+    for i, j in zip(rng.integers(0, 16, size=4), rng.integers(0, 80, size=4)):
+        expected = ref_pair_score(weights, cfg, raws[i].tolist(), token_lists[j])
+        assert abs(scores[i, j] - expected) < 1e-8, (i, j)
 
 
 def test_gradients_on_a_mixed_length_batch_match_finite_differences():
