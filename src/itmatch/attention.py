@@ -1,12 +1,14 @@
 """Cross-modal attention and local similarity vectors over a tile of pairs.
 
-A tile pairs every image of an (I, k, d) region stack with every caption
-of a (C, n, d) word stack.  Captions shorter than n are zero-padded, and a
-(C, n) boolean word mask marks their real words.  Results carry the
-(images, captions) axes in front.  Attention weights are laid out as their
-consumer multiplies them: image-to-text weights word-major (I, C, n, k),
-ready to attend over the (I, 1, k, d) regions, and text-to-image weights
-region-major (I, C, k, n), ready to attend over the (C, n, d) words.
+A tile pairs every image of an (I, 1, k, d) region stack with every
+caption of a (C, n, d) word stack: the images' length-1 caption axis,
+given them by the encoder, broadcasts against the C captions.  Captions
+shorter than n are zero-padded, and a (C, n) boolean word mask marks their
+real words.  Results carry the (images, captions) axes in front.
+Attention weights are laid out as their consumer multiplies them:
+image-to-text weights word-major (I, C, n, k), ready to attend over the
+(I, 1, k, d) regions, and text-to-image weights region-major (I, C, k, n),
+ready to attend over the (C, n, d) words.
 
 Both streams start from one matrix of clamped region-word cosines per
 tile.  It is l2-normalised along one modality (a broadcast product with
@@ -80,9 +82,9 @@ def _unit_rows(x: Tensor) -> Tensor:
 
 
 def _check_stacks(v: Tensor, t: Tensor) -> None:
-    if v.ndim != 3 or t.ndim != 3 or v.shape[2] != t.shape[2]:
+    if v.ndim != 4 or v.shape[1] != 1 or t.ndim != 3 or v.shape[3] != t.shape[2]:
         raise DimensionError(
-            "region and word stacks must be (I, k, d) and (C, n, d) with one joint"
+            "region and word stacks must be (I, 1, k, d) and (C, n, d) with one joint"
             f" dimension, got {v.shape} and {t.shape}"
         )
 
@@ -90,9 +92,7 @@ def _check_stacks(v: Tensor, t: Tensor) -> None:
 def cosines(v: Tensor, t: Tensor) -> Tensor:
     """Clamped region-word cosines (I, C, k, n), the one matrix both streams share."""
     _check_stacks(v, t)
-    n_images, k, d = v.shape
-    regions = tt.reshape(_unit_rows(v), (n_images, 1, k, d))
-    return tt.relu(tt.matmul(regions, tt.transpose(_unit_rows(t))))
+    return tt.relu(tt.matmul(_unit_rows(v), tt.transpose(_unit_rows(t))))
 
 
 def i2t_weights(cos: Tensor, temperature: float) -> Tensor:
@@ -124,7 +124,7 @@ def local_similarities(
 ) -> LocalSimilarities:
     """All similarity vectors of every (image, caption) pair in a tile.
 
-    v: (I, k, d) regions with their (I, d) globals; t: (C, n, d) words,
+    v: (I, 1, k, d) regions with their (I, 1, d) globals; t: (C, n, d) words,
     zero-padded where the (C, n) boolean `word_mask` is False, with their
     (C, d) globals computed over the real words only.  Each similarity
     weight is (d, m); a stream whose weight is None is skipped.
@@ -133,21 +133,19 @@ def local_similarities(
     word_mask = np.asarray(word_mask, dtype=bool)
     if word_mask.shape != t.shape[:2]:
         raise DimensionError(f"word mask {word_mask.shape} does not match words {t.shape}")
-    n_images, k, d = v.shape
-    regions = tt.reshape(v, (n_images, 1, k, d))
-    s_glob = sim_vec_rows(tt.reshape(v_glob, (n_images, 1, d)), t_glob, w_glob)
+    s_glob = sim_vec_rows(v_glob, t_glob, w_glob)
     cos = cosines(v, t) if w_i2t is not None or w_t2i is not None else None
     s_i2t = None
     if w_i2t is not None:
-        attended = tt.matmul(i2t_weights(cos, temperature), regions)
+        attended = tt.matmul(i2t_weights(cos, temperature), v)
         s_i2t = sim_vec_rows(attended, t, w_i2t, row_mask=word_mask)
     s_t2i = None
     if w_t2i is not None:
-        # the mean of sim_vec_rows(attended, regions, w_t2i) and s_glob,
+        # the mean of sim_vec_rows(attended, v, w_t2i) and s_glob,
         # with the k region rows summed before the one projection
         attended = tt.matmul(t2i_weights(cos, temperature, word_mask), t)
-        diff = tt.sub(attended, regions)
+        diff = tt.sub(attended, v)
         summed = tt.sum(tt.mul(tt.square(diff), tt.inv_norm(diff, axis=-1)), axis=-2)
         projected = tt.matmul(summed, w_t2i)
-        s_t2i = tt.mul(tt.add(projected, s_glob), 1.0 / (k + 1))
+        s_t2i = tt.mul(tt.add(projected, s_glob), 1.0 / (v.shape[-2] + 1))
     return LocalSimilarities(s_glob=s_glob, s_i2t=s_i2t, s_t2i=s_t2i)

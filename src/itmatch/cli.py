@@ -54,16 +54,19 @@ def _str_list(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip() != ""]
 
 
-def _add_model_flags(p: argparse.ArgumentParser, d: int, m: int, embed: int, layers: int) -> None:
+def _add_model_flags(p: argparse.ArgumentParser, d: int, m: int, embed: int, layers: int | None) -> None:
+    """Width and ablation flags; depth, stream and gate too unless `layers`
+    is None (ablate takes those three from its grid lists)."""
     p.add_argument("--d", type=int, default=d, help="joint embedding width")
     p.add_argument("--m", type=int, default=m, help="similarity vector width")
     p.add_argument("--embed-dim", type=int, default=embed, help="word embedding width")
-    p.add_argument("--layers", type=int, default=layers, help="reasoning layers (0 bypasses)")
+    if layers is not None:
+        p.add_argument("--layers", type=int, default=layers, help="reasoning layers (0 bypasses)")
+        p.add_argument("--stream", choices=STREAMS, default="both")
+        p.add_argument("--hierarchical", type=_on_off, default=True, metavar="on|off",
+                       help="gate the relation matrix through the conv gate")
     p.add_argument("--lambda", dest="temperature", type=float, default=9.0,
                    help="attention temperature")
-    p.add_argument("--stream", choices=STREAMS, default="both")
-    p.add_argument("--hierarchical", type=_on_off, default=True, metavar="on|off",
-                   help="gate the relation matrix through the conv gate")
     p.add_argument("--row-softmax", type=_on_off, default=False, metavar="on|off",
                    help="row-normalise relations before the update (ablation)")
     p.add_argument("--share-sim-w", type=_on_off, default=False, metavar="on|off",
@@ -152,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hier-list", type=_str_list, default=["on"],
                    help="gate settings, e.g. on,off")
     p.add_argument("--stream-list", type=_str_list, default=["both"])
-    _add_model_flags(p, d=32, m=16, embed=32, layers=3)
+    _add_model_flags(p, d=32, m=16, embed=32, layers=None)
     _add_train_flags(p, batch=16, epochs=4)
     p.set_defaults(func=cmd_ablate)
     return parser
@@ -257,23 +260,15 @@ def _train_config(args, model: ModelConfig) -> TrainConfig:
     )
 
 
-def _model_config(args, vocab_size: int, d_raw: int, **overrides) -> ModelConfig:
-    """The model the shared model flags describe; `overrides` win."""
-    fields = dict(
-        vocab_size=vocab_size,
-        d_raw=d_raw,
-        embed_dim=args.embed_dim,
-        hidden_dim=args.d,
-        sim_dim=args.m,
-        n_layers=args.layers,
-        temperature=args.temperature,
-        stream=args.stream,
-        hierarchical=args.hierarchical,
-        row_softmax=args.row_softmax,
-        share_sim_w=args.share_sim_w,
+def _model_config(args, vocab_size: int, d_raw: int, depth: int, stream: str, gated: bool,
+                  **overrides) -> ModelConfig:
+    """The model the shared model flags describe, at the caller's depth,
+    stream and gate, with any further fields in `overrides`."""
+    return ModelConfig(
+        vocab_size=vocab_size, d_raw=d_raw, embed_dim=args.embed_dim, hidden_dim=args.d,
+        sim_dim=args.m, n_layers=depth, temperature=args.temperature, stream=stream,
+        hierarchical=gated, row_softmax=args.row_softmax, share_sim_w=args.share_sim_w, **overrides,
     )
-    fields.update(overrides)
-    return ModelConfig(**fields)
 
 
 def _read_train_and_val(args):
@@ -293,9 +288,9 @@ def _read_train_and_val(args):
 def cmd_train(args) -> int:
     refuse_other_format(args.out, CHECKPOINT_FORMAT)  # before training, not after it
     bundles, val_bundles, manifest, max_len = _read_train_and_val(args)
-    config = _train_config(
-        args, _model_config(args, manifest.vocab_size, manifest.d_raw, max_caption_len=max_len)
-    )
+    cfg = _model_config(args, manifest.vocab_size, manifest.d_raw, args.layers, args.stream,
+                        args.hierarchical, max_caption_len=max_len)
+    config = _train_config(args, cfg)
     result = train(bundles, config, val_bundles=val_bundles)
     save_checkpoint(args.out, result.best_params, config.model)
     loss_csv = args.loss_csv or os.path.join(args.out, "loss.csv")
@@ -337,7 +332,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _model_config(args, args.vocab, args.draw)
+    cfg = _model_config(args, args.vocab, args.draw, args.layers, args.stream, args.hierarchical)
     total = sum(math.prod(shape) for shape in param_shapes(cfg).values())
     if total > args.max_params:
         raise ConfigError(
@@ -380,29 +375,20 @@ def cmd_ablate(args) -> int:
     for value in args.hier_list:
         if value not in ("on", "off"):
             raise ConfigError(f"--hier-list entries must be on/off, got {value!r}")
-    for value in args.stream_list:
-        if value not in STREAMS:
-            raise ConfigError(f"--stream-list entry {value!r} is not a stream mode")
-    for depth in args.m_list:
-        if depth < 0:
-            raise ConfigError(f"--m-list entries must be >= 0, got {depth}")
-
-    rows = []
-    for depth in sorted(args.m_list):
-        for hier in args.hier_list:
-            for stream in args.stream_list:
-                cfg = _model_config(
-                    args, manifest.vocab_size, manifest.d_raw, n_layers=depth, stream=stream,
-                    hierarchical=(hier == "on"), max_caption_len=max_len,
-                )
-                # the one validation, after the last epoch, scores the final parameters
-                result = train(bundles, _train_config(args, cfg), val_bundles=val_bundles)
-                _, sentence, image = result.val_history[-1]
-                row = {"layers": depth, "hierarchical": hier, "stream": stream}
-                row.update({f"s_r{k}": sentence.r_at[k] for k in RANKS})
-                row.update({f"i_r{k}": image.r_at[k] for k in RANKS})
-                row["rsum"] = rsum([sentence, image])
-                rows.append(row)
+    # every cell's config before the first trains: ModelConfig refuses a bad depth or stream
+    grid = [
+        ({"layers": depth, "hierarchical": hier, "stream": stream}, _train_config(args, _model_config(
+            args, manifest.vocab_size, manifest.d_raw, depth, stream, hier == "on", max_caption_len=max_len
+        )))
+        for depth in sorted(args.m_list) for hier in args.hier_list for stream in args.stream_list
+    ]
+    for row, config in grid:
+        # the one validation, after the last epoch, scores the final parameters
+        _, sentence, image = train(bundles, config, val_bundles=val_bundles).val_history[-1]
+        row.update({f"s_r{k}": sentence.r_at[k] for k in RANKS})
+        row.update({f"i_r{k}": image.r_at[k] for k in RANKS})
+        row["rsum"] = rsum([sentence, image])
+    rows = [row for row, _ in grid]
 
     header = f"{'layers':>6} {'gate':>5} {'stream':>9}" + "".join(
         f"{c:>8}" for c in ("sR@1", "sR@5", "sR@10", "iR@1", "iR@5", "iR@10", "rsum")

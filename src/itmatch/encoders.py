@@ -22,12 +22,8 @@ from .tensor import Tensor
 
 def project_image(regions, weight: Tensor, bias: Tensor) -> Tensor:
     """Map raw region features (..., k, d_raw) to the joint space (..., k, d),
-    a whole stack folded into rows for one product against the weight."""
-    regions = np.asarray(regions, dtype=np.float64)
-    if regions.ndim < 2 or regions.shape[-1] != weight.shape[0]:
-        raise DimensionError(f"region features must be (..., k, {weight.shape[0]}), got {regions.shape}")
-    rows = tt.add(tt.matmul(tt.constant(regions.reshape(-1, regions.shape[-1])), weight), bias)
-    return tt.reshape(rows, regions.shape[:-1] + weight.shape[1:])
+    a whole stack in one product against the weight."""
+    return tt.add(tt.matmul(tt.constant(regions), weight), bias)
 
 
 def encode_texts(

@@ -80,8 +80,8 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class EncodedImages:
-    local: Tensor  # (I, k, d)
-    glob: Tensor   # (I, d)
+    local: Tensor  # (I, 1, k, d): the length-1 axis broadcasts against a tile's captions
+    glob: Tensor   # (I, 1, d)
 
 
 @dataclass(frozen=True)
@@ -189,14 +189,15 @@ def layer_params(params: ParamStore, cfg: ModelConfig, index: int) -> ReasonLaye
 
 
 def encode_image(params: ParamStore, cfg: ModelConfig, region_list) -> EncodedImages:
-    """Encode a batch of (k, d_raw) region matrices together, in one projection."""
+    """Encode a batch of (k, d_raw) region matrices together, in one projection,
+    stacked (I, 1, k, d_raw) so every image carries its caption axis."""
     regions = [np.asarray(r, dtype=np.float64) for r in region_list]
     shapes = sorted({r.shape for r in regions})
     if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][1] != cfg.d_raw:
         raise DimensionError(
             f"images of one batch must share one (k, {cfg.d_raw}) region shape, got {shapes}"
         )
-    local = project_image(np.stack(regions), params["img_proj.w"], params["img_proj.b"])
+    local = project_image(np.stack(regions)[:, None], params["img_proj.w"], params["img_proj.b"])
     return EncodedImages(local=local, glob=global_feature(local))
 
 

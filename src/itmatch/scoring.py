@@ -69,10 +69,10 @@ def bidirectional_ranking_loss(batch: LossBatch) -> Tensor:
     b = batch.scores.shape[0]
     row_negs, col_negs = hardest_negatives(batch.scores.data)
     ks = np.arange(b)
-    diag = ks * (b + 1)
-    # entry (i, j) is row i * b + j of the grid as a (b*b, 1) column; gathers are (2, b, 1)
+    # entry (i, j) is row i * b + j of the grid as a (b*b, 1) column; the
+    # (b, 1) matched entries broadcast against the (2, b, 1) negatives
     entries = tt.reshape(batch.scores, (b * b, 1))
-    matched = tt.take_rows(entries, np.stack([diag, diag]))
+    matched = tt.take_rows(entries, ks * (b + 1))
     negatives = tt.take_rows(entries, np.stack([ks * b + row_negs, col_negs * b + ks]))
     terms = tt.relu(tt.add(tt.sub(negatives, matched), batch.margin))
     return tt.sum(tt.sum(terms, axis=1))

@@ -87,7 +87,7 @@ def test_criterion_03_attention_invariants():
     rng = np.random.default_rng(5)
     v_arr = np.abs(rng.normal(size=(4, 6))) + 0.1
     t_arr = np.abs(rng.normal(size=(3, 6))) + 0.1
-    v, t = tt.constant(v_arr[None]), tt.constant(t_arr[None])
+    v, t = tt.constant(v_arr[None, None]), tt.constant(t_arr[None])
 
     def weights(v, t, temperature, direction):
         # one image-caption pair is a 1 x 1 tile, every word of it real
@@ -108,7 +108,7 @@ def test_criterion_03_attention_invariants():
     t_scaled = t_arr.copy()
     t_scaled[2] *= 0.003
     scale_ok = (
-        np.max(np.abs(weights(tt.constant(v_scaled[None]), t, 9.0, "i2t") - i2t)) < 1e-10
+        np.max(np.abs(weights(tt.constant(v_scaled[None, None]), t, 9.0, "i2t") - i2t)) < 1e-10
         and np.max(np.abs(weights(v, tt.constant(t_scaled[None]), 9.0, "t2i") - t2i)) < 1e-10
     )
 

@@ -29,8 +29,8 @@ def sim_vec(x, y, w):
 
 
 def _pair(v, t):
-    """A 1 x 1 tile: (k, d) regions and (l, d) words as (1, k, d) and (1, l, d) stacks."""
-    return tt.constant(np.asarray(v)[None]), tt.constant(np.asarray(t)[None])
+    """A 1 x 1 tile: (k, d) regions and (l, d) words as (1, 1, k, d) and (1, l, d) stacks."""
+    return tt.constant(np.asarray(v)[None, None]), tt.constant(np.asarray(t)[None])
 
 
 def _tile_weights(v, t, temperature, direction, word_mask=None):
@@ -220,16 +220,18 @@ def test_weights_match_scalar_reference(direction):
 
 def test_i2t_weights_are_word_major():
     rng = np.random.default_rng(16)
-    v, t = tt.constant(rng.normal(size=(3, 4, 6))), tt.constant(rng.normal(size=(2, 5, 6)))
+    v, t = tt.constant(rng.normal(size=(3, 1, 4, 6))), tt.constant(rng.normal(size=(2, 5, 6)))
     w = i2t_weights(cosines(v, t), 9.0).data
     assert w.shape == (3, 2, 5, 4)
     np.testing.assert_allclose(w.sum(axis=-1), np.ones((3, 2, 5)), atol=1e-12)
 
 
 def test_cross_attention_validates_arguments():
-    v, t = _pair(np.ones((2, 4)), np.ones((3, 4)))
+    v = tt.constant(np.ones((1, 1, 2, 4)))
     with pytest.raises(DimensionError):
         cosines(v, tt.constant(np.ones((1, 3, 5))))
+    with pytest.raises(DimensionError):  # images without their caption axis
+        cosines(tt.constant(np.ones((1, 2, 4))), tt.constant(np.ones((1, 3, 4))))
     with pytest.raises(DimensionError):
         cosines(tt.constant(np.ones((2, 4))), tt.constant(np.ones((3, 4))))
 
@@ -260,7 +262,7 @@ def test_tile_weights_equal_per_pair_weights():
     v = rng.normal(size=(3, 4, 6))
     t = rng.normal(size=(2, 5, 6))
     for direction in ("i2t", "t2i"):
-        tile = _tile_weights(tt.constant(v), tt.constant(t), 9.0, direction).data
+        tile = _tile_weights(tt.constant(v[:, None]), tt.constant(t), 9.0, direction).data
         assert tile.shape == (3, 2, 4, 5)
         for i in range(3):
             for j in range(2):
@@ -305,7 +307,7 @@ def test_local_similarities_streams_optional():
     assert full.s_t2i.shape == (1, 1, 5)
     # the t2i stream vector is the plain mean of the k per-region rows and the global row
     attended = tt.matmul(t2i_weights(cosines(v, t), 9.0, np.ones((1, 3), dtype=bool)), t)
-    region_rows = sim_vec_rows(attended, tt.reshape(v, (1, 1, 4, 6)), w).data[0, 0]
+    region_rows = sim_vec_rows(attended, v, w).data[0, 0]
     expected = np.mean(np.vstack([region_rows, full.s_glob.data[0, 0]]), axis=0)
     np.testing.assert_allclose(full.s_t2i.data[0, 0], expected, rtol=1e-12, atol=0)
     partial = _similarities(v, t, w, w_i2t=None, w_t2i=w)
@@ -321,7 +323,7 @@ def test_local_similarities_accepts_precomputed_globals():
     stacked = _similarities(v, t, w, w_i2t=w, w_t2i=w)
     per_pair = local_similarities(
         v, t,
-        tt.reshape(global_feature(tt.constant(v.data[0])), (1, 6)),
+        tt.reshape(global_feature(tt.constant(v.data[0, 0])), (1, 1, 6)),
         tt.reshape(global_feature(tt.constant(t.data[0])), (1, 6)),
         mask, 9.0, w, w_i2t=w, w_t2i=w,
     )

@@ -15,7 +15,9 @@ GEN_TINY = [
     "gen-data", "--pairs", "4", "--k", "2", "--draw", "6",
     "--caption-len", "2", "--vocab", "32", "--seed", "3",
 ]
-MODEL_TINY = ["--d", "8", "--m", "4", "--embed-dim", "8", "--layers", "1"]
+# ablate takes depth, stream and gate from its grid lists only
+MODEL_WIDTHS = ["--d", "8", "--m", "4", "--embed-dim", "8"]
+MODEL_TINY = MODEL_WIDTHS + ["--layers", "1"]
 GRADCHECK_TINY = [
     "gradcheck", "--d", "6", "--m", "4", "--embed-dim", "8", "--layers", "1",
     "--k", "3", "--caption-len", "3", "--draw", "8", "--vocab", "20",
@@ -324,7 +326,7 @@ def test_ablate_rejects_mismatched_val_set(tmp_path, capsys):
           "--caption-len", "2", "--vocab", "32"])
     capsys.readouterr()
     rc = main(["ablate", "--data", data, "--val", wide, "--m-list", "0",
-               "--epochs", "1", "--batch-size", "4", *MODEL_TINY])
+               "--epochs", "1", "--batch-size", "4", *MODEL_WIDTHS])
     assert rc == 3
     assert "validation dataset disagrees" in capsys.readouterr().err
 
@@ -415,7 +417,7 @@ def test_a_negative_seed_exits_2(tmp_path, capsys, command):
                   "--batch-size", "4", *MODEL_TINY],
         "gradcheck": GRADCHECK_TINY,
         "ablate": ["ablate", "--data", data, "--m-list", "1", "--epochs", "1", "--batch-size", "4",
-                   *MODEL_TINY],
+                   *MODEL_WIDTHS],
     }[command]
     assert main(argv + ["--seed", "-1"]) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
@@ -428,7 +430,7 @@ def test_ablate_grid_rows_and_csv(tmp_path, capsys):
     rc = main([
         "ablate", "--data", data, "--m-list", "1,0", "--hier-list", "on",
         "--stream-list", "both", "--epochs", "1", "--batch-size", "4",
-        "--out-csv", csv, *MODEL_TINY,
+        "--out-csv", csv, *MODEL_WIDTHS,
     ])
     assert rc == 0
     stdout = capsys.readouterr().out
@@ -448,7 +450,7 @@ def test_ablate_rejects_an_empty_grid_list(tmp_path, capsys, flag, value, with_c
     csv = tmp_path / "grid.csv"
     extra = ["--out-csv", str(csv)] if with_csv else []
     rc = main(["ablate", "--data", data, flag, value, "--epochs", "1", "--batch-size", "4",
-               *extra, *MODEL_TINY])
+               *extra, *MODEL_WIDTHS])
     assert rc == 2
     assert f"error: {flag} needs at least one entry" in capsys.readouterr().err
     assert not csv.exists()
@@ -466,7 +468,7 @@ def test_ablate_rejects_a_repeated_grid_entry(tmp_path, capsys, monkeypatch, fla
     csv = tmp_path / "grid.csv"
     extra = ["--out-csv", str(csv)] if with_csv else []
     rc = main(["ablate", "--data", data, flag, value, "--epochs", "1", "--batch-size", "4",
-               *extra, *MODEL_TINY])
+               *extra, *MODEL_WIDTHS])
     assert rc == 2
     assert f"error: {flag} repeats the entry {repeated}" in capsys.readouterr().err
     assert not csv.exists()
@@ -500,7 +502,7 @@ def test_ablate_scores_each_configuration_once(tmp_path, capsys, monkeypatch, wi
     csv = tmp_path / "grid.csv"
     rc = main(["ablate", "--data", data, *(["--val", eval_data] if with_val else []),
                "--m-list", "0,1", "--stream-list", "both,t2i_only", "--epochs", "2",
-               "--batch-size", "4", "--out-csv", str(csv), *MODEL_TINY])
+               "--batch-size", "4", "--out-csv", str(csv), *MODEL_WIDTHS])
     assert rc == 0
     assert len(calls) == 4
     monkeypatch.undo()
@@ -524,8 +526,32 @@ def test_ablate_scores_each_configuration_once(tmp_path, capsys, monkeypatch, wi
 
 def test_ablate_rejects_bad_gate_entry(tmp_path, capsys):
     data = _gen(tmp_path)
-    rc = main(["ablate", "--data", data, "--hier-list", "maybe", *MODEL_TINY])
+    rc = main(["ablate", "--data", data, "--hier-list", "maybe", *MODEL_WIDTHS])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--m-list", "1,-1", "n_layers must be >= 0, got -1"),
+    ("--stream-list", "both,sideways", "stream must be one of"),
+], ids=["m-list", "stream-list"])
+def test_ablate_refuses_a_bad_cell_before_any_cell_trains(tmp_path, capsys, monkeypatch, flag, value,
+                                                          message):
+    data = _gen(tmp_path)
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("ablate trained"))
+    rc = main(["ablate", "--data", data, flag, value, "--epochs", "1", "--batch-size", "4",
+               *MODEL_WIDTHS])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--layers", "2"), ("--hierarchical", "off")])
+def test_ablate_has_no_depth_or_gate_flag(tmp_path, capsys, flag, value):
+    # a flag the grid lists would override is refused, not ignored
+    data = _gen(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--data", data, "--m-list", "1", "--epochs", "1", "--batch-size", "4",
+              flag, value, *MODEL_WIDTHS])
+    assert exc.value.code == 2
 
 
 # --------------------------------------------------------------- config

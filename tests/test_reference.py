@@ -1,5 +1,9 @@
 """Production forward pass against the scalar nested-loop reference."""
 
+import re
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -248,12 +252,22 @@ def _reachable(roots):
 
 # tape nodes of one whole training step (both encoders, the tile and the
 # loss) at the README widths with 3 layers, at any batch size; README.md
-# quotes the "both" count
-STEP_TAPE_NODES = {"both": 146, "row_softmax": 152}
+# quotes the "both" count.  Images are encoded with their caption axis, so
+# neither the projection nor attention reshapes them (146 and 152 when the
+# projection reshaped its rows back and attention reshaped the regions,
+# their unit rows and their globals)
+STEP_TAPE_NODES = {"both": 142, "row_softmax": 148}
+# the "both" step's nodes by op; its three reshapes are the node set's
+# global row, the reasoning readout and the loss's column of entries
+STEP_CENSUS = {
+    "add": 9, "conv2d_3x3": 3, "gru_sequence": 2, "inv_norm": 7, "matmul": 26, "mul": 18,
+    "relu": 2, "reshape": 3, "sigmoid": 3, "softmax_rows": 2, "square": 5, "sub": 4,
+    "sum": 5, "take_rows": 4, "transpose": 5,
+}
 
 
-@pytest.mark.parametrize("name", sorted(STEP_TAPE_NODES))
-def test_tile_tape_nodes_do_not_grow_with_the_batch(name):
+def _step_inputs(name):
+    """Config, parameters, five region matrices and six captions at the README widths."""
     cfg = ModelConfig(
         vocab_size=256, d_raw=32, embed_dim=32, hidden_dim=32, sim_dim=16, n_layers=3,
         **MIXED_CONFIGS[name],
@@ -262,6 +276,17 @@ def test_tile_tape_nodes_do_not_grow_with_the_batch(name):
     params = _jitter(init_params(cfg, seed=0), rng)
     raws = [rng.normal(size=(4, cfg.d_raw)) for _ in range(5)]
     token_lists = [[int(t) for t in rng.integers(0, cfg.vocab_size, size=n)] for n in MIXED_LENGTHS]
+    return cfg, params, raws, token_lists
+
+
+def _step_nodes(cfg, params, region_list, token_batch):
+    grid = score_grid(params, cfg, region_list, token_batch)
+    return _reachable([bidirectional_ranking_loss(LossBatch(grid, 0.2))]).values()
+
+
+@pytest.mark.parametrize("name", sorted(STEP_TAPE_NODES))
+def test_tile_tape_nodes_do_not_grow_with_the_batch(name):
+    cfg, params, raws, token_lists = _step_inputs(name)
     tile_counts, tape_counts = [], []
     for b in (2, 16):
         region_list = [raws[i % 5] for i in range(b)]
@@ -271,10 +296,22 @@ def test_tile_tape_nodes_do_not_grow_with_the_batch(name):
         encoded = _reachable([images.local, images.glob, captions.local, captions.glob])
         scores = model.score_tile(params, cfg, images, captions)
         tile_counts.append(len(set(_reachable([scores])) - set(encoded)))
-        grid = score_grid(params, cfg, region_list, token_batch)
-        tape_counts.append(len(_reachable([bidirectional_ranking_loss(LossBatch(grid, 0.2))])))
+        tape_counts.append(len(_step_nodes(cfg, params, region_list, token_batch)))
     assert tile_counts[0] == tile_counts[1]
     assert tape_counts == [STEP_TAPE_NODES[name]] * 2
+
+
+def test_step_census_by_op():
+    cfg, params, raws, token_lists = _step_inputs("both")
+    nodes = _step_nodes(cfg, params, [raws[i % 5] for i in range(16)], [token_lists[j % 6] for j in range(16)])
+    ops = Counter(node._backward.__qualname__.split(".")[0] for node in nodes if node._backward)
+    assert dict(ops) == STEP_CENSUS
+
+
+def test_readme_quotes_the_pinned_step_count():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    quoted = re.findall(r"is (\d+) tape\s+nodes", readme)
+    assert quoted == [str(STEP_TAPE_NODES["both"])]
 
 
 # every stream x depth 0/1/3 x shared weight x row softmax x gate
@@ -328,7 +365,7 @@ def test_score_grid_encodes_each_modality_once(monkeypatch):
 def test_batch_image_encoding_equals_each_image_alone():
     cfg, params, raws, _ = _mixed_instance("both")
     batch = model.encode_image(params, cfg, raws)
-    assert batch.local.shape == (5, 3, cfg.hidden_dim) and batch.glob.shape == (5, cfg.hidden_dim)
+    assert batch.local.shape == (5, 1, 3, cfg.hidden_dim) and batch.glob.shape == (5, 1, cfg.hidden_dim)
     for i, raw in enumerate(raws):
         alone = model.encode_image(params, cfg, [raw])
         np.testing.assert_allclose(batch.local.data[i], alone.local.data[0], rtol=0, atol=1e-12)
