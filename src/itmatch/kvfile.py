@@ -126,7 +126,10 @@ def write_container(
 @contextlib.contextmanager
 def replacing(path: str | os.PathLike):
     """Open ``<path>.tmp`` for writing text, renamed over `path` once the block
-    completes.  A block that fails leaves the old file, and no ``.tmp``."""
+    completes; a missing parent directory is made first, as
+    ``write_container`` makes its own.  A block that fails leaves the old
+    file, and no ``.tmp``."""
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -32,7 +32,7 @@ from . import tensor as tt
 from .attention import local_similarities
 from .encoders import encode_texts, global_feature, project_image
 from .errors import ConfigError, DimensionError
-from .reasoning import ReasonLayerParams, build_node_set, reason
+from .reasoning import ReasonLayerParams, reason
 from .scoring import check_finite, score
 from .tensor import ParamStore, Tensor
 
@@ -240,9 +240,8 @@ def score_tile(
         if cfg.n_layers == 0:
             streams.append(local.s_glob)
         else:
-            nodes = build_node_set(local.s_i2t, local.s_glob, lengths)
             layers = [layer_params(params, cfg, i) for i in range(cfg.n_layers)]
-            streams.append(reason(nodes, layers, lengths, row_softmax=cfg.row_softmax))
+            streams.append(reason(local.s_i2t, local.s_glob, lengths, layers, row_softmax=cfg.row_softmax))
     if cfg.uses_t2i:
         streams.append(local.s_t2i)
     fused = tt.add(*streams) if len(streams) == 2 else streams[0]

@@ -12,9 +12,10 @@ learned projections, gates it by a sigmoid of a 3x3 convolution over the
 matrix itself when the layer has a gate kernel (the "hierarchical" path,
 which makes the update sensitive to neighbourhoods of relations rather
 than single entries), and applies a residual per-node linear update.
-Every weight is applied as ``x @ W``.  The image-to-text stream reads out
-the global node after the last layer, one gather from the node sets
-flattened to rows.
+Every weight is applied as ``x @ W``.  ``reason`` owns the node-set
+layout: it places each global node, runs the layers and reads the global
+nodes back after the last one, one gather by their (..., caption, row)
+coordinates.
 """
 
 from __future__ import annotations
@@ -39,27 +40,6 @@ class ReasonLayerParams:
     w_mix: Tensor                  # (m, m) feature mix inside the aggregation
     kernel: Tensor | None = None   # (3, 3) gate convolution kernel
     bias: Tensor | None = None     # ()     gate convolution bias
-
-
-def build_node_set(local: Tensor, glob: Tensor, lengths) -> Tensor:
-    """Node sets (..., C, n, m) with caption j's global node in row lengths[j].
-
-    local: (..., C, n, m) word nodes, zero from row lengths[j] on;
-    glob: (..., C, m) global similarity vectors.
-    """
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if local.ndim < 3 or glob.shape != local.shape[:-2] + local.shape[-1:]:
-        raise DimensionError(
-            f"local rows {local.shape} do not match the global vectors {glob.shape}"
-        )
-    n_captions, n = local.shape[-3:-1]
-    if lengths.shape != (n_captions,) or np.any(lengths < 0) or np.any(lengths >= n):
-        raise DimensionError(f"need {n_captions} caption lengths below {n}, got {lengths.tolist()}")
-    # each global row times a one-hot column places it: 1 * g and 0 * g are exact
-    one_hot = np.zeros((n_captions, n, 1))
-    one_hot[np.arange(n_captions), lengths, 0] = 1.0
-    placed = tt.mul(tt.reshape(glob, glob.shape[:-1] + (1, glob.shape[-1])), one_hot)
-    return tt.add(local, placed)
 
 
 def relation_matrix(nodes: Tensor, w_query: Tensor, w_key: Tensor) -> Tensor:
@@ -99,30 +79,32 @@ def reason_step(
 
 
 def reason(
-    nodes: Tensor,
+    local: Tensor,
+    glob: Tensor,
+    lengths,
     layers: Sequence[ReasonLayerParams],
-    global_rows,
     row_softmax: bool = False,
 ) -> Tensor:
-    """Run every layer and read out the global node of each node set.
+    """Reason over the image-to-text node sets; return their global nodes (..., C, m).
 
-    `global_rows` (integers in 0..n-1 broadcasting over the leading axes)
-    gives the global node's row; the rows after it are padding.  One gather
-    reads them out of the node sets flattened to rows.
+    local: (..., C, n, m) word nodes, caption c's zero from row lengths[c]
+    on; glob: (..., C, m) global similarity vectors.  Each global vector is
+    placed in row lengths[c], the rows after it are padding, and after the
+    last layer one gather reads row lengths[c] back by its coordinates.
     """
     if len(layers) < 1:
         raise ConfigError("reasoning needs at least one layer")
-    lead, (n, m) = nodes.shape[:-2], nodes.shape[-2:]
-    global_rows = np.asarray(global_rows, dtype=np.intp)
-    try:
-        node_rows = np.broadcast_to(global_rows, lead)
-    except ValueError:
-        raise DimensionError(f"global rows {global_rows.shape} do not broadcast over {lead}") from None
-    if np.any(global_rows < 0) or np.any(global_rows >= n):
-        raise DimensionError(f"global rows must lie in 0..{n - 1}, got {global_rows.tolist()}")
-    node_mask = np.arange(n) <= global_rows[..., None]
-    current = nodes
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if local.ndim < 3 or glob.shape != local.shape[:-2] + local.shape[-1:]:
+        raise DimensionError(f"local rows {local.shape} do not match the global vectors {glob.shape}")
+    n_captions, n = local.shape[-3:-1]
+    if lengths.shape != (n_captions,) or np.any(lengths < 0) or np.any(lengths >= n):
+        raise DimensionError(f"need {n_captions} caption lengths below {n}, got {lengths.tolist()}")
+    # each global row times a one-hot column places it: 1 * g and 0 * g are exact
+    one_hot = np.zeros((n_captions, n, 1))
+    one_hot[np.arange(n_captions), lengths, 0] = 1.0
+    current = tt.add(local, tt.mul(tt.reshape(glob, glob.shape[:-1] + (1, glob.shape[-1])), one_hot))
+    node_mask = np.arange(n) <= lengths[:, None]
     for layer in layers:
         current = reason_step(current, layer, node_mask, row_softmax=row_softmax)
-    rows = tt.reshape(current, (node_rows.size * n, m))
-    return tt.take_rows(rows, np.arange(node_rows.size).reshape(lead) * n + node_rows)
+    return tt.take_rows(current, np.indices(glob.shape[:-1], sparse=True) + (lengths,))

@@ -63,16 +63,13 @@ def bidirectional_ranking_loss(batch: LossBatch) -> Tensor:
     For each matched pair k the hardest negative caption is the largest
     off-diagonal entry of row k and the hardest negative image the
     largest off-diagonal entry of column k (``hardest_negatives``); the tape
-    only gathers those entries.  All caption terms are summed, then all image
-    terms, so the result is bitwise reproducible.
+    only gathers those entries by their (image, caption) coordinates, the
+    (b,) matched ones against the (2, b) negatives.  All caption terms are
+    summed, then all image terms, so the result is bitwise reproducible.
     """
-    b = batch.scores.shape[0]
     row_negs, col_negs = hardest_negatives(batch.scores.data)
-    ks = np.arange(b)
-    # entry (i, j) is row i * b + j of the grid as a (b*b, 1) column; the
-    # (b, 1) matched entries broadcast against the (2, b, 1) negatives
-    entries = tt.reshape(batch.scores, (b * b, 1))
-    matched = tt.take_rows(entries, ks * (b + 1))
-    negatives = tt.take_rows(entries, np.stack([ks * b + row_negs, col_negs * b + ks]))
+    ks = np.arange(batch.scores.shape[0])
+    matched = tt.take_rows(batch.scores, (ks, ks))
+    negatives = tt.take_rows(batch.scores, (np.stack([ks, col_negs]), np.stack([row_negs, ks])))
     terms = tt.relu(tt.add(tt.sub(negatives, matched), batch.margin))
     return tt.sum(tt.sum(terms, axis=1))

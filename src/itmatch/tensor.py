@@ -20,7 +20,7 @@ stack of matrices is one tape node; ``conv2d_3x3`` and a ``matmul``
 against one shared matrix fold the stack into rows, so each is one BLAS
 product however many matrices it holds.  ``inv_norm`` keeps the axis it
 reduces, so scaling by it is a broadcast ``mul``.  ``take_rows``, the one
-gather, takes matrix rows into an index array's shape.
+gather, takes entries by their coordinates along the leading axes.
 ``gru_sequence`` runs one GRU direction over a padded batch of sequences
 as a single node with a hand-written backward pass.
 All storage is 64-bit floats and result arrays are frozen (read-only) on
@@ -339,17 +339,20 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(out, (a,), backward_fn)
 
 
-def take_rows(a: Tensor, indices) -> Tensor:
-    """Gather matrix rows by an integer index array of any shape, giving
-    indices.shape + (row width,); repeated indices accumulate gradient."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"take_rows needs a matrix, got shape {a.data.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size == 0:
-        raise DimensionError("take_rows needs a non-empty index array")
-    n = a.data.shape[0]
-    if np.any(idx < 0) or np.any(idx >= n):
-        raise DimensionError(f"take_rows index out of range for {n} rows")
+def take_rows(a: Tensor, index) -> Tensor:
+    """Gather ``a.data[index]``: one integer array indexing the first axis, or
+    a tuple of integer arrays, one per leading axis, that broadcast against
+    each other.  The result is their broadcast shape followed by a's
+    remaining axes; repeated coordinates accumulate gradient."""
+    idx = tuple(np.asarray(i, dtype=np.intp) for i in (index if isinstance(index, tuple) else (index,)))
+    try:
+        empty = not idx or 0 in np.broadcast_shapes(*(i.shape for i in idx))
+    except ValueError:
+        raise DimensionError(f"take_rows index arrays {[i.shape for i in idx]} do not broadcast") from None
+    if empty or len(idx) > a.data.ndim:
+        raise DimensionError(f"take_rows needs 1 to {a.data.ndim} non-empty index arrays for shape {a.data.shape}")
+    if any(np.any(i < 0) or np.any(i >= n) for i, n in zip(idx, a.data.shape)):
+        raise DimensionError(f"take_rows index out of range for shape {a.data.shape}")
     out = a.data[idx]
 
     def backward_fn(g):

@@ -245,7 +245,8 @@ def train(
 
     Without a validation set (None) the training set doubles as one, which
     is what small synthetic overfitting runs want.  A step whose loss, score
-    grid or gradient is not finite raises DataError naming the step.
+    grid or gradient is not finite raises DataError naming the step, and a
+    validation score that is not finite one naming the epoch.
     """
     if not bundles:
         raise ConfigError("training needs a non-empty dataset")
@@ -276,7 +277,10 @@ def train(
             params, loss = _train_step(params, state, config, batch_regions, batch_tokens, lr)
             loss_curve.append((state.step, loss))
         if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
-            sentence, image = evaluate(params, config.model, val)
+            try:
+                sentence, image = evaluate(params, config.model, val)
+            except DataError as err:  # a validation score is not finite
+                raise DataError(f"epoch {epoch} validation: {err}") from None
             score = rsum([sentence, image])
             val_history.append((epoch, sentence, image))
             if score > best_rsum:

@@ -188,9 +188,10 @@ def test_criterion_05_reasoning_structure():
         kernel=tt.constant(rng.normal(size=(3, 3))),
         bias=tt.constant(np.asarray(0.3)),
     )
-    # an unpadded node set: its global node is its last row, every row is real
-    readout = reason(nodes, [layer_zero_out], 3)
-    identity = np.array_equal(readout.data, nodes.data[-1])
+    # one caption's node set: three words, then its global node in row 3
+    readout = reason(tt.constant(np.vstack([nodes.data[:3], np.zeros((1, m))])[None]),
+                     tt.constant(nodes.data[3:]), [3], [layer_zero_out])
+    identity = np.array_equal(readout.data[0], nodes.data[-1])
 
     layer = ReasonLayerParams(
         w_query=wq, w_key=wk,

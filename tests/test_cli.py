@@ -99,6 +99,19 @@ def test_train_custom_loss_csv(tmp_path, capsys):
         assert fh.readline() == "step,loss\n"
 
 
+def test_train_writes_its_loss_csv_into_a_new_directory(tmp_path, capsys):
+    # the directory is made as --out's is, not refused after the whole run
+    data = _gen(tmp_path)
+    csv = tmp_path / "new" / "loss.csv"
+    rc = main([
+        "train", "--data", data, "--out", str(tmp_path / "ckpt"),
+        "--epochs", "1", "--batch-size", "4", "--loss-csv", str(csv), *MODEL_TINY,
+    ])
+    assert rc == 0
+    assert csv.read_text().startswith("step,loss\n")
+    assert not (tmp_path / "new" / "loss.csv.tmp").exists()
+
+
 def test_eval_csv_output(tmp_path, capsys):
     data = _gen(tmp_path)
     ckpt = str(tmp_path / "ckpt")

@@ -9,7 +9,6 @@ from itmatch import tensor as tt
 from itmatch.errors import ConfigError, DimensionError
 from itmatch.reasoning import (
     ReasonLayerParams,
-    build_node_set,
     gate_relations,
     reason,
     reason_step,
@@ -49,9 +48,13 @@ def _nodes(rng, n, m):
     return tt.constant(rng.normal(size=(n, m)))
 
 
-def _global_row(nodes):
-    """reason's global_rows for one unpadded node set: its last row."""
-    return nodes.shape[-2] - 1
+def _node_set(nodes):
+    """reason's (local, glob, lengths) for one unpadded (n, m) node set as a
+    tile of one caption: its rows with the last one zeroed, the last row as
+    the global node, and n - 1 words."""
+    local = np.array(nodes.data)
+    local[-1] = 0.0
+    return tt.constant(local[None]), tt.constant(nodes.data[-1:]), [nodes.shape[-2] - 1]
 
 
 def _all_real(nodes):
@@ -59,28 +62,32 @@ def _all_real(nodes):
     return np.ones(nodes.shape[-2], dtype=bool)
 
 
-def test_build_node_set_places_global_last():
-    # caption 0 has two words, caption 1 one word and a zero padding row
+def test_reason_places_and_reads_out_each_global_node():
+    # caption 0 has two words, caption 1 one word and a zero padding row;
+    # residual-only layers leave every node as it was placed, so the
+    # readout is the global node itself, read from its own row
+    rng = np.random.default_rng(3)
     local = tt.constant(np.array([
         [[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]],
         [[5.0, 6.0], [0.0, 0.0], [0.0, 0.0]],
     ]))
-    glob = tt.constant(np.array([[9.0, 9.0], [7.0, 7.0]]))
-    nodes = build_node_set(local, glob, [2, 1])
-    assert nodes.data.tolist() == [
-        [[1.0, 2.0], [3.0, 4.0], [9.0, 9.0]],
-        [[5.0, 6.0], [7.0, 7.0], [0.0, 0.0]],
-    ]
+    glob = tt.constant(np.array([[9.0, 8.0], [7.0, 6.0]]))
+    out = reason(local, glob, [2, 1], [_layer(rng, 2, zero_out=True)])
+    assert out.data.tolist() == [[9.0, 8.0], [7.0, 6.0]]
 
 
-def test_build_node_set_validates():
+# a global vector of the wrong width, a length equal to n, a negative
+# length, and fewer lengths than captions
+@pytest.mark.parametrize(
+    "glob_shape, rows",
+    [((2, 3), [1, 1]), ((2, 2), [1, 3]), ((2, 2), [1, -1]), ((2, 2), [1])],
+    ids=["glob_shape", "row_n", "negative", "unbroadcastable"],
+)
+def test_reason_rejects_global_rows_outside_the_node_sets(glob_shape, rows):
+    rng = np.random.default_rng(8)
     local = tt.constant(np.zeros((2, 3, 2)))
     with pytest.raises(DimensionError):
-        build_node_set(local, tt.constant(np.ones((2, 3))), [1, 1])
-    with pytest.raises(DimensionError):
-        build_node_set(local, tt.constant(np.ones((2, 2))), [1, 3])
-    with pytest.raises(DimensionError):
-        build_node_set(local, tt.constant(np.ones((2, 2))), [1])
+        reason(local, tt.constant(np.ones(glob_shape)), rows, [_layer(rng, 2)])
 
 
 def test_relation_matrix_hand_value():
@@ -128,9 +135,9 @@ def test_zero_output_map_keeps_nodes_and_readout():
     rng = np.random.default_rng(4)
     nodes = _nodes(rng, 5, 4)
     layers = [_layer(rng, 4, zero_out=True) for _ in range(3)]
-    out = reason(nodes, layers, _global_row(nodes))
+    out = reason(*_node_set(nodes), layers)
     # residual-only updates: the global node must come back untouched
-    np.testing.assert_array_equal(out.data, nodes.data[-1])
+    np.testing.assert_array_equal(out.data, nodes.data[-1:])
 
 
 def test_hierarchical_off_is_the_ungated_update():
@@ -181,26 +188,17 @@ def test_multi_layer_reason_iterates_the_step():
     rng = np.random.default_rng(7)
     nodes = _nodes(rng, 4, 3)
     layers = [_layer(rng, 3) for _ in range(3)]
-    out = reason(nodes, layers, _global_row(nodes))
+    out = reason(*_node_set(nodes), layers)
     state = nodes.data.tolist()
     for layer in layers:
         state = ref_reason_step(state, _layer_as_ref(layer), True, False)
-    np.testing.assert_allclose(out.data, state[-1], atol=1e-8)
+    np.testing.assert_allclose(out.data, [state[-1]], atol=1e-8)
 
 
 def test_reason_requires_layers():
     rng = np.random.default_rng(8)
     with pytest.raises(ConfigError):
-        reason(_nodes(rng, 4, 3), [], 3)
-
-
-@pytest.mark.parametrize("rows", [[4, 0], [1, -1], [0, 1, 2]], ids=["row_n", "negative", "unbroadcastable"])
-def test_reason_rejects_global_rows_outside_the_node_sets(rows):
-    # a flat gather would read a neighbouring node set's row
-    rng = np.random.default_rng(8)
-    nodes = tt.constant(rng.normal(size=(2, 4, 3)))
-    with pytest.raises(DimensionError):
-        reason(nodes, [_layer(rng, 3)], rows)
+        reason(*_node_set(_nodes(rng, 4, 3)), [])
 
 
 def test_gated_update_is_permutation_sensitive():
@@ -230,8 +228,11 @@ def test_gated_update_is_permutation_sensitive():
 def test_reasoning_stack_gradients():
     rng = np.random.default_rng(10)
     m = 3
-    # three local nodes, then the global one
-    entries = {"nodes": tt.parameter(np.vstack([rng.normal(size=(3, m)), rng.normal(size=m)]))}
+    # one node set: three local nodes and a zero row, where the global one goes
+    entries = {
+        "local": tt.parameter(np.vstack([rng.normal(size=(3, m)), np.zeros((1, m))])[None]),
+        "glob": tt.parameter(rng.normal(size=(1, m))),
+    }
     for i in range(3):
         for field in ("w_query", "w_key", "w_out", "w_mix"):
             entries[f"{i}.{field}"] = tt.parameter(0.5 * rng.normal(size=(m, m)))
@@ -240,7 +241,6 @@ def test_reasoning_stack_gradients():
     store = tt.ParamStore(entries)
 
     def run(p):
-        nodes = p["nodes"]
         layers = [
             ReasonLayerParams(
                 w_query=p[f"{i}.w_query"], w_key=p[f"{i}.w_key"],
@@ -249,7 +249,7 @@ def test_reasoning_stack_gradients():
             )
             for i in range(3)
         ]
-        return tt.sum(tt.square(reason(nodes, layers, _global_row(nodes))))
+        return tt.sum(tt.square(reason(p["local"], p["glob"], [3], layers)))
 
     auto = tt.backward(run(store), store)
     fd = tt.finite_diff_grad(lambda p: run(p).item(), store)
@@ -275,9 +275,7 @@ def test_padded_node_sets_reason_like_unpadded_ones(hierarchical, row_softmax):
         for j, n_local in enumerate(lengths):
             local[i, j, :n_local] = rng.normal(size=(n_local, m))
             sets[i, j] = np.vstack([local[i, j, :n_local], glob[i, j]])
-    nodes = build_node_set(tt.constant(local), tt.constant(glob), lengths)
-    out = reason(nodes, layers, lengths, row_softmax=row_softmax).data
+    out = reason(tt.constant(local), tt.constant(glob), lengths, layers, row_softmax=row_softmax).data
     for (i, j), alone in sets.items():
-        alone = tt.constant(alone)
-        want = reason(alone, layers, _global_row(alone), row_softmax=row_softmax)
-        np.testing.assert_allclose(out[i, j], want.data, atol=1e-12)
+        want = reason(*_node_set(tt.constant(alone)), layers, row_softmax=row_softmax)
+        np.testing.assert_allclose(out[i, j], want.data[0], atol=1e-12)

@@ -1,5 +1,7 @@
 """Production forward pass against the scalar nested-loop reference."""
 
+import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -134,6 +136,34 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _trace_targets():
+    """perfbench's TRACE_TARGETS as (layer, module name, attribute), read with
+    ast: importing perfbench/run.py would rewrite the BLAS environment."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "run.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACE_TARGETS"]:
+            return [(layer.value, module.id, attr.value) for layer, module, attr in (e.elts for e in node.value.elts)]
+    raise AssertionError("perfbench/run.py defines no TRACE_TARGETS")
+
+
+def test_every_traced_name_exists():
+    # a renamed or bypassed target would drop out of perfbench's layers silently
+    targets = _trace_targets()
+    assert len(targets) == 13
+    for layer, module, attr in targets:
+        assert callable(getattr(importlib.import_module(f"itmatch.{module}"), attr, None)), layer
+
+
+@pytest.mark.parametrize("entry", ["score_grid", "score_matrix"])
+def test_the_pair_path_reaches_every_traced_model_name(monkeypatch, entry):
+    cfg, params, raws, token_lists = _mixed_instance("both")
+    names = [attr for _, module, attr in _trace_targets() if module == "model"]
+    assert sorted(names) == ["encode_caption", "encode_image", "local_similarities", "reason", "score"]
+    calls = {name: _counted(monkeypatch, name) for name in names}
+    getattr(model, entry)(params, cfg, raws, token_lists[:5])
+    assert {name: bool(c) for name, c in calls.items()} == dict.fromkeys(names, True)
+
+
 def _assert_trimmed(tile_calls):
     # every score_tile call gets captions padded to one row past its own longest
     for _, _, _, captions in tile_calls:
@@ -255,13 +285,15 @@ def _reachable(roots):
 # quotes the "both" count.  Images are encoded with their caption axis, so
 # neither the projection nor attention reshapes them (146 and 152 when the
 # projection reshaped its rows back and attention reshaped the regions,
-# their unit rows and their globals)
-STEP_TAPE_NODES = {"both": 142, "row_softmax": 148}
-# the "both" step's nodes by op; its three reshapes are the node set's
-# global row, the reasoning readout and the loss's column of entries
+# their unit rows and their globals; 142 and 148 when the reasoning readout
+# and the loss gathered flat rows behind a reshape each)
+STEP_TAPE_NODES = {"both": 140, "row_softmax": 146}
+# the "both" step's nodes by op; its one reshape gives each caption's global
+# vector the row axis it is placed along (the reasoning readout and the loss
+# gather their entries by coordinates, with no reshape)
 STEP_CENSUS = {
     "add": 9, "conv2d_3x3": 3, "gru_sequence": 2, "inv_norm": 7, "matmul": 26, "mul": 18,
-    "relu": 2, "reshape": 3, "sigmoid": 3, "softmax_rows": 2, "square": 5, "sub": 4,
+    "relu": 2, "reshape": 1, "sigmoid": 3, "softmax_rows": 2, "square": 5, "sub": 4,
     "sum": 5, "take_rows": 4, "transpose": 5,
 }
 

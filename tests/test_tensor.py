@@ -124,8 +124,60 @@ def test_take_rows_takes_an_index_array_as_it_is():
                 np.array([[0], [-1]])):
         with pytest.raises(DimensionError):
             tt.take_rows(table, bad)
-    with pytest.raises(DimensionError, match="needs a matrix"):
-        tt.take_rows(tt.parameter(np.zeros((2, 2, 2))), [0])
+    # one index array gathers along the first axis of any rank
+    cube = tt.parameter(np.arange(8.0).reshape(2, 2, 2))
+    assert tt.take_rows(cube, [1, 1]).data.tolist() == [[[4.0, 5.0], [6.0, 7.0]]] * 2
+
+
+def _coordinates():
+    """Sparse (2, 3) coordinates into the first three axes of a 4-D array,
+    with a repeated one: entries (0, 1, 2) and (1, 1, 2) twice."""
+    return np.array([[0], [1]]), np.array([1, 1, 0]), np.array([2, 2, 0])
+
+
+def test_take_rows_gathers_by_coordinates_like_numpy():
+    a = np.arange(120.0).reshape(2, 3, 4, 5)
+    index = _coordinates()
+    out = tt.take_rows(tt.constant(a), index)
+    assert out.shape == (2, 3, 5)
+    np.testing.assert_array_equal(out.data, a[index])
+    # fewer arrays than axes leave the rest whole; as many index single entries
+    np.testing.assert_array_equal(tt.take_rows(tt.constant(a), index[:2]).data, a[index[:2]])
+    full = (np.array([1, 0]), np.array([2, 2]), np.array([3, 0]), np.array([4, 1]))
+    assert tt.take_rows(tt.constant(a), full).data.tolist() == [a[1, 2, 3, 4], a[0, 2, 0, 1]]
+
+
+def test_take_rows_repeated_coordinates_add_their_gradient():
+    a = tt.parameter(np.zeros((2, 3, 4, 5)))
+    g = backward(tt.sum(tt.take_rows(a, _coordinates())), ParamStore({"a": a}))["a"].data
+    # the six coordinates, counted by hand
+    counts = np.zeros((2, 3, 4, 1))
+    counts[0, 1, 2] = counts[1, 1, 2] = 2.0
+    counts[0, 0, 0] = counts[1, 0, 0] = 1.0
+    np.testing.assert_array_equal(g, np.broadcast_to(counts, g.shape))
+
+
+def test_take_rows_coordinate_gradient_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    weights = rng.normal(size=(2, 3, 5))
+    _check_against_fd(
+        lambda p: tt.sum(tt.mul(tt.square(tt.take_rows(p["a"], _coordinates())), weights)),
+        _store(a=rng.normal(size=(2, 3, 4, 5))),
+    )
+
+
+@pytest.mark.parametrize("index", [
+    (np.array([0, 2]), np.array([0, 0])),
+    (np.array([0, 1]), np.array([0, 3])),
+    (np.array([0, -1]), np.array([0, 0])),
+    (np.array([0, 1]), np.array([0, 1, 2])),
+    (np.array([0]),) * 5,
+    (),
+    (np.array([0]), np.zeros(0, dtype=np.intp)),
+], ids=["axis_0_range", "axis_1_range", "negative", "unbroadcastable", "too_many", "no_array", "empty"])
+def test_take_rows_rejects_bad_coordinates(index):
+    with pytest.raises(DimensionError):
+        tt.take_rows(tt.constant(np.zeros((2, 3, 4, 5))), index)
 
 
 def test_scale_rows_values():

@@ -396,6 +396,16 @@ def test_train_stops_at_the_first_non_finite_loss():
         train(data, tc)
 
 
+def test_train_names_the_epoch_whose_validation_fails():
+    # one step per epoch at a rate this large leaves parameters whose
+    # validation scores are not finite, while the step itself succeeded
+    tc = TrainConfig(model=_tiny_model(), epochs=2, lr=1e300, lr_decay_epoch=2, batch_size=4)
+    with np.errstate(all="ignore"), pytest.raises(
+        DataError, match=r"^epoch 0 validation: fold 0 .*: score of image 0 and caption 0 is not finite \(nan\)$"
+    ):
+        train(_tiny_data(), tc)
+
+
 def _plant_in_grid(monkeypatch, plants, call):
     """Make training.score_grid add each {entry: value} to the grid it returns at this call."""
     real = training.score_grid
