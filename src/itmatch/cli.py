@@ -17,7 +17,7 @@ from .dataio import gen_synthetic, read_dataset, write_dataset
 from .errors import ConfigError, DataError, InputError, ItmatchError
 from .evaluation import RANKS, evaluate, rsum
 from .gradcheck import run_gradcheck
-from .kvfile import read_kv, refuse_other_format, replacing
+from .kvfile import read_kv, refuse_directory, refuse_other_format, replacing
 from .model import STREAMS, ModelConfig, param_shapes
 from .training import (
     CHECKPOINT_FORMAT,
@@ -287,13 +287,14 @@ def _read_train_and_val(args):
 
 def cmd_train(args) -> int:
     refuse_other_format(args.out, CHECKPOINT_FORMAT)  # before training, not after it
+    loss_csv = args.loss_csv or os.path.join(args.out, "loss.csv")
+    refuse_directory(loss_csv)
     bundles, val_bundles, manifest, max_len = _read_train_and_val(args)
     cfg = _model_config(args, manifest.vocab_size, manifest.d_raw, args.layers, args.stream,
                         args.hierarchical, max_caption_len=max_len)
     config = _train_config(args, cfg)
     result = train(bundles, config, val_bundles=val_bundles)
     save_checkpoint(args.out, result.best_params, config.model)
-    loss_csv = args.loss_csv or os.path.join(args.out, "loss.csv")
     write_loss_csv(loss_csv, result.loss_curve)
     final_loss = result.loss_curve[-1][1] if result.loss_curve else float("nan")
     print(f"trained {len(result.loss_curve)} steps; final loss {final_loss:.6f}")
@@ -364,6 +365,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.out_csv:
+        refuse_directory(args.out_csv)  # before the first cell trains, not after the last
     bundles, val_bundles, manifest, max_len = _read_train_and_val(args)
     for flag, values in (("--m-list", args.m_list), ("--hier-list", args.hier_list),
                          ("--stream-list", args.stream_list)):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kvfile import Container, write_container
+from .kvfile import Container, reads_back, write_container
 
 FORMAT_NAME = "itmatch-dataset"
 FORMAT_VERSION = 1
@@ -94,6 +94,8 @@ def write_dataset(
     name: str = "synthetic",
     split: str = "train",
 ) -> DatasetManifest:
+    if not reads_back(name):
+        raise ConfigError(f"name must have no line break and no whitespace at either end, got {name!r}")
     if split not in SPLITS:
         raise DataError(f"split must be one of {SPLITS}, got {split!r}")
     k, d_raw = _validate_bundles(bundles, vocab_size)

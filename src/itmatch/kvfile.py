@@ -24,21 +24,20 @@ from .errors import DataError
 MANIFEST_FILE = "manifest"
 
 
-def _reads_back(text: str) -> bool:
+def reads_back(text: str) -> bool:
     # parse_kv_text splits lines with str.splitlines and strips keys and values
     return "".join(text.splitlines()) == text == text.strip()
 
 
 def format_kv(pairs) -> str:
-    """``key: value`` lines, refusing a pair that parse_kv_text would not return unchanged."""
-    items = pairs.items() if isinstance(pairs, dict) else pairs
+    """``key: value`` lines of (key, value) pairs, refusing one parse_kv_text would not return unchanged."""
     lines = []
-    for key, value in items:
+    for key, value in pairs:
         key = str(key)
         value = str(value)
-        if ":" in key or key.startswith("#") or not key or not _reads_back(key):
+        if ":" in key or key.startswith("#") or not key or not reads_back(key):
             raise DataError(f"invalid key {key!r}")
-        if not _reads_back(value):
+        if not reads_back(value):
             raise DataError(f"value for {key!r} has a newline or other line break, or whitespace at either end")
         lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"
@@ -123,12 +122,18 @@ def write_container(
     return checksums
 
 
+def refuse_directory(path: str | os.PathLike) -> None:
+    """Raise DataError if `path` is a directory, which ``replacing`` cannot replace."""
+    if os.path.isdir(path):
+        raise DataError(f"{os.fspath(path)}: is a directory; refusing to replace it with a file")
+
+
 @contextlib.contextmanager
 def replacing(path: str | os.PathLike):
     """Open ``<path>.tmp`` for writing text, renamed over `path` once the block
-    completes; a missing parent directory is made first, as
-    ``write_container`` makes its own.  A block that fails leaves the old
-    file, and no ``.tmp``."""
+    completes; a missing parent directory is made first, and a directory at
+    `path` refused.  A block that fails leaves the old file, and no ``.tmp``."""
+    refuse_directory(path)
     os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     tmp = f"{os.fspath(path)}.tmp"
     try:

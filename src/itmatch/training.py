@@ -42,10 +42,8 @@ from .tensor import ParamStore, Tensor, backward
 CHECKPOINT_FORMAT = "itmatch-checkpoint"
 CHECKPOINT_VERSION = 2
 
-# elements per Adam block: the block's slices of the parameter, its
-# gradient, both moments, the new parameter and the scratch buffer (128 KB
-# each) stay in cache through the whole update of the block.  A block is
-# whole leading-axis rows, so a row longer than this is a block alone
+# elements per Adam run: the run's slices of the five arrays Adam walks and
+# of the scratch buffer (128 KB each) stay in cache through its update
 ADAM_BLOCK = 1 << 14
 
 # Kingma & Ba's recommended moment decays and epsilon (arXiv:1412.6980)
@@ -100,16 +98,12 @@ class AdamState:
 
 
 def adam_init(params: ParamStore) -> AdamState:
+    """Zero moments, C-contiguous, so that ``adam_step`` advances them through flat views."""
     return AdamState(
         m={name: np.zeros(t.data.shape) for name, t in params.items()},
         v={name: np.zeros(t.data.shape) for name, t in params.items()},
         step=0,
     )
-
-
-def _block_rows(shape: tuple[int, ...]) -> int:
-    """Leading-axis rows per Adam block of a parameter of this shape."""
-    return max(1, ADAM_BLOCK // max(1, math.prod(shape[1:])))
 
 
 def adam_step(
@@ -125,20 +119,20 @@ def adam_step(
     with alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
     eps_hat = eps * sqrt(1 - beta2^t), theta <- theta - alpha_t * m /
     (sqrt(v) + eps_hat), which equals the bias-corrected textbook update.
-    Each parameter is walked in blocks of whole leading-axis rows, about
-    ADAM_BLOCK elements each.  A first, read-only pass checks every
-    gradient; the second updates each block through a reused scratch
-    buffer, advancing m and v in place in ``state.m`` and ``state.v`` and
-    writing the new parameter into one fresh frozen array, so ``params``
-    and any store kept from an earlier step stay as they were.  Row blocks
-    are views, so no gradient is copied whole.
-    Returns the new store and ``state`` itself, its step advanced.
+    Each parameter, its gradient, both moments and the new parameter are
+    walked as flat views, in runs of ADAM_BLOCK elements; a gradient or
+    parameter that is not C-contiguous is copied once.  A first, read-only
+    pass checks every run of the gradient; the second updates each run
+    through one scratch buffer, advancing m and v in place and writing the
+    new parameter into one fresh frozen array, so ``params`` and any store
+    kept from an earlier step stay as they were.
     A missing or misshapen gradient raises ContractError, and one that is
     not finite raises DataError naming the step and the parameter; both
     come from the first pass, so the parameters, gradients and state are
     then exactly as they were.
     """
     t = state.step + 1
+    flat = []  # per parameter: its name, the new parameter, and the five flat views
     for name, param in params.items():
         if name not in grads:
             raise ContractError(f"gradient missing for parameter {name!r}")
@@ -147,28 +141,24 @@ def adam_step(
             raise ContractError(
                 f"gradient shape {g.shape} does not match parameter {name!r} {param.data.shape}"
             )
-        g = np.atleast_1d(g)  # a scalar parameter is one row of one element
-        rows = _block_rows(g.shape)
-        for lo in range(0, g.shape[0], rows):
-            g_b = g[lo:lo + rows]
-            # the block's sum of g*g: NaN and inf survive it, and a finite g
+        theta = np.empty(g.shape)
+        views = [a.reshape(-1) for a in (g, state.m[name], state.v[name], param.data, theta)]
+        for lo in range(0, g.size, ADAM_BLOCK):
+            g_b = views[0][lo:lo + ADAM_BLOCK]
+            # the run's sum of g*g: NaN and inf survive it, and a finite g
             # whose square overflows (|g| > 1e154) is refused too, since v
             # would not be finite
             if not math.isfinite(np.vdot(g_b, g_b)):
                 raise DataError(f"step {t}: the gradient of parameter {name!r} is not finite")
+        flat.append((name, theta, views))
 
     alpha = lr * math.sqrt(1.0 - ADAM_BETA2 ** t) / (1.0 - ADAM_BETA1 ** t)
     eps_hat = eps * math.sqrt(1.0 - ADAM_BETA2 ** t)
-    updates: dict[str, Tensor] = {}
-    for name, param in params.items():
-        theta = np.empty(param.data.shape)
-        arrays = [np.atleast_1d(a) for a in (grads[name].data, state.m[name], state.v[name], param.data, theta)]
-        shape = arrays[0].shape
-        rows = _block_rows(shape)
-        scratch = np.empty((min(rows, shape[0]),) + shape[1:])
-        for lo in range(0, shape[0], rows):
-            g_b, m_b, v_b, theta_b, theta_out = (a[lo:lo + rows] for a in arrays)
-            s = scratch[:len(g_b)]
+    scratch = np.empty(ADAM_BLOCK)
+    for _, _, views in flat:
+        for lo in range(0, views[0].size, ADAM_BLOCK):
+            g_b, m_b, v_b, theta_b, theta_out = (a[lo:lo + ADAM_BLOCK] for a in views)
+            s = scratch[:g_b.size]
             np.multiply(g_b, g_b, out=s)
             s *= 1.0 - ADAM_BETA2
             v_b *= ADAM_BETA2
@@ -181,9 +171,8 @@ def adam_step(
             np.divide(m_b, s, out=s)
             s *= alpha
             np.subtract(theta_b, s, out=theta_out)
-        updates[name] = Tensor(theta, requires_grad=True)
     state.step = t
-    return params.copy_with(updates), state
+    return ParamStore({name: Tensor(theta, requires_grad=True) for name, theta, _ in flat}), state
 
 
 @dataclass

@@ -57,6 +57,17 @@ def test_gen_data_rejects_zero_pairs(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", [" lead", "trail\t", "two\nlines", "a\u2028b"])
+def test_gen_data_refuses_a_name_that_would_not_read_back_as_a_bad_flag(tmp_path, capsys, name):
+    # the name is the caller's choice, not data: a ConfigError, before any
+    # file is opened
+    out = tmp_path / "x"
+    assert main(GEN_TINY + ["--out", str(out), "--name", name]) == 2
+    assert f"error: name must have no line break and no whitespace at either end, got {name!r}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_echo_config_lists_flags(tmp_path, capsys):
     _gen(tmp_path)
     stdout = capsys.readouterr().out
@@ -110,6 +121,22 @@ def test_train_writes_its_loss_csv_into_a_new_directory(tmp_path, capsys):
     assert rc == 0
     assert csv.read_text().startswith("step,loss\n")
     assert not (tmp_path / "new" / "loss.csv.tmp").exists()
+
+
+@pytest.mark.parametrize("csv_flag", ["--loss-csv", None], ids=["loss-csv", "default"])
+def test_train_refuses_a_loss_csv_path_that_is_a_directory_before_training(
+        tmp_path, capsys, monkeypatch, csv_flag):
+    data = _gen(tmp_path)
+    ckpt = tmp_path / "ckpt"
+    csv = tmp_path / "existing_dir" if csv_flag else ckpt / "loss.csv"
+    csv.mkdir(parents=True)
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("train trained"))
+    rc = main(["train", "--data", data, "--out", str(ckpt), "--epochs", "1", "--batch-size", "4",
+               *(["--loss-csv", str(csv)] if csv_flag else []), *MODEL_TINY])
+    assert rc == 3
+    assert f"error: {csv}: is a directory" in capsys.readouterr().err
+    assert not (ckpt / "manifest").exists()
+    assert os.listdir(csv) == []
 
 
 def test_eval_csv_output(tmp_path, capsys):
@@ -485,6 +512,19 @@ def test_ablate_rejects_a_repeated_grid_entry(tmp_path, capsys, monkeypatch, fla
     assert rc == 2
     assert f"error: {flag} repeats the entry {repeated}" in capsys.readouterr().err
     assert not csv.exists()
+
+
+def test_ablate_refuses_an_out_csv_path_that_is_a_directory_before_any_cell_trains(
+        tmp_path, capsys, monkeypatch):
+    data = _gen(tmp_path)
+    csv = tmp_path / "existing_dir"
+    csv.mkdir()
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("ablate trained"))
+    rc = main(["ablate", "--data", data, "--m-list", "0", "--epochs", "1", "--batch-size", "4",
+               "--out-csv", str(csv), *MODEL_WIDTHS])
+    assert rc == 3
+    assert f"error: {csv}: is a directory" in capsys.readouterr().err
+    assert os.listdir(csv) == []
 
 
 class _Unprintable:

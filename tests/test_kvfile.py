@@ -4,6 +4,7 @@ checkpoints, and a corruption fuzz over both."""
 
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -288,18 +289,28 @@ def test_an_image_id_that_would_not_read_back_unchanged_is_refused(tmp_path, ima
     assert not (tmp_path / "ds").exists()
 
 
+def test_replacing_refuses_a_directory(tmp_path):
+    target = tmp_path / "out.csv"
+    target.mkdir()
+    with pytest.raises(DataError, match=rf"^{re.escape(str(target))}: is a directory"):
+        with kvfile.replacing(target) as fh:
+            fh.write("never")
+    assert target.is_dir() and os.listdir(target) == []
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
 def test_format_kv_refuses_keys_that_would_not_read_back_unchanged():
     for key in ("", "a:b", "#a", " a", "a\x0bb", "a\u2029"):
         with pytest.raises(DataError, match="invalid key"):
-            format_kv({key: "v"})
-    assert parse_kv_text(format_kv({"a b": "x: y #z"})) == {"a b": "x: y #z"}
+            format_kv([(key, "v")])
+    assert parse_kv_text(format_kv([("a b", "x: y #z")])) == {"a b": "x: y #z"}
 
 
 # ------------------------------------- dataset version 1, checkpoint version 2
 
 def test_format_version_1_is_pinned(tmp_path):
     dataset, checkpoint = _write_pinned(tmp_path)
-    assert (checkpoint / "manifest").read_text(encoding="utf-8") == format_kv(CHECKPOINT_MANIFEST)
+    assert (checkpoint / "manifest").read_text(encoding="utf-8") == format_kv(CHECKPOINT_MANIFEST.items())
     for directory, blobs, manifest in (
         (dataset, DATASET_BLOBS, DATASET_MANIFEST),
         (checkpoint, CHECKPOINT_BLOBS, CHECKPOINT_MANIFEST),
@@ -309,7 +320,7 @@ def test_format_version_1_is_pinned(tmp_path):
             assert hashlib.sha256((directory / name).read_bytes()).hexdigest() == digest, name
         assert read_kv(directory / "manifest") == manifest
         # the same fields in the order older writers put them read back alike
-        (directory / "manifest").write_text(format_kv(manifest), encoding="utf-8")
+        (directory / "manifest").write_text(format_kv(manifest.items()), encoding="utf-8")
     back, _ = read_dataset(dataset)
     _assert_bundles_equal(back, PINNED_BUNDLES)
     _assert_checkpoint_is_pinned(checkpoint)

@@ -14,7 +14,7 @@ from itmatch.dataio import gen_synthetic
 from itmatch.errors import ConfigError, ContractError, DataError
 from itmatch.evaluation import evaluate, flatten_captions, rsum
 from itmatch.gradcheck import run_gradcheck
-from itmatch.model import ModelConfig, init_params
+from itmatch.model import STREAMS, ModelConfig, init_params
 from itmatch.tensor import ParamStore, backward
 from itmatch.training import (
     ADAM_BLOCK,
@@ -140,8 +140,9 @@ def _textbook_adam(theta, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return theta - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
-# a parameter of more than three blocks whose size is not a multiple of the
-# block, a (1,) one, a scalar, and one whose gradient is always zero
+# a parameter of four flat runs, the last one short (its size is not a
+# multiple of the run), a (1,) one, a scalar, and one whose gradient is
+# always zero
 ADAM_SHAPES = {"big": (3, ADAM_BLOCK + 41), "one": (1,), "scalar": (), "still": (5, 7)}
 
 
@@ -222,10 +223,10 @@ def test_adam_is_bitwise_deterministic():
         assert runs[0][name].data.tobytes() == runs[1][name].data.tobytes()
 
 
-def test_adam_walks_a_transposed_gradient_in_row_blocks():
-    # backward hands the gradient of a weight used as tt.transpose(w) over
-    # as a transposed view; rows of 1000 make blocks of 16 rows, so this
-    # parameter is three blocks, the last one short
+def test_adam_updates_a_transposed_gradient_exactly():
+    # backward hands every gradient over C-contiguous, but a caller may
+    # pass a transposed view: Adam copies it once and updates exactly; the
+    # parameter is three flat runs, the last one short
     shape = (40, 1000)
     rng = np.random.default_rng(9)
     store = ParamStore({"w": tt.parameter(rng.standard_normal(shape))})
@@ -244,13 +245,13 @@ def test_adam_walks_a_transposed_gradient_in_row_blocks():
 
 def test_adam_allocates_one_parameter_and_no_copy():
     # 16 MB a parameter; fresh moments would take the peak from the one
-    # fresh parameter (1x) to 3x, and a copy of the transposed gradient
-    # to 2x
+    # fresh parameter (1x) to 3x, and a copy of the gradient to 2x.  The
+    # gradient is C-contiguous, as every one backward makes is
     shape = (1024, 2048)
     rng = np.random.default_rng(10)
     store = ParamStore({"w": tt.parameter(rng.standard_normal(shape))})
     state = adam_init(store)
-    grads = {"w": tt.Tensor(rng.standard_normal(shape[::-1]).T)}
+    grads = {"w": tt.Tensor(rng.standard_normal(shape))}
     tracemalloc.start()
     try:
         adam_step(store, grads, state, lr=0.01)
@@ -260,12 +261,43 @@ def test_adam_allocates_one_parameter_and_no_copy():
     assert peak < 1.5 * store["w"].data.nbytes
 
 
+def test_every_parameter_gradient_and_moment_is_c_contiguous(tmp_path):
+    # Adam walks every array as a flat view: a gradient or parameter that
+    # is not C-contiguous would be copied silently on every step, so this
+    # fails if an op ever hands a transposed view back to a leaf
+    data = gen_synthetic(n_pairs=4, k=3, d_raw=6, caption_len=4, vocab_size=32, seed=2, signal_strength=1.0)
+    regions, tokens, _ = flatten_captions(data)
+    tokens = [caption[:n] for caption, n in zip(tokens, (4, 1, 3, 2))]
+    configs = [
+        ModelConfig(vocab_size=32, d_raw=6, embed_dim=5, hidden_dim=4, sim_dim=3, n_layers=depth,
+                    stream=stream, hierarchical=gated, row_softmax=softmax, share_sim_w=shared,
+                    max_caption_len=4)
+        for stream in STREAMS for gated in (False, True) for softmax in (False, True)
+        for shared in (False, True) for depth in (0, 1, 2)
+    ]
+    assert len(configs) == 72
+    for cfg in configs:
+        params = init_params(cfg, seed=0)
+        _, loss = training.batch_loss(params, cfg, 0.2, regions, tokens)
+        grads = backward(loss, params)
+        state = adam_init(params)
+        stepped, _ = adam_step(params, grads, state, lr=0.01)
+        save_checkpoint(tmp_path, stepped, cfg)
+        loaded, _ = load_checkpoint(tmp_path)
+        arrays = {"grad": grads, "init": params, "step": stepped, "load": loaded}
+        for kind, store in arrays.items():
+            for name in params.names():
+                assert store[name].data.flags.c_contiguous, (cfg, kind, name)
+        for name in params.names():
+            assert state.m[name].flags.c_contiguous and state.v[name].flags.c_contiguous, (cfg, name)
+
+
 # 1e200 is finite, but its square, and so v, would not be
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 def test_adam_stops_on_a_non_finite_gradient_before_returning(bad):
-    # "big" sorts first: plant the value in its second block, and in "one",
+    # "big" sorts first: plant the value in its third run, and in "one",
     # which sorts after it; planted in "one" alone, it comes after every
-    # block of "big" has passed the check
+    # run of "big" has passed the check
     for planted in (("big", "one"), ("one",)):
         store, draw = _adam_problem(8)
         state = adam_init(store)
