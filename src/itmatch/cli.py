@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, gradcheck, ablate.  A plain-text
-``key: value`` file can seed any subcommand through ``--config``; flags
-given on the command line win.  Exit codes: 0 success, 2 configuration
-or usage error, 3 io/data error, 4 verification failure.
+``key: value`` file can seed any subcommand through ``--config``, spelled
+in full; flags given on the command line win.  Exit codes: 0 success,
+2 configuration or usage error, 3 io/data error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from .dataio import gen_synthetic, read_dataset, write_dataset
+from .dataio import SPLITS, gen_synthetic, read_dataset, write_dataset
 from .errors import ConfigError, DataError, InputError, ItmatchError
 from .evaluation import RANKS, evaluate, rsum
 from .gradcheck import run_gradcheck
@@ -26,7 +26,6 @@ from .training import (
     load_checkpoint,
     save_checkpoint,
     train,
-    write_loss_csv,
 )
 
 EXIT_OK = 0
@@ -87,12 +86,13 @@ def _add_train_flags(p: argparse.ArgumentParser, batch: int, epochs: int | None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="itmatch",
-        description="image-text matching with similarity-graph reasoning",
+        description="image-text matching with similarity-graph reasoning; after the"
+        " subcommand, --config FILE (spelled in full) seeds its flags from a key: value file,"
+        " and flags given on the command line win",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset directory")
-    p.add_argument("--config", default=None, help="key: value file of flag defaults")
     p.add_argument("--out", default="dataset")
     p.add_argument("--pairs", type=int, default=16)
     p.add_argument("--k", type=int, default=36, help="regions per image")
@@ -104,11 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--captions-per-image", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default="synthetic")
-    p.add_argument("--split", choices=("train", "val", "test"), default="train")
+    p.add_argument("--split", choices=SPLITS, default="train")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train and save the best checkpoint")
-    p.add_argument("--config", default=None)
     p.add_argument("--data", required=True, help="training dataset directory")
     p.add_argument("--val", default=None, help="validation dataset (training set if omitted)")
     p.add_argument("--out", default="checkpoint", help="checkpoint directory")
@@ -121,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p.add_argument("--config", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--folds", type=int, default=1)
@@ -129,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    p.add_argument("--config", default=None)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--caption-len", type=int, default=5)
     p.add_argument("--draw", type=int, default=16)
@@ -145,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="train/evaluate a grid of configurations")
-    p.add_argument("--config", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--val", default=None)
     p.add_argument("--out-csv", default=None)
@@ -162,41 +158,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    """Splice --config file entries in front of explicit flags."""
+    """Splice the --config file's entries in front of the other arguments,
+    so explicit flags win.  Only the full spelling is read here: any other
+    (``--conf``, a ``config:`` key in the file) reaches the subcommand,
+    which has no such flag and exits 2."""
     if not argv or argv[0].startswith("-"):
         return argv
-    command, rest = argv[0], argv[1:]
-    path = None
-    kept: list[str] = []
-    i = 0
-    while i < len(rest):
-        arg = rest[i]
-        if arg == "--config":
-            if i + 1 >= len(rest):
-                raise ConfigError("--config needs a file path")
-            path = rest[i + 1]
-            i += 2
-            continue
-        if arg.startswith("--config="):
-            path = arg.partition("=")[2]
-            i += 1
-            continue
-        kept.append(arg)
-        i += 1
-    if path is None:
+    pre = argparse.ArgumentParser(prog="itmatch", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv[1:])
+    if known.config is None:
         return argv
     try:
-        fields = read_kv(path)
+        fields = read_kv(known.config)
     except DataError as err:
         raise ConfigError(f"bad config file: {err}") from None
-    file_args = [f"--{key.replace('_', '-')}={value}" for key, value in fields.items()]
-    return [command] + file_args + kept
+    return [argv[0]] + [f"--{key.replace('_', '-')}={value}" for key, value in fields.items()] + rest
 
 
 def _echo_config(args: argparse.Namespace) -> None:
     print("effective config:")
     for dest in sorted(vars(args)):
-        if dest in ("func", "config"):
+        if dest == "func":
             continue
         print(f"  {dest.replace('_', '-')} = {getattr(args, dest)}")
 
@@ -210,12 +193,12 @@ def _print_recall_table(sentence, image) -> None:
     print(f"rsum {rsum([sentence, image]):.1f}")
 
 
-def _write_recall_csv(path: str, rows: list[dict]) -> None:
-    keys = list(rows[0])
+def _write_csv(path: str, header, rows) -> None:
+    """`header` and then each row, comma-joined, written through ``replacing``."""
     with replacing(path) as fh:
-        fh.write(",".join(keys) + "\n")
+        fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(str(row[key]) for key in keys) + "\n")
+            fh.write(",".join(str(value) for value in row) + "\n")
 
 
 def cmd_gen_data(args) -> int:
@@ -295,7 +278,7 @@ def cmd_train(args) -> int:
     config = _train_config(args, cfg)
     result = train(bundles, config, val_bundles=val_bundles)
     save_checkpoint(args.out, result.best_params, config.model)
-    write_loss_csv(loss_csv, result.loss_curve)
+    _write_csv(loss_csv, ("step", "loss"), result.loss_curve)
     final_loss = result.loss_curve[-1][1] if result.loss_curve else float("nan")
     print(f"trained {len(result.loss_curve)} steps; final loss {final_loss:.6f}")
     print(f"best validation rsum {result.best_rsum:.1f} at epoch {result.best_epoch}")
@@ -304,6 +287,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out_csv:
+        refuse_directory(args.out_csv)  # before the set is scored, not after
     params, cfg = load_checkpoint(args.checkpoint)
     bundles, manifest = read_dataset(args.data)
     if manifest.d_raw != cfg.d_raw:
@@ -322,13 +307,9 @@ def cmd_eval(args) -> int:
     sentence, image = evaluate(params, cfg, bundles, folds=args.folds)
     _print_recall_table(sentence, image)
     if args.out_csv:
-        rows = []
-        for result in (sentence, image):
-            row = {"direction": result.direction}
-            row.update({f"r{k}": result.r_at[k] for k in RANKS})
-            rows.append(row)
-        rows.append({"direction": "rsum", "r1": rsum([sentence, image]), "r5": "", "r10": ""})
-        _write_recall_csv(args.out_csv, rows)
+        rows = [[result.direction, *(result.r_at[k] for k in RANKS)] for result in (sentence, image)]
+        rows.append(["rsum", rsum([sentence, image]), "", ""])
+        _write_csv(args.out_csv, ["direction", *(f"r{k}" for k in RANKS)], rows)
     return EXIT_OK
 
 
@@ -404,7 +385,7 @@ def cmd_ablate(args) -> int:
         )
         print(f"{row['layers']:>6} {row['hierarchical']:>5} {row['stream']:>9}{cells}")
     if args.out_csv:
-        _write_recall_csv(args.out_csv, rows)
+        _write_csv(args.out_csv, list(rows[0]), [row.values() for row in rows])
     return EXIT_OK
 
 

@@ -97,7 +97,7 @@ def write_dataset(
     if not reads_back(name):
         raise ConfigError(f"name must have no line break and no whitespace at either end, got {name!r}")
     if split not in SPLITS:
-        raise DataError(f"split must be one of {SPLITS}, got {split!r}")
+        raise ConfigError(f"split must be one of {SPLITS}, got {split!r}")
     k, d_raw = _validate_bundles(bundles, vocab_size)
 
     regions = np.concatenate(
@@ -238,7 +238,7 @@ def gen_synthetic(
 
     def encode_token(code: np.ndarray, position: int) -> int:
         coord = position % LATENT_DIM
-        level = int(np.clip((code[coord] + 3.0) / 6.0 * n_bins, 0, n_bins - 1))
+        level = int(min(max((code[coord] + 3.0) / 6.0 * n_bins, 0), n_bins - 1))
         return (coord * n_bins + level) % vocab_size
 
     bundles: list[FeatureBundle] = []

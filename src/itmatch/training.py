@@ -34,7 +34,7 @@ import numpy as np
 from .dataio import FeatureBundle
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import RetrievalResult, evaluate, flatten_captions, rsum
-from .kvfile import MANIFEST_FILE, Container, replacing, write_container
+from .kvfile import MANIFEST_FILE, Container, write_container
 from .model import ModelConfig, init_params, param_shapes, score_grid
 from .scoring import LossBatch, bidirectional_ranking_loss
 from .tensor import ParamStore, Tensor, backward
@@ -284,13 +284,6 @@ def train(
         loss_curve=loss_curve,
         val_history=val_history,
     )
-
-
-def write_loss_csv(path: str | os.PathLike, curve: list[tuple[int, float]]) -> None:
-    with replacing(path) as fh:
-        fh.write("step,loss\n")
-        for step, loss in curve:
-            fh.write(f"{step},{loss!r}\n")
 
 
 def _shape_text(shape: tuple[int, ...]) -> str:

@@ -152,6 +152,19 @@ def test_eval_csv_output(tmp_path, capsys):
     assert len(lines) == 4  # header, sentence, image, rsum
 
 
+def test_eval_refuses_an_out_csv_path_that_is_a_directory_before_scoring(tmp_path, capsys, monkeypatch):
+    data = _gen(tmp_path)
+    csv = tmp_path / "existing_dir"
+    csv.mkdir()
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *args: pytest.fail("eval loaded the checkpoint"))
+    rc = main(["eval", "--data", data, "--checkpoint", str(tmp_path / "ckpt"), "--out-csv", str(csv)])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert f"error: {csv}: is a directory" in err
+    assert "rsum" not in out
+    assert os.listdir(csv) == []
+
+
 def test_eval_rejects_mismatched_features(tmp_path, capsys):
     data = _gen(tmp_path)
     wide = str(tmp_path / "wide")
@@ -534,13 +547,11 @@ class _Unprintable:
 
 def test_recall_csv_failure_leaves_the_old_file(tmp_path):
     path = tmp_path / "recall.csv"
-    cli._write_recall_csv(str(path), [{"direction": "rsum", "r1": 1.5}])
+    cli._write_csv(str(path), ["direction", "r1"], [["rsum", 1.5]])
     old = path.read_bytes()
     # the header and the first row are written before the second row fails
     with pytest.raises(RuntimeError, match="planted failure"):
-        cli._write_recall_csv(
-            str(path), [{"direction": "a", "r1": 2.0}, {"direction": "b", "r1": _Unprintable()}]
-        )
+        cli._write_csv(str(path), ["direction", "r1"], [["a", 2.0], ["b", _Unprintable()]])
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["recall.csv"]
 
@@ -657,3 +668,46 @@ def test_config_malformed_file_is_usage_error(tmp_path, capsys):
     rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")])
     assert rc == 2
     assert "bad config file" in capsys.readouterr().err
+
+
+def test_explicit_flag_before_the_config_file_wins(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("pairs: 6\n")
+    rc = main(["gen-data", "--pairs", "3", "--config", str(cfg), "--out", str(tmp_path / "d"),
+               "--k", "2", "--draw", "6", "--vocab", "32"])
+    assert rc == 0
+    assert "wrote 3 images" in capsys.readouterr().out
+
+
+def test_config_abbreviated_is_refused_not_ignored(tmp_path, capsys):
+    # --config must be spelled in full; a prefix is an unknown flag, so the
+    # file is never silently dropped
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("pairs: 3\n")
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--conf", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --conf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_key_inside_a_config_file_is_refused(tmp_path, capsys):
+    (tmp_path / "other.cfg").write_text("pairs: 3\n")
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"config: {tmp_path / 'other.cfg'}\n")
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_without_a_path_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--out", str(out), "--config"])
+    assert exc.value.code == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
+    assert not out.exists()

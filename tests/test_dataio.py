@@ -90,6 +90,19 @@ def test_gen_synthetic_same_seed_same_data():
     )
 
 
+def test_gen_synthetic_output_is_pinned():
+    # regions and token lists of one seed, bit for bit; a change to how
+    # tokens or regions are drawn shows here
+    bundles = gen_synthetic(4, 3, 5, 9, 64, seed=7, signal_strength=0.7, captions_per_image=2)
+    digest = hashlib.sha256()
+    for b in bundles:
+        digest.update(np.asarray(b.regions, dtype="<f8").tobytes())
+        for caption in b.captions:
+            assert all(type(t) is int for t in caption)
+            digest.update(np.asarray(caption, dtype="<u4").tobytes())
+    assert digest.hexdigest() == "dae452f258de98cec62bd7661f4437e062b74f3fd88f39462a128ea5fa9ea362"
+
+
 def test_gen_synthetic_regions_live_on_float32_grid():
     bundles = gen_synthetic(3, 2, 4, 3, 16, seed=5, signal_strength=0.3)
     for b in bundles:
@@ -185,6 +198,15 @@ def test_wrong_format_version_is_rejected(tmp_path):
     )
     with pytest.raises(DataError, match="version"):
         read_dataset(out)
+
+
+def test_write_dataset_refuses_a_bad_split_as_a_config_error(tmp_path):
+    # the split is the caller's choice, like the name: refused before any file is opened
+    bundles = gen_synthetic(2, 2, 4, 3, 16, seed=0, signal_strength=0.5)
+    out = tmp_path / "d"
+    with pytest.raises(ConfigError, match=r"split must be one of \('train', 'val', 'test'\), got 'dev'"):
+        write_dataset(bundles, out, vocab_size=16, split="dev")
+    assert not out.exists()
 
 
 def test_bad_split_is_rejected(tmp_path):

@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from itmatch import cli, training
 from itmatch import tensor as tt
-from itmatch import training
 from itmatch.dataio import gen_synthetic
 from itmatch.errors import ConfigError, ContractError, DataError
 from itmatch.evaluation import evaluate, flatten_captions, rsum
@@ -26,7 +26,6 @@ from itmatch.training import (
     load_checkpoint,
     save_checkpoint,
     train,
-    write_loss_csv,
 )
 
 
@@ -709,16 +708,27 @@ def test_checkpoint_disagreeing_with_its_own_config_is_rejected(tmp_path):
 
 # ------------------------------------------------------------ loss csv
 
+def _write_loss_csv(path, curve):
+    # the CLI's one CSV writer, as `train` calls it for the loss curve
+    cli._write_csv(path, ("step", "loss"), curve)
+
+
 def test_write_loss_csv_roundtrips_exact_floats(tmp_path):
     curve = [(1, 3.0626954469277097), (2, 0.8), (3, 1.0 / 3.0)]
     path = tmp_path / "loss.csv"
-    write_loss_csv(path, curve)
+    _write_loss_csv(path, curve)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,loss"
     for (step, loss), line in zip(curve, lines[1:]):
         s, _, v = line.partition(",")
         assert int(s) == step
         assert float(v) == loss
+
+
+def test_write_loss_csv_of_an_empty_curve_writes_its_header(tmp_path):
+    path = tmp_path / "loss.csv"
+    _write_loss_csv(path, [])
+    assert path.read_text() == "step,loss\n"
 
 
 class _Unprintable:
@@ -728,10 +738,10 @@ class _Unprintable:
 
 def test_write_loss_csv_failure_leaves_the_old_file(tmp_path):
     path = tmp_path / "loss.csv"
-    write_loss_csv(path, [(1, 0.5)])
+    _write_loss_csv(path, [(1, 0.5)])
     old = path.read_bytes()
     # the header and the first row are written before the second row fails
     with pytest.raises(RuntimeError, match="planted failure"):
-        write_loss_csv(path, [(1, 0.25), (2, _Unprintable())])
+        _write_loss_csv(path, [(1, 0.25), (2, _Unprintable())])
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["loss.csv"]
