@@ -2,9 +2,9 @@
 
 A tile pairs every image of an (I, 1, k, d) region stack with every
 caption of a (C, n, d) word stack: the images' length-1 caption axis,
-given them by the encoder, broadcasts against the C captions.  Captions
-shorter than n are zero-padded, and a (C, n) boolean word mask marks their
-real words.  Results carry the (images, captions) axes in front.
+given them by the encoder, broadcasts against the C captions; P aligned
+pairs meet one to one as (P, 1, k, d) and (P, 1, n, d).  Zero-padded words
+are False in the (C, n) or (P, 1, n) word mask; results lead with those axes.
 Attention weights are laid out as their consumer multiplies them:
 image-to-text weights word-major (I, C, n, k), ready to attend over the
 (I, 1, k, d) regions, and text-to-image weights region-major (I, C, k, n),
@@ -82,10 +82,10 @@ def _unit_rows(x: Tensor) -> Tensor:
 
 
 def _check_stacks(v: Tensor, t: Tensor) -> None:
-    if v.ndim != 4 or v.shape[1] != 1 or t.ndim != 3 or v.shape[3] != t.shape[2]:
+    if v.ndim != 4 or v.shape[1] != 1 or t.ndim not in (3, 4) or v.shape[3] != t.shape[-1]:
         raise DimensionError(
-            "region and word stacks must be (I, 1, k, d) and (C, n, d) with one joint"
-            f" dimension, got {v.shape} and {t.shape}"
+            "region and word stacks must be (I, 1, k, d) and (C, n, d) or (P, 1, n, d)"
+            f" with one joint dimension, got {v.shape} and {t.shape}"
         )
 
 
@@ -106,9 +106,9 @@ def i2t_weights(cos: Tensor, temperature: float) -> Tensor:
 def t2i_weights(cos: Tensor, temperature: float, word_mask) -> Tensor:
     """Word weights per region (I, C, k, n), each row summing to 1: each word
     column of the cosines l2-normalised over regions, softmaxed over the
-    words the (C, n) `word_mask` marks real."""
+    words the (C, n) or (P, 1, n) `word_mask` marks real."""
     normed = tt.mul(cos, tt.inv_norm(cos, axis=-2))
-    return tt.softmax_rows(tt.mul(normed, temperature), word_mask[:, None, :])
+    return tt.softmax_rows(tt.mul(normed, temperature), word_mask[..., None, :])
 
 
 def local_similarities(
@@ -126,12 +126,12 @@ def local_similarities(
 
     v: (I, 1, k, d) regions with their (I, 1, d) globals; t: (C, n, d) words,
     zero-padded where the (C, n) boolean `word_mask` is False, with their
-    (C, d) globals computed over the real words only.  Each similarity
-    weight is (d, m); a stream whose weight is None is skipped.
+    (C, d) globals computed over the real words only (or P aligned pairs'
+    (P, 1, ...) stacks).  Each weight is (d, m); a None one skips its stream.
     """
     _check_stacks(v, t)
     word_mask = np.asarray(word_mask, dtype=bool)
-    if word_mask.shape != t.shape[:2]:
+    if word_mask.shape != t.shape[:-1]:
         raise DimensionError(f"word mask {word_mask.shape} does not match words {t.shape}")
     s_glob = sim_vec_rows(v_glob, t_glob, w_glob)
     cos = cosines(v, t) if w_i2t is not None or w_t2i is not None else None

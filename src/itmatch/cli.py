@@ -157,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand_config(argv: list[str]) -> list[str]:
+def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Splice the --config file's entries in front of the other arguments,
     so explicit flags win.  Only the full spelling is read here: any other
-    (``--conf``, a ``config:`` key in the file) reaches the subcommand,
-    which has no such flag and exits 2."""
+    (``--conf``) reaches the subcommand, which has no such flag and exits 2,
+    as does a file key that is not exactly one of its flags, named."""
     if not argv or argv[0].startswith("-"):
         return argv
     pre = argparse.ArgumentParser(prog="itmatch", add_help=False, allow_abbrev=False)
@@ -173,7 +173,12 @@ def _expand_config(argv: list[str]) -> list[str]:
         fields = read_kv(known.config)
     except DataError as err:
         raise ConfigError(f"bad config file: {err}") from None
-    return [argv[0]] + [f"--{key.replace('_', '-')}={value}" for key, value in fields.items()] + rest
+    sub = next(a.choices for a in parser._actions if isinstance(a.choices, dict)).get(argv[0])
+    entries = [f"--{key.replace('_', '-')}={value}" for key, value in fields.items()]
+    for key, entry in zip(fields, entries):  # parse_args refuses an unknown subcommand (sub None)
+        if sub and entry.split("=", 1)[0] not in sub._option_string_actions:
+            sub.error(f"unrecognized arguments: {entry} (config file key {key!r} is none of its flags)")
+    return [argv[0]] + entries + rest
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -393,7 +398,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _expand_config(argv)
+        argv = _expand_config(argv, parser)
         args = parser.parse_args(argv)
         _echo_config(args)
         return args.func(args)

@@ -88,7 +88,7 @@ class EncodedImages:
 class EncodedCaptions:
     local: Tensor         # (C, rows, d), zero from row lengths[c] on; rows > max(lengths)
     lengths: np.ndarray   # (C,) word counts
-    glob: Tensor          # (C, d), over each caption's words only
+    glob: Tensor          # (C, d), over each caption's words only; P gathered pairs: (P, 1, ...)
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -213,20 +213,15 @@ def encode_caption(params: ParamStore, cfg: ModelConfig, token_lists) -> Encoded
     return EncodedCaptions(local=local, lengths=lengths, glob=global_feature(local, lengths))
 
 
-def score_tile(
-    params: ParamStore,
-    cfg: ModelConfig,
-    images: EncodedImages,
-    captions: EncodedCaptions,
-) -> Tensor:
-    """Scores (I, C) of every image x caption pairing."""
+def _score_pairs(weights, cfg: ModelConfig, images: EncodedImages, captions: EncodedCaptions) -> Tensor:
+    """Scores (I, C) of (I, 1, ...) images against (C, ...) captions, or (P, 1) of P aligned pairs."""
     lengths = captions.lengths
     # the rows past each caption's last word are zero; the first of them
     # holds its global reasoning node
-    word_mask = np.arange(captions.local.shape[1]) < lengths[:, None]
+    word_mask = np.arange(captions.local.shape[-2]) < lengths[..., None]
 
     def sim_w(name: str) -> Tensor:
-        return params["sim.w_shared" if cfg.share_sim_w else f"sim.{name}"]
+        return weights["sim.w_shared" if cfg.share_sim_w else f"sim.{name}"]
 
     local = local_similarities(
         images.local, captions.local, images.glob, captions.glob, word_mask,
@@ -240,12 +235,31 @@ def score_tile(
         if cfg.n_layers == 0:
             streams.append(local.s_glob)
         else:
-            layers = [layer_params(params, cfg, i) for i in range(cfg.n_layers)]
+            layers = [layer_params(weights, cfg, i) for i in range(cfg.n_layers)]
             streams.append(reason(local.s_i2t, local.s_glob, lengths, layers, row_softmax=cfg.row_softmax))
     if cfg.uses_t2i:
         streams.append(local.s_t2i)
     fused = tt.add(*streams) if len(streams) == 2 else streams[0]
-    return score(fused, params["head.w"])
+    return score(fused, weights["head.w"])
+
+
+def score_tile(params: ParamStore, cfg: ModelConfig, images: EncodedImages, captions: EncodedCaptions) -> Tensor:
+    """Scores (I, C) of every image x caption pairing, one ``tensor.recompute``
+    node whose backward pass scores again, on a tape, only the pairs whose
+    gradient is nonzero, gathered (P, 1, ...) from the encoded tile."""
+    names = [name for name in params.names() if name.startswith(("sim.", "reason.")) or name == "head.w"]
+
+    def entries(leaves: list[Tensor], coords) -> Tensor:
+        (v, v_glob, t, t_glob), lengths = leaves[:4], captions.lengths
+        if coords is not None:
+            i, j = coords[0], coords[1][:, None]
+            v, v_glob, t, t_glob = (tt.take_rows(x, at) for x, at in zip(leaves[:4], (i, i, j, j)))
+            lengths = lengths[j]
+        weights = dict(zip(names, leaves[4:]))
+        return _score_pairs(weights, cfg, EncodedImages(v, v_glob), EncodedCaptions(t, lengths, t_glob))
+
+    tile = [images.local, images.glob, captions.local, captions.glob]
+    return tt.recompute(tile + [params[name] for name in names], entries)
 
 
 def score_grid(params: ParamStore, cfg: ModelConfig, region_list, token_lists) -> Tensor:

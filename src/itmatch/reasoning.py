@@ -85,10 +85,11 @@ def reason(
     layers: Sequence[ReasonLayerParams],
     row_softmax: bool = False,
 ) -> Tensor:
-    """Reason over the image-to-text node sets; return their global nodes (..., C, m).
+    """Reason over the image-to-text node sets; return their global nodes (..., m).
 
-    local: (..., C, n, m) word nodes, caption c's zero from row lengths[c]
-    on; glob: (..., C, m) global similarity vectors.  Each global vector is
+    local: (..., n, m) word nodes, zero from row lengths[c] on, where
+    `lengths` has the last leading axes of local, (C,) of (..., C, n, m) or
+    (P, 1) of (P, 1, n, m); glob: (..., m) global vectors.  Each global vector is
     placed in row lengths[c], the rows after it are padding, and after the
     last layer one gather reads row lengths[c] back by its coordinates.
     """
@@ -97,14 +98,13 @@ def reason(
     lengths = np.asarray(lengths, dtype=np.intp)
     if local.ndim < 3 or glob.shape != local.shape[:-2] + local.shape[-1:]:
         raise DimensionError(f"local rows {local.shape} do not match the global vectors {glob.shape}")
-    n_captions, n = local.shape[-3:-1]
-    if lengths.shape != (n_captions,) or np.any(lengths < 0) or np.any(lengths >= n):
-        raise DimensionError(f"need {n_captions} caption lengths below {n}, got {lengths.tolist()}")
+    n = local.shape[-2]
+    if local.shape[-2 - lengths.ndim:-2] != lengths.shape or np.any(lengths < 0) or np.any(lengths >= n):
+        raise DimensionError(f"need {local.shape[-3]} caption lengths below {n}, got {lengths.tolist()}")
     # each global row times a one-hot column places it: 1 * g and 0 * g are exact
-    one_hot = np.zeros((n_captions, n, 1))
-    one_hot[np.arange(n_captions), lengths, 0] = 1.0
+    one_hot = (np.arange(n) == lengths[..., None])[..., None].astype(np.float64)
     current = tt.add(local, tt.mul(tt.reshape(glob, glob.shape[:-1] + (1, glob.shape[-1])), one_hot))
-    node_mask = np.arange(n) <= lengths[:, None]
+    node_mask = np.arange(n) <= lengths[..., None]
     for layer in layers:
         current = reason_step(current, layer, node_mask, row_softmax=row_softmax)
     return tt.take_rows(current, np.indices(glob.shape[:-1], sparse=True) + (lengths,))

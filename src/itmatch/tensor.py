@@ -22,7 +22,8 @@ product however many matrices it holds.  ``inv_norm`` keeps the axis it
 reduces, so scaling by it is a broadcast ``mul``.  ``take_rows``, the one
 gather, takes entries by their coordinates along the leading axes.
 ``gru_sequence`` runs one GRU direction over a padded batch of sequences
-as a single node with a hand-written backward pass.
+as a single node with a hand-written backward pass.  ``recompute`` tapes
+again, in its backward pass, only the entries that get a nonzero gradient.
 All storage is 64-bit floats and result arrays are frozen (read-only) on
 creation, so tensors behave as immutable values.
 """
@@ -46,15 +47,19 @@ _grad_enabled = True
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block (evaluation fast path)."""
+def _grad_mode(enabled: bool):
     global _grad_enabled
     previous = _grad_enabled
-    _grad_enabled = False
+    _grad_enabled = enabled
     try:
         yield
     finally:
         _grad_enabled = previous
+
+
+def no_grad():
+    """Disable graph recording inside the block (evaluation fast path)."""
+    return _grad_mode(False)
 
 
 class Tensor:
@@ -533,6 +538,27 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = Fa
     return _record(out, parents, backward_fn)
 
 
+def recompute(inputs: Sequence[Tensor], entries: Callable[[list[Tensor], tuple | None], Tensor]) -> Tensor:
+    """Every entry ``entries(inputs, None)`` gives, computed with no tape, as
+    one node.  Its backward pass tapes ``entries(leaves, coords)``, which
+    gives just the entries at the ``np.nonzero`` coordinates of the incoming
+    gradient, in order, from fresh leaves of the inputs; with no such entry
+    it builds no tape."""
+    with no_grad():
+        out = entries(list(inputs), None).data
+
+    def backward_fn(g):
+        coords = np.nonzero(g)
+        leaves = [Tensor(x.data, True) if x.requires_grad else x for x in inputs]
+        grads = {}
+        if coords[0].size:
+            with _grad_mode(True):
+                picked = entries(leaves, coords)
+            grads = _walk(picked, g[coords].reshape(picked.data.shape))
+        return tuple(grads.get(id(x), np.zeros(x.data.shape)) if x.requires_grad else None for x in leaves)
+    return _record(out, tuple(inputs), backward_fn)
+
+
 # --- parameter store ----------------------------------------------------------
 
 
@@ -571,19 +597,12 @@ class ParamStore:
 # --- reverse-mode differentiation ---------------------------------------------
 
 
-def backward(loss: Tensor, params: ParamStore) -> dict[str, Tensor]:
-    """Gradient of a scalar loss for every parameter in the store.
-
-    Parameters that do not appear in the loss graph get zero gradients.
-    Each gradient is a read-only constant.
-    """
-    if loss.data.shape != ():
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-
+def _walk(root: Tensor, seed: Array) -> dict[int, Array]:
+    """Gradients of ``sum(seed * root)`` by leaf id: the graph replayed in reverse topological order."""
     # iterative post-order DFS; creation order alone is not available here
     topo: list[Tensor] = []
     visited: set[int] = set()
-    work: list[tuple[Tensor, bool]] = [(loss, False)]
+    work: list[tuple[Tensor, bool]] = [(root, False)]
     while work:
         node, expanded = work.pop()
         if expanded:
@@ -597,14 +616,14 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, Tensor]:
             if id(parent) not in visited:
                 work.append((parent, False))
 
-    grads: dict[int, Array] = {id(loss): np.ones(())}
+    grads: dict[int, Array] = {id(root): seed}
     # a first contribution is stored as handed over, and it may be another
     # node's gradient (add passes one array to both parents); the second
     # allocates a buffer this loop owns, and later ones add into it in place
     owned: set[int] = set()
     for node in reversed(topo):
         if node._backward is None:
-            continue  # leaf: its entry must survive for collection below
+            continue  # leaf: its entry must survive for collection
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -619,8 +638,19 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, Tensor]:
                 owned.add(key)
             else:
                 grads[key] = pg
+    return grads
 
-    # nothing reads or writes the buffers after this loop, so each gradient
+
+def backward(loss: Tensor, params: ParamStore) -> dict[str, Tensor]:
+    """Gradient of a scalar loss for every parameter in the store.
+
+    Parameters that do not appear in the loss graph get zero gradients.
+    Each gradient is a read-only constant.
+    """
+    if loss.data.shape != ():
+        raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    grads = _walk(loss, np.ones(()))
+    # nothing reads or writes the buffers after the walk, so each gradient
     # is frozen and handed over as it is, not copied
     out: dict[str, Tensor] = {}
     for name, tensor in params.items():

@@ -1,15 +1,15 @@
 """Training loop, Adam, and checkpoint files.
 
-Each step scores every image against every caption of its batch, applies
-the bidirectional hinge loss against the hardest in-batch negatives
-(``batch_loss``, the one taped forward pass of a batch, which gradcheck
-shares), and takes one Adam step.  Adam's moments live in an
-``AdamState`` that each step advances in place, while every step writes
-its parameters into fresh arrays, so the run can keep the parameter
-snapshot with the best validation rsum without a copy.  Each step runs in
-its own call, so only one step's tape and gradients are alive at a time.
-Everything is driven by explicit seeds; two identical runs produce
-bitwise-identical loss curves.
+Each step scores every image against every caption of its batch with no
+tape (``backward`` tapes the pairs the loss reads), applies the hinge loss
+against the hardest in-batch negatives (``batch_loss``, the one taped
+forward pass of a batch, which gradcheck shares), and takes one Adam
+step.  Adam's moments live in an ``AdamState`` that each step advances in
+place, while every step writes its parameters into fresh arrays, so the
+run can keep the parameter snapshot with the best validation rsum without
+a copy.  Each step runs in its own call, so only one step's tape and
+gradients are alive at a time.  Everything is driven by explicit seeds;
+two identical runs produce bitwise-identical loss curves.
 
 A checkpoint is a ``kvfile`` container (format ``itmatch-checkpoint``,
 version 2): the manifest holds the dtype, every ``ModelConfig`` field as

@@ -711,3 +711,27 @@ def test_config_without_a_path_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--config: expected one argument" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_key_must_name_a_flag_exactly(tmp_path, capsys):
+    # argparse would take --pair for --pairs; a file key is matched exactly
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("pair: 3\n")
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--config", str(cfg), "--out", str(out), "--k", "2", "--draw", "6", "--vocab", "32"])
+    assert exc.value.code == 2
+    assert "config file key 'pair'" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text("pairs: 3\n")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out), "--k", "2", "--draw", "6", "--vocab", "32"]) == 0
+    assert "wrote 3 images" in capsys.readouterr().out
+
+
+def test_typed_flags_keep_their_abbreviations_beside_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("pairs: 6\n")
+    rc = main(["gen-data", "--config", str(cfg), "--pai", "4", "--out", str(tmp_path / "d"),
+               "--k", "2", "--draw", "6", "--vocab", "32"])
+    assert rc == 0
+    assert "wrote 4 images" in capsys.readouterr().out

@@ -9,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from itmatch import model
+from itmatch import model, training
 from itmatch import tensor as tt
+from itmatch.attention import local_similarities
 from itmatch.errors import ConfigError, DimensionError
 from itmatch.gradcheck import run_gradcheck
 from itmatch.model import ModelConfig, init_params, score_grid, score_matrix
-from itmatch.scoring import LossBatch, bidirectional_ranking_loss
+from itmatch.reasoning import reason
+from itmatch.scoring import LossBatch, bidirectional_ranking_loss, score
 from scalar_reference import ref_pair_score, ref_ranking_loss, weights_as_lists
 
 STREAMS = ("both", "i2t_only", "t2i_only")
@@ -280,22 +282,28 @@ def _reachable(roots):
     return seen
 
 
-# tape nodes of one whole training step (both encoders, the tile and the
-# loss) at the README widths with 3 layers, at any batch size; README.md
-# quotes the "both" count.  Images are encoded with their caption axis, so
-# neither the projection nor attention reshapes them (146 and 152 when the
-# projection reshaped its rows back and attention reshaped the regions,
-# their unit rows and their globals; 142 and 148 when the reasoning readout
-# and the loss gathered flat rows behind a reshape each)
-STEP_TAPE_NODES = {"both": 140, "row_softmax": 146}
-# the "both" step's nodes by op; its one reshape gives each caption's global
-# vector the row axis it is placed along (the reasoning readout and the loss
-# gather their entries by coordinates, with no reshape)
-STEP_CENSUS = {
-    "add": 9, "conv2d_3x3": 3, "gru_sequence": 2, "inv_norm": 7, "matmul": 26, "mul": 18,
-    "relu": 2, "reshape": 1, "sigmoid": 3, "softmax_rows": 2, "square": 5, "sub": 4,
-    "sum": 5, "take_rows": 4, "transpose": 5,
-}
+# tape nodes of one whole training step at the README widths with 3
+# layers, at any batch size: the outer step tape (both encoders, the
+# tile's one recompute node and the loss) and the recompute tape its
+# backward pass builds for the pairs the loss reads (their gathers, the
+# pair path and its leaves).  README.md quotes the "both" counts.  When
+# the step taped every pair of the tile, it was one tape of 140 and 146
+# nodes.
+STEP_TAPE_NODES = {"both": (65, 106), "row_softmax": (65, 112)}
+# the "both" step's op nodes by op, per tape; the recompute tape's one
+# reshape gives each pair's global vector the row axis it is placed along,
+# and its five gathers are the four encoded inputs' and the reasoning
+# readout
+STEP_CENSUS = (
+    {
+        "add": 3, "gru_sequence": 2, "matmul": 1, "mul": 3, "recompute": 1, "relu": 1,
+        "square": 2, "sub": 1, "sum": 4, "take_rows": 3,
+    },
+    {
+        "add": 6, "conv2d_3x3": 3, "inv_norm": 7, "matmul": 25, "mul": 15, "relu": 1, "reshape": 1,
+        "sigmoid": 3, "softmax_rows": 2, "square": 3, "sub": 3, "sum": 1, "take_rows": 5, "transpose": 5,
+    },
+)
 
 
 def _step_inputs(name):
@@ -311,9 +319,20 @@ def _step_inputs(name):
     return cfg, params, raws, token_lists
 
 
-def _step_nodes(cfg, params, region_list, token_batch):
-    grid = score_grid(params, cfg, region_list, token_batch)
-    return _reachable([bidirectional_ranking_loss(LossBatch(grid, 0.2))]).values()
+def _step_tapes(cfg, params, region_list, token_batch):
+    """The nodes of each tape one training step walks: the outer step tape,
+    then the recompute tape built inside its backward pass."""
+    walked, walk = [], tt._walk
+
+    def recording(root, seed):
+        walked.append(list(_reachable([root]).values()))
+        return walk(root, seed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tt, "_walk", recording)
+        grid = score_grid(params, cfg, region_list, token_batch)
+        tt.backward(bidirectional_ranking_loss(LossBatch(grid, 0.2)), params)
+    return walked
 
 
 @pytest.mark.parametrize("name", sorted(STEP_TAPE_NODES))
@@ -328,22 +347,155 @@ def test_tile_tape_nodes_do_not_grow_with_the_batch(name):
         encoded = _reachable([images.local, images.glob, captions.local, captions.glob])
         scores = model.score_tile(params, cfg, images, captions)
         tile_counts.append(len(set(_reachable([scores])) - set(encoded)))
-        tape_counts.append(len(_step_nodes(cfg, params, region_list, token_batch)))
+        tape_counts.append(tuple(len(nodes) for nodes in _step_tapes(cfg, params, region_list, token_batch)))
     assert tile_counts[0] == tile_counts[1]
     assert tape_counts == [STEP_TAPE_NODES[name]] * 2
 
 
 def test_step_census_by_op():
     cfg, params, raws, token_lists = _step_inputs("both")
-    nodes = _step_nodes(cfg, params, [raws[i % 5] for i in range(16)], [token_lists[j % 6] for j in range(16)])
-    ops = Counter(node._backward.__qualname__.split(".")[0] for node in nodes if node._backward)
-    assert dict(ops) == STEP_CENSUS
+    tapes = _step_tapes(cfg, params, [raws[i % 5] for i in range(16)], [token_lists[j % 6] for j in range(16)])
+    ops = [Counter(node._backward.__qualname__.split(".")[0] for node in nodes if node._backward) for nodes in tapes]
+    assert tuple(dict(census) for census in ops) == STEP_CENSUS
 
 
 def test_readme_quotes_the_pinned_step_count():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    quoted = re.findall(r"is (\d+) tape\s+nodes", readme)
-    assert quoted == [str(STEP_TAPE_NODES["both"])]
+    outer, recompute = STEP_TAPE_NODES["both"]
+    assert re.findall(r"is (\d+) tape\s+nodes", readme) == [str(outer)]
+    assert re.findall(r"recompute\s+tape\s+of\s+(\d+)\s+nodes", readme) == [str(recompute)]
+
+
+def test_one_training_step_calls_backward_once(monkeypatch):
+    # the recompute node walks its own tape without the module's backward,
+    # which a tracer wraps: a nested call would count that walk twice
+    cfg, params, raws, token_lists = _step_inputs("both")
+    config = training.TrainConfig(model=cfg, batch_size=6)
+    calls, backward = [], tt.backward
+
+    def counted(*args):
+        calls.append(args)
+        return backward(*args)
+
+    monkeypatch.setattr(tt, "backward", counted)
+    monkeypatch.setattr(training, "backward", counted)
+    training._train_step(params, training.adam_init(params), config, [raws[i % 5] for i in range(6)], token_lists, 2e-4)
+    assert len(calls) == 1
+
+
+# --- the recompute node against one full tape over every pair -------------------
+
+
+def _full_tape_grid(params, cfg, region_list, token_lists):
+    """The (b, b) grid as one tape over every pair: the public functions
+    ``score_tile`` composes, on the grid layout, with no recompute node."""
+    images = model.encode_image(params, cfg, region_list)
+    captions = model.encode_caption(params, cfg, token_lists)
+
+    def sim_w(name):
+        return params["sim.w_shared" if cfg.share_sim_w else f"sim.{name}"]
+
+    local = local_similarities(
+        images.local, captions.local, images.glob, captions.glob,
+        np.arange(captions.local.shape[1]) < captions.lengths[:, None], cfg.temperature, sim_w("w_glob"),
+        w_i2t=sim_w("w_i2t") if cfg.uses_i2t and cfg.n_layers else None,
+        w_t2i=sim_w("w_t2i") if cfg.uses_t2i else None,
+    )
+    streams = []
+    if cfg.uses_i2t:
+        layers = [model.layer_params(params, cfg, i) for i in range(cfg.n_layers)]
+        streams.append(
+            reason(local.s_i2t, local.s_glob, captions.lengths, layers, row_softmax=cfg.row_softmax)
+            if layers else local.s_glob
+        )
+    if cfg.uses_t2i:
+        streams.append(local.s_t2i)
+    return score(tt.add(*streams) if len(streams) == 2 else streams[0], params["head.w"])
+
+
+def _hinge_loss(grid):
+    return bidirectional_ranking_loss(LossBatch(grid, 0.2))
+
+
+def _assert_gradients_match_the_full_tape(cfg, params, raws, token_lists, loss=_hinge_loss):
+    grid = score_grid(params, cfg, raws, token_lists)
+    full = _full_tape_grid(params, cfg, raws, token_lists)
+    assert np.array_equal(grid.data, full.data)  # the values are the full tape's, bit for bit
+    produced, expected = tt.backward(loss(grid), params), tt.backward(loss(full), params)
+    for name in params.names():
+        a, b = produced[name].data, expected[name].data
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+def _readme_batch(seed, b, k=4, lengths=(2, 6), scale=0.05, **widths):
+    cfg = ModelConfig(**{
+        "vocab_size": 256, "d_raw": 32, "embed_dim": 32, "hidden_dim": 32, "sim_dim": 16, "n_layers": 3, **widths,
+    })
+    rng = np.random.default_rng(5000 + seed)
+    params = _jitter(init_params(cfg, seed=seed), rng, scale=scale)
+    raws = [rng.normal(size=(k, cfg.d_raw)) for _ in range(b)]
+    sizes = rng.integers(lengths[0], lengths[1] + 1, size=b)
+    token_lists = [[int(t) for t in rng.integers(0, cfg.vocab_size, size=n)] for n in sizes]
+    return cfg, params, raws, token_lists
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_recomputed_gradients_match_the_full_tape_at_readme_widths(seed):
+    _assert_gradients_match_the_full_tape(*_readme_batch(seed, b=16))
+
+
+def test_recomputed_gradients_match_the_full_tape_at_paper_shape_ratios():
+    # k = 36 regions and 11-14 words, at toy widths
+    batch = _readme_batch(3, b=4, k=36, lengths=(11, 14), d_raw=8, embed_dim=6, hidden_dim=8, sim_dim=6, scale=0.2)
+    _assert_gradients_match_the_full_tape(*batch)
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_CONFIGS))
+def test_recomputed_gradients_match_the_full_tape_in_every_stream_layout(name):
+    cfg, params, raws, token_lists = _mixed_instance(name, seed=4)
+    _assert_gradients_match_the_full_tape(cfg, params, raws, token_lists[:5])
+
+
+def test_recomputed_gradients_match_the_full_tape_with_planted_ties():
+    # a repeated image and a repeated caption give rows and columns of
+    # equal scores, so hardest negatives tie and take the lowest index
+    cfg, params, raws, token_lists = _mixed_instance("both", seed=5)
+    raws = [raws[0], raws[1], raws[0], raws[2]]
+    token_lists = [token_lists[1], token_lists[2], token_lists[3], token_lists[2]]
+    with tt.no_grad():
+        grid = score_grid(params, cfg, raws, token_lists).data
+    assert np.array_equal(grid[0], grid[2]) and np.array_equal(grid[:, 1], grid[:, 3])
+    _assert_gradients_match_the_full_tape(cfg, params, raws, token_lists)
+
+
+def test_recomputed_gradients_match_the_full_tape_at_two_pairs():
+    _assert_gradients_match_the_full_tape(*_readme_batch(6, b=2))
+
+
+def test_recomputed_gradients_match_the_full_tape_for_a_loss_reading_every_entry():
+    _assert_gradients_match_the_full_tape(*_readme_batch(7, b=5), loss=tt.sum)
+
+
+def test_all_hinges_inactive_give_zero_gradients_and_no_recompute(monkeypatch):
+    # each matched pair outscores both of its negatives (a seed chosen so),
+    # so at margin 0 every hinge is inactive and no entry gets a gradient
+    cfg, params, raws, token_lists = _readme_batch(17, b=2)
+    scored = _counted(monkeypatch, "_score_pairs")
+    grid = score_grid(params, cfg, raws, token_lists)
+    assert min(np.diag(grid.data)) > max(grid.data[0, 1], grid.data[1, 0])
+    grads = tt.backward(bidirectional_ranking_loss(LossBatch(grid, 0.0)), params)
+    assert len(scored) == 1  # the forward pass only
+    assert all(not np.any(g.data) for g in grads.values())
+
+
+def test_no_grad_and_untracked_inputs_make_no_recompute_node():
+    cfg, params, raws, token_lists = _readme_batch(9, b=3)
+    with tt.no_grad():
+        grid = score_grid(params, cfg, raws, token_lists)
+        images = model.encode_image(params, cfg, raws)
+    assert not grid.requires_grad and grid._parents == ()
+    untracked = tt.recompute([images.local, images.glob], lambda leaves, coords: tt.sum(leaves[0], axis=-1))
+    assert not untracked.requires_grad and untracked._parents == ()
 
 
 # every stream x depth 0/1/3 x shared weight x row softmax x gate

@@ -664,3 +664,46 @@ def test_param_store_iterates_sorted():
     )
     assert store.names() == ["a", "b", "c"]
     assert [name for name, _ in store.items()] == ["a", "b", "c"]
+
+
+# --- recompute ------------------------------------------------------------------
+
+
+def _outer_products(leaves, coords):
+    """Every entry x[i] * y[j] of an outer product, or those at coords, each a
+    sum of squares so the entries have nonlinear gradients."""
+    x, y = leaves
+    if coords is not None:
+        x, y = tt.take_rows(x, coords[0]), tt.take_rows(y, coords[1])
+        return tt.sum(tt.square(tt.mul(x, y)), axis=-1)
+    return tt.sum(tt.square(tt.mul(tt.reshape(x, (x.shape[0], 1, x.shape[1])), y)), axis=-1)
+
+
+def test_recompute_values_and_gradients_equal_one_full_tape():
+    rng = np.random.default_rng(11)
+    store = _store(x=rng.normal(size=(4, 3)), y=rng.normal(size=(5, 3)))
+    weights = np.zeros((4, 5))
+    weights[[0, 2, 3, 3], [1, 1, 0, 4]] = [1.0, -2.0, 0.5, 3.0]  # the loss reads four entries
+    asked = []
+
+    def entries(leaves, coords):
+        asked.append(coords)
+        return _outer_products(leaves, coords)
+
+    inputs = [store["x"], store["y"]]
+    node = tt.recompute(inputs, entries)
+    full = _outer_products(inputs, None)
+    assert np.array_equal(node.data, full.data)
+    produced = backward(tt.sum(tt.sum(tt.mul(node, weights), axis=1)), store)
+    expected = backward(tt.sum(tt.sum(tt.mul(full, weights), axis=1)), store)
+    for name in ("x", "y"):
+        np.testing.assert_allclose(produced[name].data, expected[name].data, rtol=1e-14, atol=0)
+    assert asked[0] is None and [c.tolist() for c in asked[1]] == [[0, 2, 3, 3], [1, 1, 0, 4]]
+
+
+def test_recompute_backward_tapes_its_entries_inside_no_grad():
+    store = _store(x=np.ones((2, 3)), y=np.full((2, 3), 2.0))
+    loss = tt.sum(tt.sum(tt.recompute([store["x"], store["y"]], _outer_products), axis=1))
+    with tt.no_grad():
+        grads = backward(loss, store)
+    assert grads["x"].data.tolist() == [[16.0] * 3] * 2  # d/dx of sum_j (x y_j)^2 over two y rows
