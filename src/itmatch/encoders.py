@@ -4,7 +4,7 @@ Images arrive as precomputed region feature matrices (k, d_raw) and are
 mapped into the joint space by a single linear layer, a whole stack of
 them in one product.  Captions are token id sequences, zero-padded into
 one batch, embedded and run through a bidirectional GRU (one tape node
-per direction) whose two hidden sequences are averaged position-wise.
+for both directions) whose two hidden sequences are averaged position-wise.
 The global feature of either modality gates each local vector by the
 mean vector before pooling.
 """
@@ -40,7 +40,7 @@ def encode_texts(
     the forward and backward GRU states at word j; rows from lengths[c] on
     are zero, so every caption, the longest (length L) included, has at
     least one zero row after its last word.  Both directions run every
-    caption at once.  A caption longer than `max_len` is refused.
+    caption at once, as one node.  A caption longer than `max_len` is refused.
     """
     if len(token_lists) == 0:
         raise InputError("no captions to encode")
@@ -60,11 +60,7 @@ def encode_texts(
         raise InputError(f"caption {c}: token id {ids[c, j]} outside vocabulary of size {vocab}")
     # padded positions embed token 0; the GRU never reads them
     embedded = tt.take_rows(table, ids)
-    states = tt.add(
-        tt.gru_sequence(embedded, lengths, fwd),
-        tt.gru_sequence(embedded, lengths, bwd, reverse=True),
-    )
-    return tt.mul(states, 0.5), lengths
+    return tt.gru_sequence(embedded, lengths, fwd, bwd), lengths
 
 
 def global_feature(local: Tensor, lengths=None) -> Tensor:

@@ -17,13 +17,15 @@ gradient for an operand that carries none.  The batched
 ops (``matmul``, ``transpose``, ``softmax_rows``, ``conv2d_3x3``) work on
 the last one or two axes and carry any leading axes along, so a whole
 stack of matrices is one tape node; ``conv2d_3x3`` and a ``matmul``
-against one shared matrix fold the stack into rows, so each is one BLAS
-product however many matrices it holds.  ``inv_norm`` keeps the axis it
-reduces, so scaling by it is a broadcast ``mul``.  ``take_rows``, the one
-gather, takes entries by their coordinates along the leading axes.
-``gru_sequence`` runs one GRU direction over a padded batch of sequences
-as a single node with a hand-written backward pass.  ``recompute`` tapes
-again, in its backward pass, only the entries that get a nonzero gradient.
+against one shared matrix fold the stack into rows, so each is one to
+three BLAS products however many matrices it holds.  ``inv_norm`` keeps
+the axis it reduces, so scaling by it is a broadcast ``mul``.
+``take_rows``, the one gather, takes entries by their coordinates along
+the leading axes.  ``gru_sequence`` runs a bidirectional GRU over a padded
+batch of sequences as one node with a hand-written backward pass, its
+directions the two jobs of ``run_jobs``, on one thread or two.
+``recompute`` tapes again, in its backward pass, only the entries that
+get a nonzero gradient.
 All storage is 64-bit floats and result arrays are frozen (read-only) on
 creation, so tensors behave as immutable values.
 """
@@ -31,6 +33,8 @@ creation, so tensors behave as immutable values.
 from __future__ import annotations
 
 import contextlib
+import functools
+import os
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -225,9 +229,9 @@ def square(a: Tensor) -> Tensor:
 
 
 def _sigmoid_values(x: Array) -> Array:
-    # exp(-|x|) never overflows; both branches share it
+    # exp(-|x|) never overflows: 1 / (1 + t) at x >= 0, t / (1 + t) below
     t = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return np.where(x >= 0.0, 1.0, t) / (1.0 + t)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -394,10 +398,11 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """3x3 cross-correlation of each matrix in a (..., h, w) stack, zero
     padded, so the output shape equals the input's.
 
-    The stack is folded into rows and multiplied once by a (w, 3w) band
-    whose column block u applies kernel row u along each row; three
-    row-shifted adds combine the blocks.  A shift stops at each matrix's
-    border, so no padded copy is built and no two matrices mix.
+    The stack is folded into rows and multiplied by each column block u of
+    a (w, 3w) band, which applies kernel row u along each row.  Blocks 0
+    and 2 are added one row down and one row up, with the row that would
+    cross a matrix's border zeroed, so no padded copy is built and no two
+    matrices mix.
     """
     if x.data.ndim < 2:
         raise DimensionError(f"conv2d_3x3 input must be a matrix, got {x.data.shape}")
@@ -410,10 +415,14 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     diagonals = np.stack([np.eye(w, k=1 - v) for v in range(3)])
     band = np.einsum("uv,vij->iuj", kernel.data, diagonals).reshape(w, 3 * w)
     rows = x.data.reshape(-1, w)
-    blocks = (rows @ band).reshape(shape[:-1] + (3, w))
-    out = blocks[..., 1, :] + float(bias.data)
-    out[..., 1:, :] += blocks[..., :-1, 0, :]
-    out[..., :-1, :] += blocks[..., 1:, 2, :]
+    out = rows @ band[:, w:2 * w] + float(bias.data)
+    # output row p adds block 0 of row p - 1 and block 2 of row p + 1
+    above = (rows @ band[:, :w]).reshape(-1, shape[-2], w)
+    above[:, -1] = 0.0
+    out.reshape(-1)[w:] += above.reshape(-1)[:-w]
+    below = (rows @ band[:, 2 * w:]).reshape(-1, shape[-2], w)
+    below[:, 0] = 0.0
+    out.reshape(-1)[:-w] += below.reshape(-1)[w:]
 
     def backward_fn(g):
         # block u of output row p read input row p + u - 1
@@ -428,56 +437,75 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             np.tensordot(g_band, diagonals, axes=([0, 2], [1, 2])),
             np.asarray(np.sum(g)),
         )
-    return _record(out, (x, kernel, bias), backward_fn)
+    return _record(out.reshape(shape), (x, kernel, bias), backward_fn)
 
 
-def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = False) -> Tensor:
-    """One GRU direction over a zero-padded batch of sequences, as one node.
+# --- two jobs at once ---------------------------------------------------------
 
-    x: (n, T, e) inputs, sequence i in positions 0..lengths[i]-1.  gates:
-    w_reset, w_update, w_cand (h, e), u_reset, u_update, u_cand (h, h),
-    b_reset, b_update, b_cand (h,).  From a zero state each position runs
+# two jobs run on two threads only when they stream at least this many
+# bytes: smaller ones are interpreter work, and two threads of that contend
+# for the interpreter lock
+CONCURRENT_BYTES = 1 << 20
 
-        r = sigmoid(W_r x + U_r s + b_r),  z = sigmoid(W_z x + U_z s + b_z)
-        s' = s + z * (tanh(W_c x + U_c (r * s) + b_c) - s)
 
-    visiting positions 0..T-1, or T-1..0 with `reverse`.  A sequence's
-    state is frozen at every position past its length, so a reverse pass
-    starts from zero at each sequence's own last element.  Returns the
-    (n, T, h) states, zero at padded positions.
+def _concurrent(nbytes: int) -> bool:
+    """Whether two jobs of `nbytes` run on two threads: only with two CPUs
+    allowed and BLAS pinned to one thread, as more BLAS threads already
+    keep the other core busy."""
+    return (
+        nbytes >= CONCURRENT_BYTES
+        and all(os.environ.get(var) == "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
 
-    Each gate's input projections for every position are one product
-    against that gate's own weight; the backward pass is hand-written
-    BPTT, and each weight and bias gradient is one product or sum over all
-    positions.
-    """
-    gates = tuple(gates)
-    if x.data.ndim != 3 or len(gates) != 9:
-        raise DimensionError(f"gru_sequence needs (n, T, e) inputs and nine gate tensors, got {x.data.shape}")
-    n, steps, e = x.data.shape
-    h = gates[3].data.shape[0]
-    for gate, shape in zip(gates, [(h, e)] * 3 + [(h, h)] * 3 + [(h,)] * 3):
-        if gate.data.shape != shape:
-            raise DimensionError(f"gru_sequence gate shape {gate.data.shape}, expected {shape}")
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > steps):
-        raise DimensionError(f"need {n} sequence lengths in 1..{steps}, got {lengths.tolist()}")
-    w_gates, u_gates, b_gates = ([g.data for g in gates[i:i + 3]] for i in (0, 3, 6))
-    u_reset, u_update, u_cand = u_gates
+
+@functools.cache
+def _worker():
+    """The one worker thread, started on first use; importing this module starts none."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="itmatch-worker")
+
+
+# a forked child has no worker thread, so it starts its own
+os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+def run_jobs(first: Callable[[], object], second: Callable[[], object], nbytes: int) -> tuple:
+    """Both jobs' results, `second` on the worker thread while this thread
+    runs `first` when ``_concurrent(nbytes)``, else one after the other.
+    No job is still running when this returns or raises, and an error of
+    `first` wins over one of `second`.  Jobs must not share what they
+    write, nor call ``run_jobs``: the one worker would wait on itself."""
+    if not _concurrent(nbytes):
+        return first(), second()
+    later = _worker().submit(second)
+    try:
+        result = first()
+    finally:
+        later.exception()  # waits for the worker's job, whatever `first` did
+    return result, later.result()
+
+
+def _gru_direction(x: Array, lengths: Array, gates: tuple[Tensor, ...], reverse: bool, tracking: bool):
+    """One GRU direction's (n, T, h) states, and with `tracking` its backward
+    function: their gradient -> (d_x, nine gate gradients)."""
+    n, steps, e = x.shape
+    w_gates, (u_reset, u_update, u_cand), b_gates = ([g.data for g in gates[i:i + 3]] for i in (0, 3, 6))
+    h = u_reset.shape[0]
 
     # gate-major input projections of every position, proj[k] for gate k,
     # one product per gate against its own weight, so no weight is concatenated
     proj = np.empty((3, n * steps, h))
     for k in range(3):
-        np.matmul(x.data.reshape(-1, e), w_gates[k].T, out=proj[k])
+        np.matmul(x.reshape(-1, e), w_gates[k].T, out=proj[k])
         proj[k] += b_gates[k]
     proj = proj.reshape(3, n, steps, h)
     active = (np.arange(steps) < lengths[:, None])[..., None]  # (n, T, 1)
     order = range(int(lengths.max()))
     if reverse:
         order = order[::-1]
-    parents = (x, *gates)
-    tracking = _tracking(parents)
     if tracking:
         # per position: the incoming state, sigmoid(reset), sigmoid(update)
         # (gate-major), the candidate and reset * state; untouched
@@ -500,7 +528,7 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = Fa
         out[:, t] = np.where(active[:, t], new, 0.0)
         state = np.where(active[:, t], new, state)
     if not tracking:
-        return Tensor(out)
+        return out, None
 
     def backward_fn(g):
         d_pre = np.zeros((3, n, steps, h))  # gradient of the three pre-activations
@@ -526,7 +554,7 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = Fa
         d_x = flat[0] @ w_gates[0]
         for k in (1, 2):
             d_x += flat[k] @ w_gates[k]
-        d_w = np.matmul(flat.transpose(0, 2, 1), x.data.reshape(-1, e))
+        d_w = np.matmul(flat.transpose(0, 2, 1), x.reshape(-1, e))
         d_u = np.matmul(flat[:2].transpose(0, 2, 1), prev.reshape(-1, h))
         d_b = flat.sum(axis=1)
         return (
@@ -535,7 +563,55 @@ def gru_sequence(x: Tensor, lengths, gates: Sequence[Tensor], reverse: bool = Fa
             d_u[0], d_u[1], flat[2].T @ rs_all.reshape(-1, h),
             d_b[0], d_b[1], d_b[2],
         )
-    return _record(out, parents, backward_fn)
+    return out, backward_fn
+
+
+def gru_sequence(x: Tensor, lengths, fwd: Sequence[Tensor], bwd: Sequence[Tensor]) -> Tensor:
+    """A bidirectional GRU over a zero-padded batch of sequences, as one node.
+
+    x: (n, T, e) inputs, sequence i in positions 0..lengths[i]-1.  fwd and
+    bwd: each direction's w_reset, w_update, w_cand (h, e), u_reset,
+    u_update, u_cand (h, h), b_reset, b_update, b_cand (h,).  From a zero
+    state each position runs
+
+        r = sigmoid(W_r x + U_r s + b_r),  z = sigmoid(W_z x + U_z s + b_z)
+        s' = s + z * (tanh(W_c x + U_c (r * s) + b_c) - s)
+
+    visiting positions 0..T-1 with `fwd` and T-1..0 with `bwd`.  A
+    sequence's state is frozen at every position past its length, so the
+    backward direction starts from zero at each sequence's own last
+    element.  Returns the (n, T, h) mean (f + b) * 0.5 of the two
+    directions' states, zero at padded positions.
+
+    Each gate's input projections for every position are one product
+    against that gate's own weight; the backward pass is hand-written
+    BPTT, and each weight and bias gradient is one product or sum over all
+    positions.  The two directions are two jobs of ``run_jobs``, in both
+    passes, sized by one hidden weight.
+    """
+    fwd, bwd = tuple(fwd), tuple(bwd)
+    if x.data.ndim != 3 or len(fwd) != 9 or len(bwd) != 9:
+        raise DimensionError(f"gru_sequence needs (n, T, e) inputs and nine gates a direction, got {x.data.shape}")
+    n, steps, e = x.data.shape
+    h = fwd[3].data.shape[0]
+    for gate, shape in zip(fwd + bwd, ([(h, e)] * 3 + [(h, h)] * 3 + [(h,)] * 3) * 2):
+        if gate.data.shape != shape:
+            raise DimensionError(f"gru_sequence gate shape {gate.data.shape}, expected {shape}")
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > steps):
+        raise DimensionError(f"need {n} sequence lengths in 1..{steps}, got {lengths.tolist()}")
+    parents = (x, *fwd, *bwd)
+    tracking = _tracking(parents)
+    nbytes = fwd[3].data.nbytes
+    (f, f_back), (b, b_back) = run_jobs(
+        lambda: _gru_direction(x.data, lengths, fwd, False, tracking),
+        lambda: _gru_direction(x.data, lengths, bwd, True, tracking), nbytes)
+
+    def backward_fn(g):
+        half = g * 0.5
+        d_f, d_b = run_jobs(lambda: f_back(half), lambda: b_back(half), nbytes)
+        return (d_f[0] + d_b[0], *d_f[1:], *d_b[1:])
+    return _record((f + b) * 0.5, parents, backward_fn)
 
 
 def recompute(inputs: Sequence[Tensor], entries: Callable[[list[Tensor], tuple | None], Tensor]) -> Tensor:

@@ -25,6 +25,7 @@ file is refused, since its square weights would load silently transposed.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from .evaluation import RetrievalResult, evaluate, flatten_captions, rsum
 from .kvfile import MANIFEST_FILE, Container, write_container
 from .model import ModelConfig, init_params, param_shapes, score_grid
 from .scoring import LossBatch, bidirectional_ranking_loss
-from .tensor import ParamStore, Tensor, backward
+from .tensor import ParamStore, Tensor, backward, run_jobs
 
 CHECKPOINT_FORMAT = "itmatch-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -123,9 +124,11 @@ def adam_step(
     walked as flat views, in runs of ADAM_BLOCK elements; a gradient or
     parameter that is not C-contiguous is copied once.  A first, read-only
     pass checks every run of the gradient; the second updates each run
-    through one scratch buffer, advancing m and v in place and writing the
+    through a scratch buffer, advancing m and v in place and writing the
     new parameter into one fresh frozen array, so ``params`` and any store
-    kept from an earlier step stay as they were.
+    kept from an earlier step stay as they were.  The second pass is two
+    jobs of ``tensor.run_jobs``, each with its own scratch buffer: the
+    parameters in name order, split at about half the elements.
     A missing or misshapen gradient raises ContractError, and one that is
     not finite raises DataError naming the step and the parameter; both
     come from the first pass, so the parameters, gradients and state are
@@ -154,23 +157,30 @@ def adam_step(
 
     alpha = lr * math.sqrt(1.0 - ADAM_BETA2 ** t) / (1.0 - ADAM_BETA1 ** t)
     eps_hat = eps * math.sqrt(1.0 - ADAM_BETA2 ** t)
-    scratch = np.empty(ADAM_BLOCK)
-    for _, _, views in flat:
-        for lo in range(0, views[0].size, ADAM_BLOCK):
-            g_b, m_b, v_b, theta_b, theta_out = (a[lo:lo + ADAM_BLOCK] for a in views)
-            s = scratch[:g_b.size]
-            np.multiply(g_b, g_b, out=s)
-            s *= 1.0 - ADAM_BETA2
-            v_b *= ADAM_BETA2
-            v_b += s                                    # v = beta2 v + (1 - beta2) g^2
-            np.multiply(g_b, 1.0 - ADAM_BETA1, out=s)
-            m_b *= ADAM_BETA1
-            m_b += s                                    # m = beta1 m + (1 - beta1) g
-            np.sqrt(v_b, out=s)
-            s += eps_hat
-            np.divide(m_b, s, out=s)
-            s *= alpha
-            np.subtract(theta_b, s, out=theta_out)
+
+    def update(run):
+        scratch = np.empty(ADAM_BLOCK)
+        for _, _, views in run:
+            for lo in range(0, views[0].size, ADAM_BLOCK):
+                g_b, m_b, v_b, theta_b, theta_out = (a[lo:lo + ADAM_BLOCK] for a in views)
+                s = scratch[:g_b.size]
+                np.multiply(g_b, g_b, out=s)
+                s *= 1.0 - ADAM_BETA2
+                v_b *= ADAM_BETA2
+                v_b += s                                    # v = beta2 v + (1 - beta2) g^2
+                np.multiply(g_b, 1.0 - ADAM_BETA1, out=s)
+                m_b *= ADAM_BETA1
+                m_b += s                                    # m = beta1 m + (1 - beta1) g
+                np.sqrt(v_b, out=s)
+                s += eps_hat
+                np.divide(m_b, s, out=s)
+                s *= alpha
+                np.subtract(theta_b, s, out=theta_out)
+
+    # the first job ends at the parameter that takes it to half the elements
+    sizes = list(itertools.accumulate(views[0].size for _, _, views in flat)) or [0]
+    cut = next(i + 1 for i, n in enumerate(sizes) if 2 * n >= sizes[-1])
+    run_jobs(lambda: update(flat[:cut]), lambda: update(flat[cut:]), 8 * sizes[-1])
     state.step = t
     return ParamStore({name: Tensor(theta, requires_grad=True) for name, theta, _ in flat}), state
 

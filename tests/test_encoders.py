@@ -62,45 +62,58 @@ def test_projection_rejects_bad_shapes():
         project_image(np.zeros((2, 4)), w, b)
 
 
-def _run_forward(tokens, table, w):
-    """Forward-direction states of one caption through the batch op."""
+def _run_gru(tokens, table, fwd, bwd):
+    """The mean of both directions' states of one caption through the batch op."""
     x = tt.constant(table.data[tokens][None])
-    return tt.gru_sequence(x, [len(tokens)], w).data[0]
+    return tt.gru_sequence(x, [len(tokens)], fwd, bwd).data[0]
 
 
 def test_gru_step_matches_scalar_reference():
     rng = np.random.default_rng(1)
-    w = _gru_weights(rng, d=4, e=3)
+    fwd, bwd = _gru_weights(rng, d=4, e=3), _gru_weights(rng, d=4, e=3)
     table = tt.constant(rng.normal(size=(2, 3)))
-    states = _run_forward([0, 1], table, w)
-    # the second step starts from a non-zero state
-    first = ref_gru_step(table.data[0].tolist(), [0.0] * 4, _as_ref(w))
-    second = ref_gru_step(table.data[1].tolist(), states[0].tolist(), _as_ref(w))
-    np.testing.assert_allclose(states[0], first, atol=1e-10)
-    np.testing.assert_allclose(states[1], second, atol=1e-10)
+    states = _run_gru([0, 1], table, fwd, bwd)
+    # each direction's second step starts from a non-zero state
+    x0, x1, zero = table.data[0].tolist(), table.data[1].tolist(), [0.0] * 4
+    f0 = ref_gru_step(x0, zero, _as_ref(fwd))
+    f1 = ref_gru_step(x1, f0, _as_ref(fwd))
+    b1 = ref_gru_step(x1, zero, _as_ref(bwd))
+    b0 = ref_gru_step(x0, b1, _as_ref(bwd))
+    np.testing.assert_allclose(states, 0.5 * (np.array([f0, f1]) + np.array([b0, b1])), atol=1e-10)
 
 
 def test_gru_saturated_update_gate_hands_over_to_candidate():
     rng = np.random.default_rng(2)
-    gates = dict(zip(GATES, _gru_weights(rng, d=3, e=2)))
-    # push the update gate to 1: the new state must equal the candidate,
-    # with no trace of the previous hidden state outside the reset path
-    gates.update(
-        w_update=tt.parameter(np.zeros((3, 2))),
-        u_update=tt.parameter(np.zeros((3, 3))),
-        b_update=tt.parameter(np.full(3, 60.0)),
-    )
-    w = tuple(gates[name] for name in GATES)
-    g = {name: t.data for name, t in gates.items()}
+
+    def saturated():
+        # push the update gate to 1: the new state must equal the candidate,
+        # with no trace of the previous hidden state outside the reset path
+        gates = dict(zip(GATES, _gru_weights(rng, d=3, e=2)))
+        gates.update(
+            w_update=tt.parameter(np.zeros((3, 2))),
+            u_update=tt.parameter(np.zeros((3, 3))),
+            b_update=tt.parameter(np.full(3, 60.0)),
+        )
+        return tuple(gates[name] for name in GATES)
+
+    def candidate(w, x, h):
+        g = {name: t.data for name, t in zip(GATES, w)}
+        reset = 1.0 / (1.0 + np.exp(-(g["w_reset"] @ x + g["u_reset"] @ h + g["b_reset"])))
+        return np.tanh(g["w_cand"] @ x + g["u_cand"] @ (reset * h) + g["b_cand"])
+
+    fwd, bwd = saturated(), saturated()
     table = tt.constant(rng.normal(size=(2, 2)))
-    states = _run_forward([0, 1], table, w)
-    x, h = table.data[1], states[0]
-    ref = ref_gru_step(x.tolist(), h.tolist(), _as_ref(w))
-    np.testing.assert_allclose(states[1], ref, atol=1e-12)
-    # recompute the candidate directly
-    reset = 1.0 / (1.0 + np.exp(-(g["w_reset"] @ x + g["u_reset"] @ h + g["b_reset"])))
-    cand = np.tanh(g["w_cand"] @ x + g["u_cand"] @ (reset * h) + g["b_cand"])
-    np.testing.assert_allclose(states[1], cand, atol=1e-12)
+    states = _run_gru([0, 1], table, fwd, bwd)
+    x0, x1, zero = table.data[0], table.data[1], np.zeros(3)
+    f0 = candidate(fwd, x0, zero)
+    b1 = candidate(bwd, x1, zero)
+    expected = 0.5 * np.array([f0 + candidate(bwd, x0, b1), candidate(fwd, x1, f0) + b1])
+    np.testing.assert_allclose(states, expected, atol=1e-12)
+    ref = 0.5 * np.array([
+        f0 + ref_gru_step(x0.tolist(), b1.tolist(), _as_ref(bwd)),
+        ref_gru_step(x1.tolist(), f0.tolist(), _as_ref(fwd)) + b1,
+    ])
+    np.testing.assert_allclose(states, ref, atol=1e-12)
 
 
 # lengths 1..5 and the maximum, out of order; token 5 repeats within and across captions
@@ -187,15 +200,22 @@ def test_gru_sequence_rejects_bad_shapes():
     gates = _gru_weights(rng, d=3, e=2)
     x = tt.constant(np.zeros((2, 4, 2)))
     with pytest.raises(DimensionError):
-        tt.gru_sequence(tt.constant(np.zeros((4, 2))), [4], gates)
+        tt.gru_sequence(tt.constant(np.zeros((4, 2))), [4], gates, gates)
     with pytest.raises(DimensionError):
-        tt.gru_sequence(x, [4, 0], gates)
+        tt.gru_sequence(x, [4, 0], gates, gates)
     with pytest.raises(DimensionError):
-        tt.gru_sequence(x, [4, 5], gates)
+        tt.gru_sequence(x, [4, 5], gates, gates)
     with pytest.raises(DimensionError):
-        tt.gru_sequence(x, [4], gates)
+        tt.gru_sequence(x, [4], gates, gates)
     with pytest.raises(DimensionError):
-        tt.gru_sequence(tt.constant(np.zeros((2, 4, 3))), [4, 1], gates)
+        tt.gru_sequence(tt.constant(np.zeros((2, 4, 3))), [4, 1], gates, gates)
+    # the backward direction's gates are checked like the forward ones
+    wider = _gru_weights(rng, d=4, e=2)
+    for bwd in (gates[:8], wider, _gru_weights(rng, d=3, e=3)):
+        with pytest.raises(DimensionError):
+            tt.gru_sequence(x, [4, 1], gates, bwd)
+        with pytest.raises(DimensionError):
+            tt.gru_sequence(x, [4, 1], bwd, gates)
 
 
 def test_global_feature_is_elementwise_square_of_mean():

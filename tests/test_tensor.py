@@ -1,6 +1,9 @@
 """Engine ops against hand-computed values and finite differences."""
 
+import threading
+import time
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,6 +59,17 @@ def test_unary_values():
     assert tt.relu(x).data.tolist() == [0.0, 0.0, 2.0]
     assert tt.square(x).data.tolist() == [1.0, 0.0, 4.0]
     np.testing.assert_allclose(tt.sigmoid(x).data, 1.0 / (1.0 + np.exp([1.0, 0.0, -2.0])))
+
+
+def test_sigmoid_is_bitwise_the_two_branch_form():
+    # one division of a selected numerator by 1 + t, t = exp(-|x|), gives
+    # the bits of computing 1 / (1 + t) and t / (1 + t) in full and selecting
+    rng = np.random.default_rng(30)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 710.0, -710.0, 745.0, -745.0])
+    for x in [rng.normal(scale=scale, size=(4, 7, 9)) for scale in (1.0, 30.0, 800.0)] + [special]:
+        t = np.exp(-np.abs(x))
+        two_branch = np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+        assert tt.sigmoid(tt.constant(x)).data.tobytes() == two_branch.tobytes()
 
 
 def test_sigmoid_extreme_inputs_stay_finite():
@@ -264,6 +278,21 @@ def test_conv3x3_zero_kernel_returns_bias():
 CONV_SHAPES = [(4, 5), (1, 1), (1, 6), (6, 1), (2, 2), (7, 7), (2, 31, 31)]
 
 
+def _conv_loop(x, kernel, bias):
+    """The 3x3 zero-padded cross-correlation of each matrix of x, entry by entry."""
+    h, w = x.shape[-2:]
+    expected = np.zeros_like(x)
+    for *lead, p, q in np.ndindex(*x.shape):
+        acc = bias
+        for u in range(3):
+            for v in range(3):
+                pi, qi = p + u - 1, q + v - 1
+                if 0 <= pi < h and 0 <= qi < w:
+                    acc += kernel[u, v] * x[(*lead, pi, qi)]
+        expected[(*lead, p, q)] = acc
+    return expected
+
+
 @pytest.mark.parametrize("shape", CONV_SHAPES, ids=["x".join(map(str, s)) for s in CONV_SHAPES])
 def test_conv3x3_against_loop_oracle(shape):
     rng = np.random.default_rng(0)
@@ -273,17 +302,20 @@ def test_conv3x3_against_loop_oracle(shape):
     out = tt.conv2d_3x3(
         tt.constant(x), tt.constant(kernel), tt.constant(np.asarray(bias))
     ).data
-    h, w = shape[-2:]
-    expected = np.zeros_like(x)
-    for *lead, p, q in np.ndindex(*shape):
-        acc = bias
-        for u in range(3):
-            for v in range(3):
-                pi, qi = p + u - 1, q + v - 1
-                if 0 <= pi < h and 0 <= qi < w:
-                    acc += kernel[u, v] * x[(*lead, pi, qi)]
-        expected[(*lead, p, q)] = acc
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, _conv_loop(x, kernel, bias), rtol=0, atol=1e-12)
+
+
+def test_conv3x3_forward_is_bitwise_the_loop_on_exact_values():
+    # small integers keep every product and sum exact, so every order of
+    # the arithmetic gives the same bits: this pins which row and column
+    # each kernel entry reads, at the borders of every matrix of a stack,
+    # narrower and wider than 16 columns
+    rng = np.random.default_rng(33)
+    for shape in CONV_SHAPES + [(3, 2, 9, 9), (4, 20, 20), (2, 3, 17)]:
+        x = rng.integers(-8, 9, size=shape).astype(np.float64)
+        kernel = rng.integers(-4, 5, size=(3, 3)).astype(np.float64)
+        out = tt.conv2d_3x3(tt.constant(x), tt.constant(kernel), tt.constant(np.asarray(0.5))).data
+        assert out.tobytes() == _conv_loop(x, kernel, 0.5).tobytes(), shape
 
 
 def test_conv3x3_stack_convolves_each_matrix_alone():
@@ -707,3 +739,95 @@ def test_recompute_backward_tapes_its_entries_inside_no_grad():
     with tt.no_grad():
         grads = backward(loss, store)
     assert grads["x"].data.tolist() == [[16.0] * 3] * 2  # d/dx of sum_j (x y_j)^2 over two y rows
+
+
+# --- two jobs at once -------------------------------------------------------------
+
+
+@pytest.fixture(params=[False, True], ids=["sequential", "concurrent"])
+def concurrent(request, monkeypatch):
+    """The decision to run two jobs on two threads, forced one way."""
+    monkeypatch.setattr(tt, "_concurrent", lambda nbytes: request.param)
+    return request.param
+
+
+def test_run_jobs_runs_the_second_job_on_the_worker_when_concurrent(concurrent):
+    def name():
+        return threading.current_thread().name
+
+    here, there = tt.run_jobs(name, name, 0)
+    assert here == name() and (there.startswith("itmatch-worker") if concurrent else there == here)
+
+
+def test_run_jobs_raises_the_first_error_with_no_job_left_running(concurrent):
+    # one after the other, a failed first job ends the call; concurrently,
+    # the call waits for the worker's job before it raises
+    finished = []
+
+    def slow(tag):
+        def job():
+            time.sleep(0.05)
+            finished.append(tag)
+        return job
+
+    def fail(tag):
+        def job():
+            raise ValueError(tag)
+        return job
+
+    with pytest.raises(ValueError, match="caller"):
+        tt.run_jobs(fail("caller"), slow("worker"), 0)
+    assert finished == (["worker"] if concurrent else [])
+    with pytest.raises(ValueError, match="worker"):
+        tt.run_jobs(slow("caller"), fail("worker"), 0)
+    assert finished[-1] == "caller"
+    with pytest.raises(ValueError, match="caller"):
+        tt.run_jobs(fail("caller"), fail("worker"), 0)
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_two_threads_only_for_large_jobs_on_two_cpus_with_one_blas_thread(monkeypatch):
+    for var in BLAS_THREADS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(tt.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert tt._concurrent(tt.CONCURRENT_BYTES)
+    assert not tt._concurrent(tt.CONCURRENT_BYTES - 1)
+    for var in BLAS_THREADS:
+        monkeypatch.delenv(var)
+        assert not tt._concurrent(tt.CONCURRENT_BYTES), var
+        monkeypatch.setenv(var, "2")
+        assert not tt._concurrent(tt.CONCURRENT_BYTES), var
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(tt.os, "sched_getaffinity", lambda pid: {1})
+    assert not tt._concurrent(tt.CONCURRENT_BYTES)
+
+
+def test_gru_directions_give_the_same_bits_on_one_or_two_threads(monkeypatch):
+    # at h = 384 a hidden weight, 1.125 MiB, is past CONCURRENT_BYTES
+    rng = np.random.default_rng(34)
+    h, e, lengths = 384, 6, [3, 5]
+    x = rng.normal(size=(2, 5, e))
+    x[0, 3:] = 0.0
+    shapes = [(h, e)] * 3 + [(h, h)] * 3 + [(h,)] * 3
+    store = _store(x=x, **{
+        f"{side}{k}": rng.normal(scale=h ** -0.5, size=shape) for side in "fb" for k, shape in enumerate(shapes)
+    })
+    fwd, bwd = ([store[f"{side}{k}"] for k in range(9)] for side in "fb")
+    probe = rng.normal(size=(2, 5, h))
+    pool, submitted = tt._worker(), []
+    counting = SimpleNamespace(submit=lambda job: submitted.append(job) or pool.submit(job))
+    monkeypatch.setattr(tt, "_worker", lambda: counting)
+    runs = []
+    for on in (False, True):
+        monkeypatch.setattr(tt, "_concurrent", lambda nbytes, on=on: on and nbytes >= tt.CONCURRENT_BYTES)
+        out = tt.gru_sequence(store["x"], lengths, fwd, bwd)
+        grads = backward(tt.sum(tt.mul(out, probe)), store)
+        runs.append([out.data.tobytes()] + [grads[name].data.tobytes() for name in store.names()])
+    assert len(submitted) == 2  # the concurrent run's forward and backward pass
+    assert runs[0] == runs[1]
+    # the node is the mean of the two directions, computed as (f + b) * 0.5
+    f, _ = tt._gru_direction(x, np.array(lengths), fwd, False, False)
+    b, _ = tt._gru_direction(x, np.array(lengths), bwd, True, False)
+    assert runs[0][0] == ((f + b) * 0.5).tobytes()

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -318,6 +319,43 @@ def test_adam_stops_on_a_non_finite_gradient_before_returning(bad):
         for name, arrays in kept.items():
             now = (store[name].data, grads[name].data, state.m[name], state.v[name])
             assert tuple(a.tobytes() for a in now) == arrays, (planted, name)
+
+
+# the second pass is two jobs of whole parameters in name order, the first
+# ending at the parameter that takes it to half the elements: "big" alone,
+# then "one", "scalar" and "still"
+def test_adam_halves_give_the_same_bits_on_one_or_two_threads(monkeypatch):
+    pool, submitted = tt._worker(), []
+    counting = SimpleNamespace(submit=lambda job: submitted.append(job) or pool.submit(job))
+    monkeypatch.setattr(tt, "_worker", lambda: counting)
+    runs = []
+    for on in (False, True):
+        monkeypatch.setattr(tt, "_concurrent", lambda nbytes, on=on: on)
+        store, draw = _adam_problem(12)
+        state = adam_init(store)
+        for _ in range(2):
+            store, state = adam_step(store, draw(), state, lr=0.01)
+        runs.append([a.tobytes() for name in ADAM_SHAPES for a in (store[name].data, state.m[name], state.v[name])])
+    assert len(submitted) == 2  # one job a step, in the concurrent run
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["sequential", "concurrent"])
+def test_adam_names_the_first_non_finite_gradient_of_either_half(monkeypatch, on):
+    monkeypatch.setattr(tt, "_concurrent", lambda nbytes: on)
+    store, draw = _adam_problem(13)
+    state = adam_init(store)
+    store, state = adam_step(store, draw(), state, lr=0.01)
+    grads = draw()
+    big, still = grads["big"].data.copy(), grads["still"].data.copy()
+    big[2, 7] = np.inf
+    still[4, 6] = np.nan
+    grads.update(big=tt.constant(big), still=tt.constant(still))
+    kept = [a.tobytes() for name in ADAM_SHAPES for a in (store[name].data, state.m[name], state.v[name])]
+    with pytest.raises(DataError, match="step 2: .*'big' is not finite"):
+        adam_step(store, grads, state, lr=0.01)
+    assert state.step == 1
+    assert [a.tobytes() for name in ADAM_SHAPES for a in (store[name].data, state.m[name], state.v[name])] == kept
 
 
 # ------------------------------------------------------------ training
