@@ -446,6 +446,8 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 # bytes: smaller ones are interpreter work, and two threads of that contend
 # for the interpreter lock
 CONCURRENT_BYTES = 1 << 20
+# the BLAS thread variables, read once: BLAS read them once, as numpy loaded
+_BLAS_THREADS = tuple(os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
 
 
 def _concurrent(nbytes: int) -> bool:
@@ -454,7 +456,7 @@ def _concurrent(nbytes: int) -> bool:
     keep the other core busy."""
     return (
         nbytes >= CONCURRENT_BYTES
-        and all(os.environ.get(var) == "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+        and _BLAS_THREADS == ("1", "1", "1")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
     )
@@ -619,7 +621,7 @@ def recompute(inputs: Sequence[Tensor], entries: Callable[[list[Tensor], tuple |
     one node.  Its backward pass tapes ``entries(leaves, coords)``, which
     gives just the entries at the ``np.nonzero`` coordinates of the incoming
     gradient, in order, from fresh leaves of the inputs; with no such entry
-    it builds no tape."""
+    it builds no tape.  An input they do not read gets None, not zeros."""
     with no_grad():
         out = entries(list(inputs), None).data
 
@@ -631,7 +633,7 @@ def recompute(inputs: Sequence[Tensor], entries: Callable[[list[Tensor], tuple |
             with _grad_mode(True):
                 picked = entries(leaves, coords)
             grads = _walk(picked, g[coords].reshape(picked.data.shape))
-        return tuple(grads.get(id(x), np.zeros(x.data.shape)) if x.requires_grad else None for x in leaves)
+        return tuple(grads.get(id(x)) for x in leaves)
     return _record(out, tuple(inputs), backward_fn)
 
 
@@ -674,7 +676,8 @@ class ParamStore:
 
 
 def _walk(root: Tensor, seed: Array) -> dict[int, Array]:
-    """Gradients of ``sum(seed * root)`` by leaf id: the graph replayed in reverse topological order."""
+    """Gradients of ``sum(seed * root)`` by leaf id: the graph replayed in reverse topological
+    order.  A None contribution is skipped, so a node that only None reaches never runs its backward."""
     # iterative post-order DFS; creation order alone is not available here
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -704,7 +707,7 @@ def _walk(root: Tensor, seed: Array) -> dict[int, Array]:
         if g is None:
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if not parent.requires_grad:
+            if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
             if key in owned:
@@ -720,18 +723,19 @@ def _walk(root: Tensor, seed: Array) -> dict[int, Array]:
 def backward(loss: Tensor, params: ParamStore) -> dict[str, Tensor]:
     """Gradient of a scalar loss for every parameter in the store.
 
-    Parameters that do not appear in the loss graph get zero gradients.
-    Each gradient is a read-only constant.
+    Parameters the walk does not reach get zero gradients, views of one
+    shared zero buffer.  Each gradient is a read-only constant.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     grads = _walk(loss, np.ones(()))
-    # nothing reads or writes the buffers after the walk, so each gradient
-    # is frozen and handed over as it is, not copied
+    # nothing touches the walk's buffers again, so each is frozen and handed over,
+    # not copied; the unreached share one zero buffer, so a step reaching few allocates little
+    zeros = np.zeros(max((t.data.size for _, t in params.items() if id(t) not in grads), default=0))
     out: dict[str, Tensor] = {}
     for name, tensor in params.items():
         g = grads.get(id(tensor))
-        out[name] = Tensor(np.zeros(tensor.data.shape) if g is None else g)
+        out[name] = Tensor(zeros[:tensor.data.size].reshape(tensor.data.shape) if g is None else g)
     return out
 
 

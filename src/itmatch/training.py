@@ -123,8 +123,9 @@ def adam_step(
     Each parameter, its gradient, both moments and the new parameter are
     walked as flat views, in runs of ADAM_BLOCK elements; a gradient or
     parameter that is not C-contiguous is copied once.  A first, read-only
-    pass checks every run of the gradient; the second updates each run
-    through a scratch buffer, advancing m and v in place and writing the
+    pass checks every run of the gradient and notes which are all zero;
+    the second updates each run through a scratch buffer, advancing m and v
+    in place (an all-zero run adds no gradient terms) and writing the
     new parameter into one fresh frozen array, so ``params`` and any store
     kept from an earlier step stay as they were.  The second pass is two
     jobs of ``tensor.run_jobs``, each with its own scratch buffer: the
@@ -135,7 +136,7 @@ def adam_step(
     then exactly as they were.
     """
     t = state.step + 1
-    flat = []  # per parameter: its name, the new parameter, and the five flat views
+    flat = []  # per parameter: its name, the new parameter, the five flat views and which runs are live
     for name, param in params.items():
         if name not in grads:
             raise ContractError(f"gradient missing for parameter {name!r}")
@@ -146,31 +147,36 @@ def adam_step(
             )
         theta = np.empty(g.shape)
         views = [a.reshape(-1) for a in (g, state.m[name], state.v[name], param.data, theta)]
+        live = []
         for lo in range(0, g.size, ADAM_BLOCK):
             g_b = views[0][lo:lo + ADAM_BLOCK]
             # the run's sum of g*g: NaN and inf survive it, and a finite g
             # whose square overflows (|g| > 1e154) is refused too, since v
-            # would not be finite
-            if not math.isfinite(np.vdot(g_b, g_b)):
+            # would not be finite; one whose squares underflow is still live
+            sq = np.vdot(g_b, g_b)
+            if not math.isfinite(sq):
                 raise DataError(f"step {t}: the gradient of parameter {name!r} is not finite")
-        flat.append((name, theta, views))
+            live.append(sq != 0.0 or g_b.any())
+        flat.append((name, theta, views, live))
 
     alpha = lr * math.sqrt(1.0 - ADAM_BETA2 ** t) / (1.0 - ADAM_BETA1 ** t)
     eps_hat = eps * math.sqrt(1.0 - ADAM_BETA2 ** t)
 
     def update(run):
         scratch = np.empty(ADAM_BLOCK)
-        for _, _, views in run:
-            for lo in range(0, views[0].size, ADAM_BLOCK):
+        for _, _, views, live in run:
+            for lo, live_b in zip(range(0, views[0].size, ADAM_BLOCK), live):
                 g_b, m_b, v_b, theta_b, theta_out = (a[lo:lo + ADAM_BLOCK] for a in views)
                 s = scratch[:g_b.size]
-                np.multiply(g_b, g_b, out=s)
-                s *= 1.0 - ADAM_BETA2
                 v_b *= ADAM_BETA2
-                v_b += s                                    # v = beta2 v + (1 - beta2) g^2
-                np.multiply(g_b, 1.0 - ADAM_BETA1, out=s)
                 m_b *= ADAM_BETA1
-                m_b += s                                    # m = beta1 m + (1 - beta1) g
+                # an all-zero run's terms are +-0: v >= 0 and m (never -0) keep their bits
+                if live_b:
+                    np.multiply(g_b, g_b, out=s)
+                    s *= 1.0 - ADAM_BETA2
+                    v_b += s                                # v = beta2 v + (1 - beta2) g^2
+                    np.multiply(g_b, 1.0 - ADAM_BETA1, out=s)
+                    m_b += s                                # m = beta1 m + (1 - beta1) g
                 np.sqrt(v_b, out=s)
                 s += eps_hat
                 np.divide(m_b, s, out=s)
@@ -178,11 +184,11 @@ def adam_step(
                 np.subtract(theta_b, s, out=theta_out)
 
     # the first job ends at the parameter that takes it to half the elements
-    sizes = list(itertools.accumulate(views[0].size for _, _, views in flat)) or [0]
+    sizes = list(itertools.accumulate(views[0].size for _, _, views, _ in flat)) or [0]
     cut = next(i + 1 for i, n in enumerate(sizes) if 2 * n >= sizes[-1])
     run_jobs(lambda: update(flat[:cut]), lambda: update(flat[cut:]), 8 * sizes[-1])
     state.step = t
-    return ParamStore({name: Tensor(theta, requires_grad=True) for name, theta, _ in flat}), state
+    return ParamStore({name: Tensor(theta, requires_grad=True) for name, theta, _, _ in flat}), state
 
 
 @dataclass

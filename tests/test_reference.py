@@ -488,6 +488,48 @@ def test_all_hinges_inactive_give_zero_gradients_and_no_recompute(monkeypatch):
     assert all(not np.any(g.data) for g in grads.values())
 
 
+def _gru_backward_calls(monkeypatch):
+    """Make every GRU direction's backward closure record its calls."""
+    calls, direction = [], tt._gru_direction
+
+    def counted(*args):
+        states, back = direction(*args)
+        if back is None:
+            return states, None
+
+        def recorded(g):
+            calls.append(g)
+            return back(g)
+        return states, recorded
+
+    monkeypatch.setattr(tt, "_gru_direction", counted)
+    return calls
+
+
+@pytest.mark.parametrize("margin, gru_calls", [(0.0, 0), (0.2, 2)], ids=["inactive", "active"])
+def test_an_inactive_batch_runs_no_backward_upstream_of_the_recompute_node(monkeypatch, margin, gru_calls):
+    # with no active hinge the recompute node gives its inputs no gradient,
+    # so only the loss's nodes and the recompute node itself run backward;
+    # with one, both GRU directions run theirs once
+    cfg, params, raws, token_lists = _readme_batch(17, b=2)
+    gru = _gru_backward_calls(monkeypatch)
+    grid = score_grid(params, cfg, raws, token_lists)
+    loss = bidirectional_ranking_loss(LossBatch(grid, margin))
+    assert (loss.item() > 0.0) == (margin > 0.0)
+    ran, ops = set(), {key: node for key, node in _reachable([loss]).items() if node._backward}
+    for key, node in ops.items():
+        def recorded(g, key=key, fn=node._backward):
+            ran.add(key)
+            return fn(g)
+        node._backward = recorded
+    grads = tt.backward(loss, params)
+    assert len(gru) == gru_calls
+    assert ran == (set(ops) - set(_reachable(grid._parents)) if margin == 0.0 else set(ops))
+    assert id(grid) in ran
+    if margin == 0.0:
+        assert all(g.data.tobytes() == bytes(g.data.nbytes) for g in grads.values())  # +0.0 everywhere
+
+
 def test_no_grad_and_untracked_inputs_make_no_recompute_node():
     cfg, params, raws, token_lists = _readme_batch(9, b=3)
     with tt.no_grad():

@@ -1,8 +1,12 @@
 """Engine ops against hand-computed values and finite differences."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -733,6 +737,25 @@ def test_recompute_values_and_gradients_equal_one_full_tape():
     assert asked[0] is None and [c.tolist() for c in asked[1]] == [[0, 2, 3, 3], [1, 1, 0, 4]]
 
 
+def test_recompute_gives_an_input_its_entries_do_not_read_no_gradient():
+    # both inputs come through a node of their own, and the entries read
+    # the first alone: the second's node never runs its backward, and its
+    # parameter gets exact zeros from backward
+    store = _store(x=np.full((2, 3), 2.0), y=np.ones((2, 3)))
+    inputs, ran = [tt.mul(store["x"], 3.0), tt.mul(store["y"], 3.0)], []
+    for name, node in zip("xy", inputs):
+        node._backward = lambda g, name=name, fn=node._backward: ran.append(name) or fn(g)
+
+    def entries(leaves, coords):
+        return tt.square(leaves[0] if coords is None else tt.take_rows(leaves[0], coords))
+
+    grads = backward(tt.sum(tt.sum(tt.recompute(inputs, entries), axis=1)), store)
+    assert ran == ["x"]
+    assert grads["x"].data.tolist() == [[36.0] * 3] * 2  # d/dx of (3x)^2 at x = 2
+    assert grads["y"].data.tobytes() == np.zeros((2, 3)).tobytes()
+    assert grads["y"].data.flags.c_contiguous and not grads["y"].data.flags.writeable
+
+
 def test_recompute_backward_tapes_its_entries_inside_no_grad():
     store = _store(x=np.ones((2, 3)), y=np.full((2, 3), 2.0))
     loss = tt.sum(tt.sum(tt.recompute([store["x"], store["y"]], _outer_products), axis=1))
@@ -785,23 +808,40 @@ def test_run_jobs_raises_the_first_error_with_no_job_left_running(concurrent):
         tt.run_jobs(fail("caller"), fail("worker"), 0)
 
 
-BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def test_two_threads_only_for_large_jobs_on_two_cpus_with_one_blas_thread(monkeypatch):
-    for var in BLAS_THREADS:
-        monkeypatch.setenv(var, "1")
+    # the decision reads the BLAS thread variables as they were when the
+    # module loaded, the values BLAS itself read; the environment of now
+    # changes nothing
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "2")
+    monkeypatch.setattr(tt, "_BLAS_THREADS", ("1", "1", "1"))
     monkeypatch.setattr(tt.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert tt._concurrent(tt.CONCURRENT_BYTES)
     assert not tt._concurrent(tt.CONCURRENT_BYTES - 1)
-    for var in BLAS_THREADS:
-        monkeypatch.delenv(var)
-        assert not tt._concurrent(tt.CONCURRENT_BYTES), var
-        monkeypatch.setenv(var, "2")
-        assert not tt._concurrent(tt.CONCURRENT_BYTES), var
-        monkeypatch.setenv(var, "1")
+    for i in range(3):
+        for value in (None, "2"):  # unset, or two threads
+            monkeypatch.setattr(tt, "_BLAS_THREADS", ("1",) * i + (value,) + ("1",) * (2 - i))
+            assert not tt._concurrent(tt.CONCURRENT_BYTES), (i, value)
+    monkeypatch.setattr(tt, "_BLAS_THREADS", ("1", "1", "1"))
     monkeypatch.setattr(tt.os, "sched_getaffinity", lambda pid: {1})
     assert not tt._concurrent(tt.CONCURRENT_BYTES)
+
+
+def test_the_blas_thread_variables_are_read_when_the_module_loads():
+    # a fresh interpreter with the variables set before numpy loads, as
+    # perfbench sets them; setting them after the import changes nothing
+    code = (
+        "import os\n"
+        "for var in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
+        "    os.environ[var] = '1'\n"
+        "from itmatch import tensor\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+        "print(tensor._BLAS_THREADS)\n"
+    )
+    env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(tt.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "('1', '1', '1')"
 
 
 def test_gru_directions_give_the_same_bits_on_one_or_two_threads(monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 import tracemalloc
 from types import SimpleNamespace
@@ -338,6 +339,72 @@ def test_adam_halves_give_the_same_bits_on_one_or_two_threads(monkeypatch):
         runs.append([a.tobytes() for name in ADAM_SHAPES for a in (store[name].data, state.m[name], state.v[name])])
     assert len(submitted) == 2  # one job a step, in the concurrent run
     assert runs[0] == runs[1]
+
+
+def _full_adam(theta, g, m, v, t, lr, eps=1e-8):
+    # the efficient-order update with both gradient terms on every entry,
+    # one operation after another as adam_step applies them; m and v
+    # advance in place
+    alpha = lr * math.sqrt(1.0 - 0.999 ** t) / (1.0 - 0.9 ** t)
+    eps_hat = eps * math.sqrt(1.0 - 0.999 ** t)
+    s = g * g
+    s *= 1.0 - 0.999
+    v *= 0.999
+    v += s
+    s = g * (1.0 - 0.9)
+    m *= 0.9
+    m += s
+    s = np.sqrt(v)
+    s += eps_hat
+    s = m / s
+    s *= alpha
+    return theta - s
+
+
+# the gradient runs of adam_step's zero-run test: +0, -0, +-1e-170 (whose
+# squares underflow to 0, so the run is not zero) and ordinary values
+ZERO_RUN_KINDS = ("zero", "negative zero", "tiny", "ordinary")
+
+
+def _zero_run_gradient(rng, kinds, size):
+    g = rng.standard_normal(size)
+    for r, kind in enumerate(kinds):
+        run = g[r * ADAM_BLOCK:(r + 1) * ADAM_BLOCK]
+        if kind == "zero":
+            run[:] = 0.0
+        elif kind == "negative zero":
+            run[:] = -0.0
+        elif kind == "tiny":
+            run[:] = np.where(run < 0.0, -1e-170, 1e-170)
+    return g
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["sequential", "concurrent"])
+def test_adam_skips_the_gradient_terms_of_zero_runs_bit_for_bit(monkeypatch, on):
+    # "w" is four runs and a short one, and each step shifts which run gets
+    # which kind: zero runs meet nonzero moments, and a tiny run meets zero
+    # moments, where its first moment term is all that moves it; "sure"
+    # gets a gradient of all -0 on every step, "still" all +0
+    monkeypatch.setattr(tt, "_concurrent", lambda nbytes: on)
+    rng = np.random.default_rng(21)
+    shapes = {"still": (3, 5), "sure": (7,), "w": (4 * ADAM_BLOCK + 9,)}
+    store = ParamStore({name: tt.parameter(rng.standard_normal(shape)) for name, shape in shapes.items()})
+    state = adam_init(store)
+    want = {name: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for name, t in store.items()}
+    for t in range(1, 7):
+        grads = {
+            "still": np.zeros(shapes["still"]),
+            "sure": np.full(shapes["sure"], -0.0),
+            "w": _zero_run_gradient(rng, [ZERO_RUN_KINDS[(r + t) % 4] for r in range(5)], shapes["w"][0]),
+        }
+        store, state = adam_step(store, {name: tt.constant(g) for name, g in grads.items()}, state, lr=0.01)
+        for name, (theta, m, v) in want.items():
+            want[name] = (_full_adam(theta, grads[name], m, v, t, 0.01), m, v)
+            got = (store[name].data, state.m[name], state.v[name])
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want[name]], (t, name)
+        if t == 1:  # run 1 was tiny: v stays 0 and m moves off it
+            tiny = slice(ADAM_BLOCK, 2 * ADAM_BLOCK)
+            assert not np.any(state.v["w"][tiny]) and np.all(state.m["w"][tiny] != 0.0)
 
 
 @pytest.mark.parametrize("on", [False, True], ids=["sequential", "concurrent"])
