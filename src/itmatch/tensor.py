@@ -490,12 +490,36 @@ def run_jobs(first: Callable[[], object], second: Callable[[], object], nbytes: 
     return result, later.result()
 
 
+# OpenBLAS runs a product of m * n * k at most this on its small-matrix kernel, which
+# reads the weight once; past it, it packs the whole weight first, at about half the speed
+SMALL_PRODUCT = 100 ** 3
+
+
+def _block_width(n: int, h: int) -> int:
+    """The block width of n-row products against an (h, h) weight: the largest
+    divisor of h of at least 64 with n * width * h within SMALL_PRODUCT, else h."""
+    return max((w for w in range(64, h + 1) if h % w == 0 and n * w * h <= SMALL_PRODUCT), default=h)
+
+
+def _hidden_stacks(n: int, us: Sequence[Array]) -> tuple[Callable[[Array], Array], list[Array], list[Array]]:
+    """A function from an (..., n, h) array to its (..., blocks, n, width) view
+    of column blocks, and per (h, h) weight two views of its row blocks: (blocks,
+    h, width) transposed, so ``s @ u.T`` is one matmul call into a split output,
+    and (blocks, width, h), whose partial products from a split ``d`` sum to ``d @ u``."""
+    h = us[0].shape[0]
+    width = _block_width(n, h)
+    rows = [u.reshape(-1, width, h) for u in us]  # block j: u[j*width:(j+1)*width]
+    return (lambda a: a.reshape(*a.shape[:-1], -1, width).swapaxes(-3, -2)), [r.swapaxes(1, 2) for r in rows], rows
+
+
 def _gru_direction(x: Array, lengths: Array, gates: tuple[Tensor, ...], reverse: bool, tracking: bool):
     """One GRU direction's (n, T, h) states, and with `tracking` its backward
-    function: their gradient -> (d_x, nine gate gradients)."""
+    function: their gradient -> (d_x, nine gate gradients).  Each hidden-state
+    product is one matmul call over blocks of its weight (``_hidden_stacks``)."""
     n, steps, e = x.shape
-    w_gates, (u_reset, u_update, u_cand), b_gates = ([g.data for g in gates[i:i + 3]] for i in (0, 3, 6))
-    h = u_reset.shape[0]
+    w_gates, u_gates, b_gates = ([g.data for g in gates[i:i + 3]] for i in (0, 3, 6))
+    h = u_gates[0].shape[0]
+    split, ahead, back = _hidden_stacks(n, u_gates)
 
     # gate-major input projections of every position, proj[k] for gate k,
     # one product per gate against its own weight, so no weight is concatenated
@@ -516,14 +540,16 @@ def _gru_direction(x: Array, lengths: Array, gates: tuple[Tensor, ...], reverse:
         rz_all = np.zeros((2, n, steps, h))
     out = np.zeros((n, steps, h))
     state = np.zeros((n, h))
-    pre = np.empty((2, n, h))  # reset and update pre-activations of one position
+    pre = np.empty((3, n, h))  # the three gates' pre-activations of one position
+    pre_blocks = split(pre)
     for t in order:
-        np.matmul(state, u_reset.T, out=pre[0])
-        np.matmul(state, u_update.T, out=pre[1])
-        pre += proj[:2, :, t]
-        rz = _sigmoid_values(pre)
+        np.matmul(state, ahead[0], out=pre_blocks[0])
+        np.matmul(state, ahead[1], out=pre_blocks[1])
+        pre[:2] += proj[:2, :, t]
+        rz = _sigmoid_values(pre[:2])
         rs = rz[0] * state
-        cand = np.tanh(proj[2, :, t] + rs @ u_cand.T)
+        np.matmul(rs, ahead[2], out=pre_blocks[2])
+        cand = np.tanh(pre[2] + proj[2, :, t])
         new = state + rz[1] * (cand - state)
         if tracking:
             prev[:, t], rz_all[:, :, t], cand_all[:, t], rs_all[:, t] = state, rz, cand, rs
@@ -535,21 +561,24 @@ def _gru_direction(x: Array, lengths: Array, gates: tuple[Tensor, ...], reverse:
     def backward_fn(g):
         d_pre = np.zeros((3, n, steps, h))  # gradient of the three pre-activations
         d_state = np.zeros((n, h))
-        d_rz, d_hidden, d_part = np.empty((2, n, h)), np.empty((n, h)), np.empty((n, h))
+        d_gates, d_rs, d_hidden = np.empty((3, n, h)), np.empty((n, h)), np.empty((n, h))
+        d_rz, d_cand, d_blocks = d_gates[:2], d_gates[2], split(d_gates)
+        parts = np.empty((2, len(back[0]), n, h))  # each block's partial product, then their sum
         for t in order[::-1]:
             # a frozen sequence passes d_state through; its output is a constant 0
             d_new = np.where(active[:, t], d_state + g[:, t], 0.0)
             rz, cand, state = rz_all[:, :, t], cand_all[:, t], prev[:, t]
             update = rz[1]
-            d_cand = d_new * update * (1.0 - cand * cand)
-            d_rs = d_cand @ u_cand
+            np.multiply(d_new, update, out=d_cand)
+            d_cand *= 1.0 - cand * cand
+            np.add.reduce(np.matmul(d_blocks[2], back[2], out=parts[0]), axis=0, out=d_rs)
             np.multiply(d_rs, state, out=d_rz[0])
             np.multiply(d_new, cand - state, out=d_rz[1])
             d_rz *= rz * (1.0 - rz)
-            d_pre[:2, :, t] = d_rz
-            d_pre[2, :, t] = d_cand
-            np.matmul(d_rz[0], u_reset, out=d_hidden)
-            d_hidden += np.matmul(d_rz[1], u_update, out=d_part)
+            d_pre[:, :, t] = d_gates
+            np.matmul(d_blocks[0], back[0], out=parts[0])
+            np.matmul(d_blocks[1], back[1], out=parts[1])
+            np.add.reduce(parts.reshape(-1, n, h), axis=0, out=d_hidden)
             d_prev = d_new * (1.0 - update) + d_rs * rz[0] + d_hidden
             d_state = np.where(active[:, t], d_prev, d_state)
         flat = d_pre.reshape(3, -1, h)
@@ -586,7 +615,8 @@ def gru_sequence(x: Tensor, lengths, fwd: Sequence[Tensor], bwd: Sequence[Tensor
     directions' states, zero at padded positions.
 
     Each gate's input projections for every position are one product
-    against that gate's own weight; the backward pass is hand-written
+    against that gate's own weight, and each hidden-state product one call
+    over blocks of its weight; the backward pass is hand-written
     BPTT, and each weight and bias gradient is one product or sum over all
     positions.  The two directions are two jobs of ``run_jobs``, in both
     passes, sized by one hidden weight.

@@ -123,9 +123,9 @@ def adam_step(
     Each parameter, its gradient, both moments and the new parameter are
     walked as flat views, in runs of ADAM_BLOCK elements; a gradient or
     parameter that is not C-contiguous is copied once.  A first, read-only
-    pass checks every run of the gradient and notes which are all zero;
+    pass checks every run of the gradient and notes which are all +0;
     the second updates each run through a scratch buffer, advancing m and v
-    in place (an all-zero run adds no gradient terms) and writing the
+    in place (an all-+0 run adds no gradient terms) and writing the
     new parameter into one fresh frozen array, so ``params`` and any store
     kept from an earlier step stay as they were.  The second pass is two
     jobs of ``tensor.run_jobs``, each with its own scratch buffer: the
@@ -152,11 +152,11 @@ def adam_step(
             g_b = views[0][lo:lo + ADAM_BLOCK]
             # the run's sum of g*g: NaN and inf survive it, and a finite g
             # whose square overflows (|g| > 1e154) is refused too, since v
-            # would not be finite; one whose squares underflow is still live
+            # would not be finite; one whose squares underflow, or all -0, is live
             sq = np.vdot(g_b, g_b)
             if not math.isfinite(sq):
                 raise DataError(f"step {t}: the gradient of parameter {name!r} is not finite")
-            live.append(sq != 0.0 or g_b.any())
+            live.append(sq != 0.0 or g_b.view(np.uint64).max() != 0)
         flat.append((name, theta, views, live))
 
     alpha = lr * math.sqrt(1.0 - ADAM_BETA2 ** t) / (1.0 - ADAM_BETA1 ** t)
@@ -170,7 +170,7 @@ def adam_step(
                 s = scratch[:g_b.size]
                 v_b *= ADAM_BETA2
                 m_b *= ADAM_BETA1
-                # an all-zero run's terms are +-0: v >= 0 and m (never -0) keep their bits
+                # an all-+0 run's terms are +0: v >= 0 and m (never -0) keep their bits
                 if live_b:
                     np.multiply(g_b, g_b, out=s)
                     s *= 1.0 - ADAM_BETA2

@@ -844,30 +844,106 @@ def test_the_blas_thread_variables_are_read_when_the_module_loads():
     assert out.stdout.strip() == "('1', '1', '1')"
 
 
-def test_gru_directions_give_the_same_bits_on_one_or_two_threads(monkeypatch):
-    # at h = 384 a hidden weight, 1.125 MiB, is past CONCURRENT_BYTES
-    rng = np.random.default_rng(34)
-    h, e, lengths = 384, 6, [3, 5]
-    x = rng.normal(size=(2, 5, e))
-    x[0, 3:] = 0.0
+def _gru_problem(seed, h, e=6, lengths=(3, 5)):
+    """A store of inputs x (padded past each length) and both directions'
+    gates, and a probe whose product with the output is the loss."""
+    rng = np.random.default_rng(seed)
+    steps = max(lengths)
+    x = rng.normal(size=(len(lengths), steps, e))
+    for i, length in enumerate(lengths):
+        x[i, length:] = 0.0
     shapes = [(h, e)] * 3 + [(h, h)] * 3 + [(h,)] * 3
     store = _store(x=x, **{
         f"{side}{k}": rng.normal(scale=h ** -0.5, size=shape) for side in "fb" for k, shape in enumerate(shapes)
     })
+    return store, list(lengths), rng.normal(size=(len(lengths), steps, h))
+
+
+def _gru_run(store, lengths, probe):
+    """The BiGRU's output, then the gradients of d_x and the 18 gates."""
     fwd, bwd = ([store[f"{side}{k}"] for k in range(9)] for side in "fb")
-    probe = rng.normal(size=(2, 5, h))
+    out = tt.gru_sequence(store["x"], lengths, fwd, bwd)
+    grads = backward(tt.sum(tt.mul(out, probe)), store)
+    return [out.data] + [grads[name].data for name in store.names()]
+
+
+def test_gru_directions_give_the_same_bits_on_one_or_two_threads(monkeypatch):
+    # at h = 384 a hidden weight, 1.125 MiB, is past CONCURRENT_BYTES
+    store, lengths, probe = _gru_problem(34, h=384)
     pool, submitted = tt._worker(), []
     counting = SimpleNamespace(submit=lambda job: submitted.append(job) or pool.submit(job))
     monkeypatch.setattr(tt, "_worker", lambda: counting)
     runs = []
     for on in (False, True):
         monkeypatch.setattr(tt, "_concurrent", lambda nbytes, on=on: on and nbytes >= tt.CONCURRENT_BYTES)
-        out = tt.gru_sequence(store["x"], lengths, fwd, bwd)
-        grads = backward(tt.sum(tt.mul(out, probe)), store)
-        runs.append([out.data.tobytes()] + [grads[name].data.tobytes() for name in store.names()])
+        runs.append([a.tobytes() for a in _gru_run(store, lengths, probe)])
     assert len(submitted) == 2  # the concurrent run's forward and backward pass
     assert runs[0] == runs[1]
     # the node is the mean of the two directions, computed as (f + b) * 0.5
-    f, _ = tt._gru_direction(x, np.array(lengths), fwd, False, False)
-    b, _ = tt._gru_direction(x, np.array(lengths), bwd, True, False)
+    fwd, bwd = ([store[f"{side}{k}"] for k in range(9)] for side in "fb")
+    f, _ = tt._gru_direction(store["x"].data, np.array(lengths), fwd, False, False)
+    b, _ = tt._gru_direction(store["x"].data, np.array(lengths), bwd, True, False)
     assert runs[0][0] == ((f + b) * 0.5).tobytes()
+
+
+# a small-product bound that splits products of n = 2 rows against h = 128 into two blocks of 64
+TWO_BLOCKS = 2 * 64 * 128
+
+
+def test_blocked_hidden_products_match_the_one_block_product(monkeypatch):
+    store, lengths, probe = _gru_problem(35, h=128)
+    whole = _gru_run(store, lengths, probe)
+    monkeypatch.setattr(tt, "SMALL_PRODUCT", TWO_BLOCKS)
+    assert tt._block_width(2, 128) == 64
+    blocked = _gru_run(store, lengths, probe)
+    assert len(blocked) == 20  # the output, d_x and the 18 gate gradients
+    for name, a, b in zip(["out"] + store.names(), whole, blocked):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), name
+
+
+def test_blocked_hidden_products_give_the_same_bits_on_one_or_two_threads(monkeypatch):
+    store, lengths, probe = _gru_problem(36, h=128)
+    monkeypatch.setattr(tt, "SMALL_PRODUCT", TWO_BLOCKS)
+    runs = []
+    for on in (False, True):
+        monkeypatch.setattr(tt, "_concurrent", lambda nbytes, on=on: on)
+        runs.append([a.tobytes() for a in _gru_run(store, lengths, probe)])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("n, h, bound, width", [
+    (2, 128, TWO_BLOCKS, 64), (2, 1024, None, 256), (128, 1024, None, 1024), (16, 32, None, 32),
+])
+def test_hidden_stacks_are_views_of_their_weights(monkeypatch, n, h, bound, width):
+    if bound:
+        monkeypatch.setattr(tt, "SMALL_PRODUCT", bound)
+    rng = np.random.default_rng(37)
+    us = [rng.normal(size=(h, h)) for _ in range(3)]
+    a = rng.normal(size=(n, h))
+    split, ahead, back = tt._hidden_stacks(n, us)
+    assert np.shares_memory(split(a), a)
+    for u, forward_stack, backward_stack in zip(us, ahead, back):
+        assert forward_stack.shape == (h // width, h, width) and backward_stack.shape == (h // width, width, h)
+        assert np.shares_memory(forward_stack, u) and np.shares_memory(backward_stack, u)
+        forward = np.empty((n, h))
+        np.matmul(a, forward_stack, out=split(forward))
+        backward = np.matmul(split(a), backward_stack).sum(axis=0)
+        for out, plain in ((forward, a @ u.T), (backward, a @ u)):
+            if width == h:  # one block is the plain product's single BLAS call
+                assert out.tobytes() == plain.tobytes()
+            else:
+                np.testing.assert_allclose(out, plain, rtol=1e-13, atol=1e-13 * np.max(np.abs(plain)))
+
+
+def test_block_width_is_the_widest_divisor_on_the_small_product_kernel():
+    for h in (8, 32, 64, 96, 128, 300, 1024, 2048):
+        for n in (1, 2, 3, 4, 7, 8, 15, 16, 80, 128):
+            width = tt._block_width(n, h)
+            assert h % width == 0, (n, h)
+            assert width == h or (width >= 64 and n * width * h <= tt.SMALL_PRODUCT), (n, h)
+            if n * h * h <= tt.SMALL_PRODUCT:
+                assert width == h, (n, h)
+    # the paper's h = 1024: one block from 16 rows up, the paper's b = 128 included
+    assert [tt._block_width(n, 1024) for n in (1, 2, 4, 8, 15, 16, 128)] == [512, 256, 128, 64, 64, 1024, 1024]
+    # the README's h = 32, whatever the number of captions
+    assert {tt._block_width(n, 32) for n in (1, 16, 80, 1000)} == {32}

@@ -363,7 +363,7 @@ def _full_adam(theta, g, m, v, t, lr, eps=1e-8):
 
 # the gradient runs of adam_step's zero-run test: +0, -0, +-1e-170 (whose
 # squares underflow to 0, so the run is not zero) and ordinary values
-ZERO_RUN_KINDS = ("zero", "negative zero", "tiny", "ordinary")
+ZERO_RUN_KINDS = ("zero", "negative zero", "tiny", "ordinary", "signed zeros")
 
 
 def _zero_run_gradient(rng, kinds, size):
@@ -376,6 +376,9 @@ def _zero_run_gradient(rng, kinds, size):
             run[:] = -0.0
         elif kind == "tiny":
             run[:] = np.where(run < 0.0, -1e-170, 1e-170)
+        elif kind == "signed zeros":  # one -0 among +0: a live run, as its bits are not all zero
+            run[:] = 0.0
+            run[r] = -0.0
     return g
 
 
@@ -383,8 +386,10 @@ def _zero_run_gradient(rng, kinds, size):
 def test_adam_skips_the_gradient_terms_of_zero_runs_bit_for_bit(monkeypatch, on):
     # "w" is four runs and a short one, and each step shifts which run gets
     # which kind: zero runs meet nonzero moments, and a tiny run meets zero
-    # moments, where its first moment term is all that moves it; "sure"
-    # gets a gradient of all -0 on every step, "still" all +0
+    # moments, where its first moment term is all that moves it; -0 runs,
+    # whole or a single entry, take the live update and keep the moments'
+    # bits all the same; "sure" gets a gradient of all -0 on every step,
+    # "still" all +0
     monkeypatch.setattr(tt, "_concurrent", lambda nbytes: on)
     rng = np.random.default_rng(21)
     shapes = {"still": (3, 5), "sure": (7,), "w": (4 * ADAM_BLOCK + 9,)}
@@ -395,7 +400,7 @@ def test_adam_skips_the_gradient_terms_of_zero_runs_bit_for_bit(monkeypatch, on)
         grads = {
             "still": np.zeros(shapes["still"]),
             "sure": np.full(shapes["sure"], -0.0),
-            "w": _zero_run_gradient(rng, [ZERO_RUN_KINDS[(r + t) % 4] for r in range(5)], shapes["w"][0]),
+            "w": _zero_run_gradient(rng, [ZERO_RUN_KINDS[(r + t) % 5] for r in range(5)], shapes["w"][0]),
         }
         store, state = adam_step(store, {name: tt.constant(g) for name, g in grads.items()}, state, lr=0.01)
         for name, (theta, m, v) in want.items():
@@ -405,6 +410,26 @@ def test_adam_skips_the_gradient_terms_of_zero_runs_bit_for_bit(monkeypatch, on)
         if t == 1:  # run 1 was tiny: v stays 0 and m moves off it
             tiny = slice(ADAM_BLOCK, 2 * ADAM_BLOCK)
             assert not np.any(state.v["w"][tiny]) and np.all(state.m["w"][tiny] != 0.0)
+
+
+@pytest.mark.parametrize("value, products", [(0.0, 0), (-0.0, 2)], ids=["+0", "-0"])
+def test_adam_skips_the_gradient_terms_only_of_a_run_of_all_zero_bits(monkeypatch, value, products):
+    # the update's two gradient terms are its only np.multiply calls
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def multiply(*args, **kwargs):
+            calls.append(args)
+            return np.multiply(*args, **kwargs)
+
+    monkeypatch.setattr(training, "np", CountingNumpy())
+    store = ParamStore({"w": tt.parameter(np.ones(7))})
+    adam_step(store, {"w": tt.constant(np.full(7, value))}, adam_init(store), lr=0.01)
+    assert len(calls) == products
 
 
 @pytest.mark.parametrize("on", [False, True], ids=["sequential", "concurrent"])
